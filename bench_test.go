@@ -909,6 +909,100 @@ func BenchmarkDetectorScoreScratch(b *testing.B) {
 	})
 }
 
+// BenchmarkAdapterObserve times one adaptive link's window — score, then
+// observe — on a gain-walk link where every window refreshes the profile.
+// naive/refresh observes through the standalone Observe, which sanitizes
+// the window again for the refresh; cached/refresh hands ObserveScored the
+// scratch that just scored the window, so the refresh measures the frames
+// scoring already sanitized (one sanitize per window, the engine's path).
+// benchcheck guards the in-run cached-vs-naive ratio. The windows come from
+// a ring of pre-captured gain-walk windows played forwards then backwards,
+// so the walk has no seam and never reads as a step.
+func BenchmarkAdapterObserve(b *testing.B) {
+	const (
+		winPackets = 25
+		ringLen    = 32
+	)
+	s, err := scenario.LinkCase(2, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stream, err := s.NewDriftStream(scenario.GainWalk(12), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pull := func(n int) []*csi.Frame {
+		out := make([]*csi.Frame, n)
+		for i := range out {
+			if out[i], err = stream.Next(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return out
+	}
+	cfg := core.DefaultConfig(s.Grid, core.SchemeSubcarrier, s.Env.RX.Offsets())
+	cal, holdout := pull(150), pull(150)
+	ring := make([][]*csi.Frame, ringLen)
+	for i := range ring {
+		ring[i] = pull(winPackets)
+	}
+	window := func(i int) []*csi.Frame {
+		if i %= 2 * ringLen; i >= ringLen {
+			i = 2*ringLen - 1 - i
+		}
+		return ring[i]
+	}
+	run := func(b *testing.B, scored bool) {
+		profile, err := core.Calibrate(cfg, cal)
+		if err != nil {
+			b.Fatal(err)
+		}
+		det, err := core.NewDetector(cfg, profile)
+		if err != nil {
+			b.Fatal(err)
+		}
+		null, err := det.SelfScores(holdout, winPackets, winPackets)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := det.CalibrateThreshold(null, 0.95, 1.3); err != nil {
+			b.Fatal(err)
+		}
+		ad, err := adapt.NewAdapter(adapt.Policy{}, det, null)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sc := core.NewScratch()
+		step := func(i int) {
+			w := window(i)
+			dec, err := det.DetectScratch(w, sc)
+			if err == nil && scored {
+				_, err = ad.ObserveScored(w, dec, sc)
+			} else if err == nil {
+				_, err = ad.Observe(w, dec)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := 0; i < ringLen; i++ { // warm scratches and rolling state
+			step(i)
+		}
+		before := ad.Health().Refreshes
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step(ringLen + i)
+		}
+		b.StopTimer()
+		if got := ad.Health().Refreshes - before; got != uint64(b.N) {
+			b.Fatalf("%d of %d windows refreshed; the benchmark must refresh every window", got, b.N)
+		}
+	}
+	b.Run("naive/refresh", func(b *testing.B) { run(b, false) })
+	b.Run("cached/refresh", func(b *testing.B) { run(b, true) })
+}
+
 // --- Ablations (DESIGN.md §5) ------------------------------------------
 
 // ablationROC calibrates a detector variant on link case 2 and returns the

@@ -455,10 +455,27 @@ func (a *Adapter) Health() Health {
 // distribution. The window's frames are only read during the call — the
 // caller may recycle them afterwards. It returns the post-update health.
 //
+// A refresh or relock prepares the window afresh in the adapter's own
+// scratch; a caller that just scored the window should use ObserveScored.
+//
 // Observe must be called from a single goroutine (the link's owner); see the
 // Adapter doc comment.
 func (a *Adapter) Observe(window []*csi.Frame, dec core.Decision) (Health, error) {
+	return a.ObserveScored(window, dec, a.sc)
+}
+
+// ObserveScored is Observe for a window the caller has just scored into dec
+// through the adapter's detector with scratch sc: a refresh or relock
+// measures the sanitized frames sc already holds instead of sanitizing the
+// window again. If sc did not just score this window under the detector's
+// kernel, or is nil, the window is prepared first, so the result is always
+// Observe's, bit for bit. sc is used only during the call, never retained:
+// links migrate between scoring shards.
+func (a *Adapter) ObserveScored(window []*csi.Frame, dec core.Decision, sc *core.Scratch) (Health, error) {
 	defer func() { a.pub.publish(a.health) }()
+	if sc == nil {
+		sc = a.sc
+	}
 
 	if a.relock.Swap(false) {
 		// Ambient relock: the fleet layer attributed the link's shift to a
@@ -466,7 +483,7 @@ func (a *Adapter) Observe(window []*csi.Frame, dec core.Decision) (Health, error
 		// The window's score was computed against the pre-relock profile —
 		// feeding it to the monitor would poison the fresh rolling state, so
 		// this observation only rebuilds.
-		if err := a.relockNow(window); err != nil {
+		if err := a.relockNow(window, sc); err != nil {
 			return a.health, err
 		}
 		return a.health, nil
@@ -498,7 +515,7 @@ func (a *Adapter) Observe(window []*csi.Frame, dec core.Decision) (Health, error
 		!stats.JumpExceeded &&
 		math.Abs(dec.Score-stats.RecentMean) <= a.pol.TrackBand*stats.RefStd
 	if (silent || tracking) && !suppressed {
-		if err := a.refresh(window, dec.Score); err != nil {
+		if err := a.refresh(window, sc, dec.Score); err != nil {
 			return a.health, err
 		}
 	}
@@ -531,8 +548,8 @@ func (a *Adapter) Observe(window []*csi.Frame, dec core.Decision) (Health, error
 
 // refresh applies one silent-window profile refresh and, at the configured
 // cadence, re-derives the threshold from the rolling nulls.
-func (a *Adapter) refresh(window []*csi.Frame, score float64) error {
-	if err := a.det.MeasureWindow(&a.ws, window, a.sc); err != nil {
+func (a *Adapter) refresh(window []*csi.Frame, sc *core.Scratch, score float64) error {
+	if err := a.det.MeasureWindow(&a.ws, window, sc); err != nil {
 		return fmt.Errorf("adapt measure: %w", err)
 	}
 	next, err := a.lp.Refresh(&a.ws)
@@ -596,8 +613,8 @@ func (a *Adapter) updateShiftTrend() {
 // below it, so silent refreshes resume immediately and the threshold
 // re-derives from genuinely fresh nulls at the usual cadence — while a person
 // arriving in the meantime still faces a meaningful threshold.
-func (a *Adapter) relockNow(window []*csi.Frame) error {
-	if err := a.det.MeasureWindow(&a.ws, window, a.sc); err != nil {
+func (a *Adapter) relockNow(window []*csi.Frame, sc *core.Scratch) error {
+	if err := a.det.MeasureWindow(&a.ws, window, sc); err != nil {
 		return fmt.Errorf("adapt relock measure: %w", err)
 	}
 	next, err := a.lp.Adopt(&a.ws)

@@ -42,9 +42,19 @@
 // snapshot, so a restarted daemon resumes from the adapted baseline instead
 // of recalibrating; see fleet.Store.
 //
+// One sanitize per window: a refresh or relock needs the window's profile
+// statistics, measured over its sanitized frames. ObserveScored takes the
+// scratch that just scored the window and measures the frames scoring
+// already prepared there (core.Kernel.MeasureWindowInto's guarded reuse);
+// Observe is the standalone form, which prepares the window afresh in the
+// adapter's own scratch. Both give bit-identical decisions, health,
+// thresholds and journal deltas. The scored scratch is only read inside
+// the call and never retained, because links migrate between engine
+// shards and each window may be scored on a different shard's scratch.
+//
 // Observe is single-writer: exactly one goroutine — the link's owning
-// engine shard — observes a given adapter, and profile swaps are
-// copy-on-write through core.Detector.SetProfile. Health may be read from
-// any goroutine; snapshots publish through an atomic seqlock and never
-// block the observer.
+// engine shard — observes a given adapter (through either entry point),
+// and profile swaps are copy-on-write through core.Detector.SetProfile.
+// Health may be read from any goroutine; snapshots publish through an
+// atomic seqlock and never block the observer.
 package adapt

@@ -19,7 +19,7 @@ import (
 func naivePathScore(t *testing.T, k *Kernel, profile *Profile, window []*csi.Frame) float64 {
 	t.Helper()
 	sc := NewScratch()
-	prep, err := prepareScratch(k.cfg, window, sc)
+	prep, err := k.prepareScratch(window, sc)
 	if err != nil {
 		t.Fatalf("naive prepare: %v", err)
 	}
@@ -27,7 +27,7 @@ func naivePathScore(t *testing.T, k *Kernel, profile *Profile, window []*csi.Fra
 	if err != nil {
 		t.Fatalf("naive weights: %v", err)
 	}
-	w, err := AverageWeightVectors(perAnt)
+	w, err := averageWeightVectors(perAnt)
 	if err != nil {
 		t.Fatalf("naive average: %v", err)
 	}

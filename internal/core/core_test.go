@@ -123,15 +123,25 @@ func TestFrameMultipathFactors(t *testing.T) {
 	env, grid := testLink(t, true)
 	x := testExtractor(t, env, grid, 1)
 	f := x.Capture(nil)
-	mus, err := FrameMultipathFactors(f, grid)
-	if err != nil {
-		t.Fatal(err)
+	// Every antenna of a frame goes through the scratch path the detector
+	// uses; a row that does not match the grid is rejected.
+	var sc Scratch
+	mu := make([]float64, grid.Len())
+	if f.NumAntennas() != 3 || grid.Len() != 30 {
+		t.Fatalf("shape %dx%d", f.NumAntennas(), grid.Len())
 	}
-	if len(mus) != 3 || len(mus[0]) != 30 {
-		t.Fatalf("shape %dx%d", len(mus), len(mus[0]))
+	for ant := range f.CSI {
+		if err := sc.MultipathFactorsInto(mu, f.CSI[ant], grid); err != nil {
+			t.Fatalf("antenna %d: %v", ant, err)
+		}
+		for k, v := range mu {
+			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("antenna %d μ[%d] = %v", ant, k, v)
+			}
+		}
 	}
-	if _, err := FrameMultipathFactors(&csi.Frame{}, grid); err == nil {
-		t.Fatal("invalid frame accepted")
+	if err := sc.MultipathFactorsInto(mu, f.CSI[0][:10], grid); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("short row err = %v", err)
 	}
 }
 
@@ -153,7 +163,7 @@ func TestComputeSubcarrierWeights(t *testing.T) {
 		{0.4, 0.9, 1.8, 0.5},
 		{0.6, 0.7, 2.2, 0.4},
 	}
-	sw, err := ComputeSubcarrierWeights(mus)
+	sw, err := subcarrierWeights(mus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +195,7 @@ func TestComputeSubcarrierWeightsUnstablePenalized(t *testing.T) {
 		{2.0, 3.5, 0.5, 0.4},
 		{2.0, 0.3, 0.5, 0.4},
 	}
-	sw, err := ComputeSubcarrierWeights(mus)
+	sw, err := subcarrierWeights(mus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,33 +205,33 @@ func TestComputeSubcarrierWeightsUnstablePenalized(t *testing.T) {
 }
 
 func TestComputeSubcarrierWeightsErrors(t *testing.T) {
-	if _, err := ComputeSubcarrierWeights(nil); !errors.Is(err, ErrBadInput) {
+	if _, err := subcarrierWeights(nil); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("empty err = %v", err)
 	}
-	if _, err := ComputeSubcarrierWeights([][]float64{{}}); !errors.Is(err, ErrBadInput) {
+	if _, err := subcarrierWeights([][]float64{{}}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("no subcarriers err = %v", err)
 	}
-	if _, err := ComputeSubcarrierWeights([][]float64{{1, 2}, {1}}); !errors.Is(err, ErrBadInput) {
+	if _, err := subcarrierWeights([][]float64{{1, 2}, {1}}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("ragged err = %v", err)
 	}
 }
 
 func TestPerPacketWeights(t *testing.T) {
-	w, err := PerPacketWeights([]float64{1, 3})
+	w, err := perPacketWeights([]float64{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(w[0]-0.25) > 1e-12 || math.Abs(w[1]-0.75) > 1e-12 {
 		t.Fatalf("weights = %v", w)
 	}
-	zero, err := PerPacketWeights([]float64{0, 0})
+	zero, err := perPacketWeights([]float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if zero[0] != 0 || zero[1] != 0 {
 		t.Fatalf("zero weights = %v", zero)
 	}
-	if _, err := PerPacketWeights(nil); !errors.Is(err, ErrBadInput) {
+	if _, err := perPacketWeights(nil); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("empty err = %v", err)
 	}
 }
@@ -237,17 +247,17 @@ func TestApplyWeightsAndAverage(t *testing.T) {
 	if _, err := ApplyWeights([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("mismatch err = %v", err)
 	}
-	avg, err := AverageWeightVectors([][]float64{{1, 2}, {3, 4}})
+	avg, err := averageWeightVectors([][]float64{{1, 2}, {3, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if avg[0] != 2 || avg[1] != 3 {
 		t.Fatalf("avg = %v", avg)
 	}
-	if _, err := AverageWeightVectors(nil); !errors.Is(err, ErrBadInput) {
+	if _, err := averageWeightVectors(nil); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("empty err = %v", err)
 	}
-	if _, err := AverageWeightVectors([][]float64{{1}, {1, 2}}); !errors.Is(err, ErrBadInput) {
+	if _, err := averageWeightVectors([][]float64{{1}, {1, 2}}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("ragged err = %v", err)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"mlink/internal/channel"
@@ -287,28 +286,11 @@ func (d *Detector) ScoreScratch(window []*csi.Frame, sc *Scratch) (float64, erro
 	return d.kernel.Score(profile, window, sc)
 }
 
-// MeasureWindow sanitizes a window per the detector's config and computes
-// its profile statistics into ws (see Kernel.MeasureWindowInto).
+// MeasureWindow computes a window's profile statistics into ws, reusing the
+// frames sc prepared if it just scored this window through the detector's
+// kernel (see Kernel.MeasureWindowInto).
 func (d *Detector) MeasureWindow(ws *WindowStats, window []*csi.Frame, sc *Scratch) error {
 	return d.kernel.MeasureWindowInto(ws, window, sc)
-}
-
-// toDB converts a power spectrum to decibels (floored well below any
-// physical level to keep the distance finite). It is the allocating
-// reference for Spectrum.ToDBInPlace, retained for the property tests that
-// pin the scratch-backed scoring path to the naive one.
-func toDB(s *music.Spectrum) *music.Spectrum {
-	out := &music.Spectrum{
-		AnglesDeg: append([]float64(nil), s.AnglesDeg...),
-		Power:     make([]float64, len(s.Power)),
-	}
-	for i, p := range s.Power {
-		if p < 1e-30 {
-			p = 1e-30
-		}
-		out.Power[i] = 10 * math.Log10(p)
-	}
-	return out
 }
 
 // prepare optionally sanitizes frames per the config. Calibrate uses this
@@ -318,15 +300,6 @@ func prepare(cfg Config, frames []*csi.Frame) ([]*csi.Frame, error) {
 		return frames, nil
 	}
 	return sanitize.Frames(frames, cfg.Grid.Indices)
-}
-
-// prepareScratch sanitizes into scratch-owned frames, valid only until the
-// scratch's next use — the scoring hot path, where nothing outlives a call.
-func prepareScratch(cfg Config, frames []*csi.Frame, sc *Scratch) ([]*csi.Frame, error) {
-	if !cfg.Sanitize {
-		return frames, nil
-	}
-	return sc.san.Frames(frames, cfg.Grid.Indices)
 }
 
 func newEstimator(cfg Config) (*music.Estimator, error) {

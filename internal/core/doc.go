@@ -19,6 +19,18 @@
 // spectra, fully rewritten each window so scores are bit-identical across
 // scratches and shard migrations.
 //
+// One sanitize per window: Kernel.Score leaves the window's sanitized frames
+// in the caller's Scratch, and Kernel.MeasureWindowInto (the measurement
+// half of a profile refresh) measures those frames instead of sanitizing
+// the window again — when, and only when, the scratch's one-shot record
+// says it just prepared exactly this window (same kernel, same source
+// frames). Any other scratch falls back to preparing the window, so the
+// statistics are bit-identical either way. Scratch lifetime: a scratch's
+// prepared frames are only valid until its next use, and a caller reads
+// them within one score-then-measure sequence on one goroutine, never
+// retaining the scratch across windows — engine links migrate between
+// shards, so a link's next window may be scored on another scratch.
+//
 // The detector is split into an immutable scoring Kernel and mutable link
 // state so profiles can adapt online: LinkProfile applies EWMA refreshes
 // from silent-window statistics (copy-on-write; concurrent scorers always

@@ -56,7 +56,7 @@ func (k *Kernel) Score(profile *Profile, window []*csi.Frame, sc *Scratch) (floa
 	if sc == nil {
 		sc = NewScratch()
 	}
-	prep, err := prepareScratch(k.cfg, window, sc)
+	prep, err := k.prepareScratch(window, sc)
 	if err != nil {
 		return 0, fmt.Errorf("score: %w", err)
 	}
@@ -135,9 +135,15 @@ func meanStatsInto(ws *WindowStats, prep []*csi.Frame, rss []float64) {
 	}
 }
 
-// MeasureWindowInto sanitizes a monitoring window (per the kernel's config)
-// and computes its profile statistics into ws, reusing ws's buffers across
-// calls. It is the measurement half of a silent-window profile refresh.
+// MeasureWindowInto computes a monitoring window's profile statistics into
+// ws, reusing ws's buffers across calls — the measurement half of a
+// silent-window profile refresh. If sc just scored exactly this window under
+// k (same kernel, same source frames), the frames Score prepared are
+// measured; otherwise the window is prepared into sc first, with
+// bit-identical results. The reuse record is one-shot: any measurement
+// consumes it, so frames recycled into the same slab cannot pass for the
+// window they replaced. The caller must not modify the window's frames
+// between scoring and measuring.
 func (k *Kernel) MeasureWindowInto(ws *WindowStats, window []*csi.Frame, sc *Scratch) error {
 	if len(window) == 0 {
 		return fmt.Errorf("empty window: %w", ErrBadInput)
@@ -148,12 +154,50 @@ func (k *Kernel) MeasureWindowInto(ws *WindowStats, window []*csi.Frame, sc *Scr
 	if sc == nil {
 		sc = NewScratch()
 	}
-	prep, err := prepareScratch(k.cfg, window, sc)
+	prep, err := k.takePrepared(window, sc)
 	if err != nil {
 		return fmt.Errorf("measure: %w", err)
 	}
 	meanStatsInto(ws, prep, sc.rssRow(prep[0].NumSubcarriers()))
 	return nil
+}
+
+// prepareScratch sanitizes window into scratch-owned frames, valid only
+// until the scratch's next use — the scoring hot path, where nothing
+// outlives a call — and records (k, window) as what the scratch now holds.
+// A failed preparation leaves no record.
+func (k *Kernel) prepareScratch(window []*csi.Frame, sc *Scratch) ([]*csi.Frame, error) {
+	sc.prepK = nil
+	prep := window
+	if k.cfg.Sanitize {
+		var err error
+		if prep, err = sc.san.Frames(window, k.cfg.Grid.Indices); err != nil {
+			return nil, err
+		}
+	}
+	sc.prepK, sc.prep = k, prep
+	sc.prepFrom = append(sc.prepFrom[:0], window...)
+	return prep, nil
+}
+
+// takePrepared returns window's prepared frames — the ones sc holds if its
+// record says it just prepared exactly this window under k, else freshly
+// prepared ones — and consumes the record either way.
+func (k *Kernel) takePrepared(window []*csi.Frame, sc *Scratch) ([]*csi.Frame, error) {
+	hit := sc.prepK == k && len(sc.prepFrom) == len(window)
+	for i := 0; hit && i < len(window); i++ {
+		hit = sc.prepFrom[i] == window[i]
+	}
+	prep := sc.prep
+	if !hit {
+		var err error
+		if prep, err = k.prepareScratch(window, sc); err != nil {
+			return nil, err
+		}
+	}
+	clear(sc.prepFrom)
+	sc.prepK, sc.prep, sc.prepFrom = nil, nil, sc.prepFrom[:0]
+	return prep, nil
 }
 
 // scoreBaseline: normalized Euclidean distance of mean CSI amplitudes,

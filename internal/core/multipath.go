@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"mlink/internal/channel"
-	"mlink/internal/csi"
 	"mlink/internal/dsp"
 )
 
@@ -44,23 +43,6 @@ func MultipathFactors(row []complex128, grid *channel.Grid) ([]float64, error) {
 		return nil, err
 	}
 	return mu, nil
-}
-
-// FrameMultipathFactors computes μ for every antenna of a frame, returning
-// [antenna][subcarrier].
-func FrameMultipathFactors(f *csi.Frame, grid *channel.Grid) ([][]float64, error) {
-	if err := f.Validate(); err != nil {
-		return nil, fmt.Errorf("multipath factors: %w", err)
-	}
-	out := make([][]float64, f.NumAntennas())
-	for ant := range f.CSI {
-		mu, err := MultipathFactors(f.CSI[ant], grid)
-		if err != nil {
-			return nil, fmt.Errorf("antenna %d: %w", ant, err)
-		}
-		out[ant] = mu
-	}
-	return out, nil
 }
 
 // MeanMultipathFactor returns the mean of μ across subcarriers — a scalar

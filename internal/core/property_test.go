@@ -25,7 +25,7 @@ func TestQuickSubcarrierWeightsInvariants(t *testing.T) {
 				mus[i][j] = 0.05 + r.Float64()*3
 			}
 		}
-		sw, err := ComputeSubcarrierWeights(mus)
+		sw, err := subcarrierWeights(mus)
 		if err != nil {
 			return false
 		}
@@ -47,7 +47,7 @@ func TestQuickSubcarrierWeightsInvariants(t *testing.T) {
 				scaled[i][j] = mus[i][j] * 7.5
 			}
 		}
-		sw2, err := ComputeSubcarrierWeights(scaled)
+		sw2, err := subcarrierWeights(scaled)
 		if err != nil {
 			return false
 		}
@@ -81,7 +81,7 @@ func TestQuickPerPacketWeightsSumToOne(t *testing.T) {
 		if len(mu) == 0 {
 			return true
 		}
-		w, err := PerPacketWeights(mu)
+		w, err := perPacketWeights(mu)
 		if err != nil {
 			return false
 		}

@@ -69,8 +69,15 @@ type Scratch struct {
 	monCov, calCov   linalg.Matrix
 	monSpec, calSpec music.Spectrum
 
-	// Reusable sanitized-window frames.
-	san sanitize.Scratch
+	// Reusable sanitized-window frames, plus a one-shot record of what they
+	// hold: the kernel that prepared them, the prepared frames and the
+	// source frames they came from. Kernel.MeasureWindowInto reuses them
+	// when the record matches its window, so a refresh measures the frames
+	// Score just prepared instead of sanitizing the window a second time.
+	san      sanitize.Scratch
+	prepK    *Kernel
+	prep     []*csi.Frame
+	prepFrom []*csi.Frame
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use.
@@ -320,6 +327,9 @@ func (k *Kernel) WarmScratch(sc *Scratch, nAnt, windowLen int) {
 	growFloats(&sc.sw.Weights, n)
 	if k.cfg.Sanitize {
 		sc.san.Reserve(windowLen, nAnt, n)
+	}
+	if cap(sc.prepFrom) < windowLen {
+		sc.prepFrom = make([]*csi.Frame, 0, windowLen)
 	}
 	if k.cfg.Scheme == SchemeSubcarrierPath && k.plan != nil {
 		growFloats(&sc.wavg, n)

@@ -22,17 +22,8 @@ type SubcarrierWeights struct {
 	Weights []float64
 }
 
-// ComputeSubcarrierWeights derives Eq. 15 weights from a window of
-// multipath-factor measurements mus[m][k] (packet m, subcarrier k).
-func ComputeSubcarrierWeights(mus [][]float64) (*SubcarrierWeights, error) {
-	sw := &SubcarrierWeights{}
-	if err := ComputeSubcarrierWeightsInto(sw, mus, nil); err != nil {
-		return nil, err
-	}
-	return sw, nil
-}
-
-// ComputeSubcarrierWeightsInto is ComputeSubcarrierWeights writing into a
+// ComputeSubcarrierWeightsInto derives Eq. 15 weights from a window of
+// multipath-factor measurements mus[m][k] (packet m, subcarrier k) into a
 // caller-owned output struct, reusing sw's slices across calls — the scoring
 // hot path's entry point. scratch, when non-nil, is a work buffer of at
 // least one subcarrier row (it is clobbered); nil allocates a transient one.
@@ -100,19 +91,9 @@ func ComputeSubcarrierWeightsInto(sw *SubcarrierWeights, mus [][]float64, scratc
 	return nil
 }
 
-// PerPacketWeights implements the simpler Eq. 12 weighting from a single
-// packet's multipath factors: wk = |μk / Σμ|. Used as an ablation of the
-// stability ratio.
-func PerPacketWeights(mu []float64) ([]float64, error) {
-	out := make([]float64, len(mu))
-	if err := PerPacketWeightsInto(out, mu); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PerPacketWeightsInto is PerPacketWeights writing into a caller-owned
-// buffer of len(mu).
+// PerPacketWeightsInto implements the simpler Eq. 12 weighting from a single
+// packet's multipath factors, wk = |μk / Σμ|, into a caller-owned buffer of
+// len(mu). Used as an ablation of the stability ratio.
 func PerPacketWeightsInto(dst, mu []float64) error {
 	if len(mu) == 0 {
 		return fmt.Errorf("no subcarriers: %w", ErrBadInput)
@@ -149,21 +130,9 @@ func ApplyWeights(weights, deltas []float64) ([]float64, error) {
 	return out, nil
 }
 
-// AverageWeightVectors averages per-antenna weight vectors into a single
-// vector (used when one weight set must drive the array covariance).
-func AverageWeightVectors(vectors [][]float64) ([]float64, error) {
-	if len(vectors) == 0 {
-		return nil, fmt.Errorf("no vectors: %w", ErrBadInput)
-	}
-	out := make([]float64, len(vectors[0]))
-	if err := AverageWeightVectorsInto(out, vectors); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AverageWeightVectorsInto is AverageWeightVectors writing into a caller
-// buffer of the vectors' common length.
+// AverageWeightVectorsInto averages per-antenna weight vectors into dst, a
+// caller buffer of the vectors' common length (used when one weight set must
+// drive the array covariance).
 func AverageWeightVectorsInto(dst []float64, vectors [][]float64) error {
 	if len(vectors) == 0 {
 		return fmt.Errorf("no vectors: %w", ErrBadInput)

@@ -1178,9 +1178,11 @@ const (
 
 // tick pulls and scores one window for a link: assemble into the link's
 // slab, score against its detector with the shard scratch, let the adapter
-// observe, recycle the frames, publish the decision. done is polled between
-// frames — a non-blocking channel read, a few ns — so cancellation lands
-// mid-window even on slow real-time sources, not a whole queue round later.
+// observe through that same scratch (a refresh measures the frames scoring
+// sanitized — one sanitize per window), recycle the frames, publish the
+// decision. done is polled between frames — a non-blocking channel read, a
+// few ns — so cancellation lands mid-window even on slow real-time sources,
+// not a whole queue round later.
 // A supervised link draws from its ingest ring and never blocks: an empty
 // ring parks the partial window in l.win (kept across turns, following the
 // link if it migrates) and returns tickStarved so the shard moves on to its
@@ -1221,7 +1223,7 @@ func (e *Engine) tick(done <-chan struct{}, sh *shard, l *link) (tickResult, err
 	adapter := l.adapter.Load()
 	var health adapt.Health
 	if err == nil && adapter != nil {
-		health, err = adapter.Observe(l.win, dec)
+		health, err = adapter.ObserveScored(l.win, dec, sh.sc)
 	}
 	l.recycleFrames(l.win)
 	l.win = l.win[:0]
@@ -1295,14 +1297,21 @@ func (e *Engine) ScoreWindow(linkID string, window []*csi.Frame) (core.Decision,
 	if l.det == nil {
 		return core.Decision{}, fmt.Errorf("%w: %s", ErrNotCalibrated, linkID)
 	}
-	dec, err := l.det.Detect(window)
+	// Shards are idle outside Run, so a probe may borrow one's warm scratch.
+	var sc *core.Scratch
+	if len(e.shards) > 0 {
+		sc = e.shards[0].sc
+	} else {
+		sc = core.NewScratch()
+	}
+	dec, err := l.det.DetectScratch(window, sc)
 	if err != nil {
 		return core.Decision{}, err
 	}
 	adapter := l.adapter.Load()
 	var health adapt.Health
 	if adapter != nil {
-		if health, err = adapter.Observe(window, dec); err != nil {
+		if health, err = adapter.ObserveScored(window, dec, sc); err != nil {
 			return core.Decision{}, err
 		}
 	}
