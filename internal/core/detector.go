@@ -138,7 +138,7 @@ func Calibrate(cfg Config, frames []*csi.Frame) (*Profile, error) {
 		return nil, fmt.Errorf("calibrate: %w", err)
 	}
 	var ws WindowStats
-	meanStatsInto(&ws, prep, make([]float64, prep[0].NumSubcarriers()))
+	meanStatsInto(&ws, prep, nil, make([]float64, prep[0].NumSubcarriers()))
 	p := &Profile{
 		MeanAmp:   ws.MeanAmp,
 		MeanRSSdB: ws.MeanRSSdB,

@@ -31,6 +31,16 @@
 // retaining the scratch across windows — engine links migrate between
 // shards, so a link's next window may be scored on another scratch.
 //
+// One definition of a window's mean RSS: windowMeanRSSdBInto, the
+// per-subcarrier mean of 10·log₁₀|H|² computed as 10·log₁₀(Π p)/M with
+// decade rescue (one logarithm per subcarrier, not per packet). Scoring's
+// Δs, Calibrate's profile fingerprint and a refresh's window statistics all
+// call it, so a profile is never EWMA-mixed with an RSS computed another
+// way. Reuse rule: SchemeSubcarrier scoring leaves its rows in the Scratch
+// beside the prepared-frames record, and MeasureWindowInto copies them only
+// on a record hit over scratch-owned (sanitized) frames. Frames the caller
+// owns may have changed since scoring, so they are always measured afresh.
+//
 // The detector is split into an immutable scoring Kernel and mutable link
 // state so profiles can adapt online: LinkProfile applies EWMA refreshes
 // from silent-window statistics (copy-on-write; concurrent scorers always

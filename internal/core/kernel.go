@@ -104,33 +104,74 @@ func (ws *WindowStats) shaped(nAnt, nSub int) {
 	}
 }
 
-// meanStatsInto accumulates the per-subcarrier mean amplitude and mean RSS
-// of already-prepared frames into ws — the single definition of the
-// profile fingerprint, shared by Calibrate (building the static profile)
-// and MeasureWindowInto (measuring a refresh window), so the adaptation
-// layer can never EWMA-mix statistics computed differently from the
-// profile's. rss is a caller-provided row buffer of nSub floats.
-func meanStatsInto(ws *WindowStats, prep []*csi.Frame, rss []float64) {
+// windowMeanRSSdBInto writes antenna ant's mean RSS per subcarrier in dB
+// over a window of prepared frames into dst (len = subcarriers) — the one
+// definition of a window's mean RSS, shared by scoring (Δs against the
+// profile), calibration and refresh measurement, so the adaptation layer
+// never EWMA-mixes a fingerprint computed differently from the one scoring
+// compares against. It is the mean of the per-packet 10·log₁₀|H|², computed
+// as 10·log₁₀(Π_f p_f)/M: the same quantity with one logarithm per
+// subcarrier instead of one per packet. Running power products are rescaled
+// by 10^±300 before they can leave the double range, and the decade offsets
+// (kept in exps, a work row of len(dst)) are folded back into the dB mean;
+// this holds for per-packet powers within 10^±150, far beyond any
+// receiver's range. A subcarrier whose product is not positive (a
+// zero-power packet) reads −Inf, as 10·log₁₀ 0 does.
+func windowMeanRSSdBInto(dst, exps []float64, window []*csi.Frame, ant int) {
+	for kk := range dst {
+		dst[kk], exps[kk] = 1, 0
+	}
+	for _, f := range window {
+		row := f.CSI[ant][:len(dst)]
+		for kk, h := range row {
+			re, im := real(h), imag(h)
+			v := dst[kk] * (re*re + im*im)
+			switch {
+			case v > 0 && v < 1e-150:
+				v *= 1e300
+				exps[kk] -= 300
+			case v > 1e150:
+				v *= 1e-300
+				exps[kk] += 300
+			}
+			dst[kk] = v
+		}
+	}
+	m := float64(len(window))
+	for kk, prod := range dst {
+		dst[kk] = math.Inf(-1)
+		if prod > 0 {
+			dst[kk] = (10*math.Log10(prod) + 10*exps[kk]) / m
+		}
+	}
+}
+
+// meanStatsInto computes the per-subcarrier mean amplitude and mean RSS of
+// already-prepared frames into ws — the single definition of the profile
+// fingerprint, shared by Calibrate (building the static profile) and
+// MeasureWindowInto (measuring a refresh window). rss, when non-nil, holds
+// the windowMeanRSSdBInto rows of exactly these frames (the ones Score just
+// computed) and is copied rather than recomputed; work is a row of nSub
+// floats.
+func meanStatsInto(ws *WindowStats, prep []*csi.Frame, rss [][]float64, work []float64) {
 	nAnt := prep[0].NumAntennas()
 	nSub := prep[0].NumSubcarriers()
 	ws.shaped(nAnt, nSub)
-	for _, f := range prep {
-		for ant := 0; ant < nAnt; ant++ {
-			subcarrierRSSdBInto(rss, f.CSI[ant])
-			amp := ws.MeanAmp[ant]
-			mrs := ws.MeanRSSdB[ant]
-			for kk := 0; kk < nSub; kk++ {
-				re, im := real(f.CSI[ant][kk]), imag(f.CSI[ant][kk])
-				amp[kk] += math.Hypot(re, im)
-				mrs[kk] += rss[kk]
-			}
-		}
-	}
 	scale := 1 / float64(len(prep))
 	for ant := 0; ant < nAnt; ant++ {
-		for kk := 0; kk < nSub; kk++ {
-			ws.MeanAmp[ant][kk] *= scale
-			ws.MeanRSSdB[ant][kk] *= scale
+		amp := ws.MeanAmp[ant]
+		for _, f := range prep {
+			for kk, h := range f.CSI[ant][:nSub] {
+				amp[kk] += math.Hypot(real(h), imag(h))
+			}
+		}
+		for kk := range amp {
+			amp[kk] *= scale
+		}
+		if rss != nil {
+			copy(ws.MeanRSSdB[ant], rss[ant])
+		} else {
+			windowMeanRSSdBInto(ws.MeanRSSdB[ant], work, prep, ant)
 		}
 	}
 }
@@ -140,10 +181,13 @@ func meanStatsInto(ws *WindowStats, prep []*csi.Frame, rss []float64) {
 // silent-window profile refresh. If sc just scored exactly this window under
 // k (same kernel, same source frames), the frames Score prepared are
 // measured; otherwise the window is prepared into sc first, with
-// bit-identical results. The reuse record is one-shot: any measurement
-// consumes it, so frames recycled into the same slab cannot pass for the
-// window they replaced. The caller must not modify the window's frames
-// between scoring and measuring.
+// bit-identical results. When those frames are scratch-owned (the kernel
+// sanitizes) and Score already computed their mean RSS rows, the rows are
+// copied instead of recomputed; frames the caller owns are always measured
+// afresh. The reuse record is one-shot: any measurement consumes it, so
+// frames recycled into the same slab cannot pass for the window they
+// replaced. The caller must not modify the window's frames between scoring
+// and measuring.
 func (k *Kernel) MeasureWindowInto(ws *WindowStats, window []*csi.Frame, sc *Scratch) error {
 	if len(window) == 0 {
 		return fmt.Errorf("empty window: %w", ErrBadInput)
@@ -154,11 +198,11 @@ func (k *Kernel) MeasureWindowInto(ws *WindowStats, window []*csi.Frame, sc *Scr
 	if sc == nil {
 		sc = NewScratch()
 	}
-	prep, err := k.takePrepared(window, sc)
+	prep, rss, err := k.takePrepared(window, sc)
 	if err != nil {
 		return fmt.Errorf("measure: %w", err)
 	}
-	meanStatsInto(ws, prep, sc.rssRow(prep[0].NumSubcarriers()))
+	meanStatsInto(ws, prep, rss, sc.medRow(prep[0].NumSubcarriers()))
 	return nil
 }
 
@@ -167,7 +211,7 @@ func (k *Kernel) MeasureWindowInto(ws *WindowStats, window []*csi.Frame, sc *Scr
 // outlives a call — and records (k, window) as what the scratch now holds.
 // A failed preparation leaves no record.
 func (k *Kernel) prepareScratch(window []*csi.Frame, sc *Scratch) ([]*csi.Frame, error) {
-	sc.prepK = nil
+	sc.prepK, sc.prepRSS = nil, false
 	prep := window
 	if k.cfg.Sanitize {
 		var err error
@@ -182,22 +226,28 @@ func (k *Kernel) prepareScratch(window []*csi.Frame, sc *Scratch) ([]*csi.Frame,
 
 // takePrepared returns window's prepared frames — the ones sc holds if its
 // record says it just prepared exactly this window under k, else freshly
-// prepared ones — and consumes the record either way.
-func (k *Kernel) takePrepared(window []*csi.Frame, sc *Scratch) ([]*csi.Frame, error) {
+// prepared ones — and consumes the record either way. On a hit over
+// scratch-owned frames it also returns the mean RSS rows Score left for
+// them, if any; otherwise rss is nil. Frames the caller owns (no
+// sanitization) may have been edited since scoring, and are never paired
+// with rows computed before the edit.
+func (k *Kernel) takePrepared(window []*csi.Frame, sc *Scratch) (prep []*csi.Frame, rss [][]float64, err error) {
 	hit := sc.prepK == k && len(sc.prepFrom) == len(window)
 	for i := 0; hit && i < len(window); i++ {
 		hit = sc.prepFrom[i] == window[i]
 	}
-	prep := sc.prep
-	if !hit {
-		var err error
+	prep = sc.prep
+	switch {
+	case !hit:
 		if prep, err = k.prepareScratch(window, sc); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+	case sc.prepRSS && k.cfg.Sanitize:
+		rss = sc.rss
 	}
 	clear(sc.prepFrom)
-	sc.prepK, sc.prep, sc.prepFrom = nil, nil, sc.prepFrom[:0]
-	return prep, nil
+	sc.prepK, sc.prep, sc.prepFrom, sc.prepRSS = nil, nil, sc.prepFrom[:0], false
+	return prep, rss, nil
 }
 
 // scoreBaseline: normalized Euclidean distance of mean CSI amplitudes,
@@ -237,7 +287,7 @@ func (k *Kernel) windowWeights(window []*csi.Frame, sc *Scratch) ([][]float64, e
 	nSub := window[0].NumSubcarriers()
 	perAnt := sc.perAntenna(nAnt, nSub)
 	for ant := 0; ant < nAnt; ant++ {
-		mus := sc.muRows(len(window), nSub)
+		mus := slabRows(&sc.mus, &sc.muSlab, len(window), nSub)
 		for i, f := range window {
 			if err := sc.MultipathFactorsInto(mus[i], f.CSI[ant], k.cfg.Grid); err != nil {
 				return nil, err
@@ -270,14 +320,9 @@ func (k *Kernel) windowWeights(window []*csi.Frame, sc *Scratch) ([][]float64, e
 }
 
 // scoreSubcarrier: Euclidean norm of the Eq. 15 weighted RSS changes,
-// averaged across antennas.
-//
-// The window's mean per-subcarrier RSS in dB is computed as
-// 10·log₁₀(Π_f p_f)/M rather than Σ 10·log₁₀(p_f)/M — the same quantity
-// with one logarithm per subcarrier instead of one per packet (Log10 was
-// the scoring loop's hottest call). Running power products are rescaled by
-// 10^±300 before they can leave the double range; the decade offsets are
-// folded back into the dB mean.
+// averaged across antennas. The window's mean RSS rows are left in the
+// scratch beside its prepared-frames record, so a refresh measuring the same
+// window copies them instead of recomputing (see MeasureWindowInto).
 func (k *Kernel) scoreSubcarrier(profile *Profile, window []*csi.Frame, sc *Scratch) (float64, error) {
 	weights, err := k.windowWeights(window, sc)
 	if err != nil {
@@ -285,35 +330,12 @@ func (k *Kernel) scoreSubcarrier(profile *Profile, window []*csi.Frame, sc *Scra
 	}
 	nAnt := window[0].NumAntennas()
 	nSub := window[0].NumSubcarriers()
+	rss := slabRows(&sc.rss, &sc.rssSlab, nAnt, nSub)
 	var total float64
 	for ant := 0; ant < nAnt; ant++ {
-		prod := sc.accumulator(nSub) // running power products
-		exps := sc.medRow(nSub)      // rescue decades, in powers of 10
-		for kk := 0; kk < nSub; kk++ {
-			prod[kk], exps[kk] = 1, 0
-		}
-		for _, f := range window {
-			row := f.CSI[ant]
-			for kk := 0; kk < nSub; kk++ {
-				re, im := real(row[kk]), imag(row[kk])
-				v := prod[kk] * (re*re + im*im)
-				switch {
-				case v > 0 && v < 1e-150:
-					v *= 1e300
-					exps[kk] -= 300
-				case v > 1e150:
-					v *= 1e-300
-					exps[kk] += 300
-				}
-				prod[kk] = v
-			}
-		}
+		windowMeanRSSdBInto(rss[ant], sc.medRow(nSub), window, ant)
 		var dist, wNorm float64
-		for kk := 0; kk < nSub; kk++ {
-			meanRSS := math.Inf(-1) // a zero-power subcarrier, as in SubcarrierRSSdB
-			if prod[kk] > 0 {
-				meanRSS = (10*math.Log10(prod[kk]) + 10*exps[kk]) / float64(len(window))
-			}
+		for kk, meanRSS := range rss[ant] {
 			delta := meanRSS - profile.MeanRSSdB[ant][kk]
 			wd := weights[ant][kk] * delta
 			dist += wd * wd
@@ -326,6 +348,7 @@ func (k *Kernel) scoreSubcarrier(profile *Profile, window []*csi.Frame, sc *Scra
 			total += math.Sqrt(dist / wNorm)
 		}
 	}
+	sc.prepRSS = true
 	return total / float64(nAnt), nil
 }
 

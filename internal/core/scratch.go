@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"mlink/internal/channel"
 	"mlink/internal/csi"
@@ -48,8 +47,7 @@ type Scratch struct {
 	// contiguous slabs (muSlab/wSlab): a window's 25×30 multipath factors
 	// occupy one ~6 KB block, so the fill and weight-derivation passes sweep
 	// it linearly instead of hopping between individually grown rows.
-	acc    []float64   // per-subcarrier accumulator (mean amplitude / RSS)
-	row    []float64   // one frame's RSS row
+	acc    []float64   // per-subcarrier accumulator (mean amplitude)
 	mus    [][]float64 // window multipath factors, [packet][subcarrier]
 	muSlab []float64   // contiguous backing for mus
 	pant   [][]float64 // per-antenna weight vectors
@@ -74,10 +72,16 @@ type Scratch struct {
 	// source frames they came from. Kernel.MeasureWindowInto reuses them
 	// when the record matches its window, so a refresh measures the frames
 	// Score just prepared instead of sanitizing the window a second time.
+	// Score also leaves the window's mean RSS rows (rss over rssSlab,
+	// [antenna][subcarrier]) when its scheme computes them; prepRSS says
+	// they belong to the prepared frames on record.
 	san      sanitize.Scratch
 	prepK    *Kernel
 	prep     []*csi.Frame
 	prepFrom []*csi.Frame
+	rss      [][]float64
+	rssSlab  []float64
+	prepRSS  bool
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use.
@@ -211,25 +215,19 @@ func (sc *Scratch) accumulator(n int) []float64 {
 	return sc.acc
 }
 
-// rssRow returns the reusable single-frame RSS buffer.
-func (sc *Scratch) rssRow(n int) []float64 {
-	sc.row = growFloats(&sc.row, n)
-	return sc.row
-}
-
-// muRows returns m reusable rows of n multipath factors, all views into one
-// contiguous slab so per-window passes over the whole window sweep linear
+// slabRows returns m reusable rows of n floats, all views into one
+// contiguous slab so per-window passes over the whole block sweep linear
 // memory.
-func (sc *Scratch) muRows(m, n int) [][]float64 {
-	if cap(sc.mus) < m {
-		sc.mus = make([][]float64, m)
+func slabRows(rows *[][]float64, slab *[]float64, m, n int) [][]float64 {
+	if cap(*rows) < m {
+		*rows = make([][]float64, m)
 	}
-	sc.mus = sc.mus[:m]
-	sc.muSlab = growFloats(&sc.muSlab, m*n)
-	for i := range sc.mus {
-		sc.mus[i] = sc.muSlab[i*n : (i+1)*n : (i+1)*n]
+	*rows = (*rows)[:m]
+	backing := growFloats(slab, m*n)
+	for i := range *rows {
+		(*rows)[i] = backing[i*n : (i+1)*n : (i+1)*n]
 	}
-	return sc.mus
+	return *rows
 }
 
 // perAntenna returns the reusable per-antenna weight-vector table, sizing the
@@ -241,14 +239,7 @@ func (sc *Scratch) perAntenna(nAnt, nSub int) [][]float64 {
 		sc.pant = make([][]float64, nAnt)
 	}
 	sc.pant = sc.pant[:nAnt]
-	if cap(sc.wrows) < nAnt {
-		sc.wrows = make([][]float64, nAnt)
-	}
-	sc.wrows = sc.wrows[:nAnt]
-	sc.wSlab = growFloats(&sc.wSlab, nAnt*nSub)
-	for i := range sc.wrows {
-		sc.wrows[i] = sc.wSlab[i*nSub : (i+1)*nSub : (i+1)*nSub]
-	}
+	slabRows(&sc.wrows, &sc.wSlab, nAnt, nSub)
 	return sc.pant
 }
 
@@ -288,19 +279,6 @@ func growInts(buf *[]int, n int) []int {
 	return *buf
 }
 
-// subcarrierRSSdBInto is SubcarrierRSSdB writing into a caller buffer.
-func subcarrierRSSdBInto(dst []float64, row []complex128) {
-	for k, v := range row {
-		re, im := real(v), imag(v)
-		p := re*re + im*im
-		if p <= 0 {
-			dst[k] = math.Inf(-1)
-			continue
-		}
-		dst[k] = 10 * math.Log10(p)
-	}
-}
-
 // WarmScratch pre-sizes every buffer the kernel's scheme touches when
 // scoring a window of windowLen nAnt-antenna frames, without computing
 // anything. A shard that warms its scratch for every link it might ever hold
@@ -318,15 +296,17 @@ func (k *Kernel) WarmScratch(sc *Scratch, nAnt, windowLen int) {
 	growComplexes(&sc.taps, n)
 	growFloats(&sc.powers, n)
 	growFloats(&sc.acc, n)
-	growFloats(&sc.row, n)
 	growFloats(&sc.med, n)
-	sc.muRows(windowLen, n)
+	slabRows(&sc.mus, &sc.muSlab, windowLen, n)
 	sc.perAntenna(nAnt, n)
 	growFloats(&sc.sw.MeanMu, n)
 	growFloats(&sc.sw.StabilityRatio, n)
 	growFloats(&sc.sw.Weights, n)
 	if k.cfg.Sanitize {
 		sc.san.Reserve(windowLen, nAnt, n)
+	}
+	if k.cfg.Scheme == SchemeSubcarrier {
+		slabRows(&sc.rss, &sc.rssSlab, nAnt, n)
 	}
 	if cap(sc.prepFrom) < windowLen {
 		sc.prepFrom = make([]*csi.Frame, 0, windowLen)

@@ -56,29 +56,46 @@ func Median(xs []float64) (float64, error) {
 	return MedianInPlace(s)
 }
 
-// MedianInPlace returns the median of xs without allocating, partially
-// reordering xs via quickselect (O(n) expected, versus the O(n log n) full
-// sort Median pays). Both functions order NaNs first, like sort.Float64s,
-// so they agree element-for-element on any input.
+// MedianInPlace returns the median of xs without allocating. A NaN-free row
+// of up to medianNetLanes (32) values — a 30-subcarrier CSI row, say — runs
+// through a branch-free selection network over a stack copy and leaves xs
+// in its original order; longer rows and rows holding a NaN go to
+// MedianQuickselect, which partially reorders xs. Either way the result is
+// the median Median (and sort.Float64s, NaNs first) gives.
 func MedianInPlace(xs []float64) (float64, error) {
+	if n := len(xs); n > 0 && n <= medianNetLanes && !hasNaN(xs) {
+		return medianNet(xs), nil
+	}
+	return MedianQuickselect(xs)
+}
+
+// hasNaN reports whether xs holds a NaN (spelled x != x so it inlines).
+func hasNaN(xs []float64) bool {
+	for _, v := range xs {
+		if v != v {
+			return true
+		}
+	}
+	return false
+}
+
+// MedianQuickselect returns the median of xs without allocating, partially
+// reordering xs via quickselect (O(n) expected, versus the O(n log n) full
+// sort Median pays). NaNs order first, like sort.Float64s. It is
+// MedianInPlace's path for long or NaN-holding rows, and the reference its
+// selection network is checked and benchmarked against.
+func MedianQuickselect(xs []float64) (float64, error) {
 	n := len(xs)
 	if n == 0 {
 		return 0, fmt.Errorf("median: %w", ErrEmptyInput)
 	}
 	// NaN-free data (the overwhelmingly common case) selects with plain
 	// float compares; any NaN falls back to the sort.Float64s ordering.
-	clean := true
-	for _, v := range xs {
-		if v != v {
-			clean = false
-			break
-		}
-	}
 	var upper float64
-	if clean {
-		upper = quickselectFast(xs, n/2)
-	} else {
+	if hasNaN(xs) {
 		upper = quickselect(xs, n/2)
+	} else {
+		upper = quickselectFast(xs, n/2)
 	}
 	if n%2 == 1 {
 		return upper, nil

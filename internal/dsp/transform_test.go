@@ -148,3 +148,64 @@ func TestMedianInPlaceAllocFree(t *testing.T) {
 		t.Fatalf("MedianInPlace allocates %v per run", avg)
 	}
 }
+
+// TestPrimeFactorTransformOracle checks the Good–Thomas path against the
+// O(n²) matrix transforms on every size it plans (the products of distinct
+// primes from {2, 3, 5}), both directions, over many random vectors: the
+// worst error must stay within 1e-12 of the vector's largest coefficient.
+func TestPrimeFactorTransformOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var planned []int
+	for n := 0; n <= 64; n++ {
+		if NewTransform(n).pfa != nil {
+			planned = append(planned, n)
+		}
+	}
+	if want := []int{2, 3, 5, 6, 10, 15, 30}; len(planned) != len(want) {
+		t.Fatalf("prime-factor sizes %v, want %v", planned, want)
+	}
+	relErr := func(got, want []complex128) float64 {
+		var maxErr, scale float64
+		for k := range want {
+			maxErr = math.Max(maxErr, cmplx.Abs(got[k]-want[k]))
+			scale = math.Max(scale, cmplx.Abs(want[k]))
+		}
+		return maxErr / scale
+	}
+	for _, n := range planned {
+		p := Plan(n)
+		got := make([]complex128, n)
+		want := make([]complex128, n)
+		for trial := 0; trial < 200; trial++ {
+			x := randComplex(rng, n)
+			p.DFTInto(got, x)
+			DFTInto(want, x)
+			if e := relErr(got, want); e > 1e-12 {
+				t.Fatalf("n=%d DFT: relative error %g", n, e)
+			}
+			p.IDFTInto(got, x)
+			IDFTInto(want, x)
+			if e := relErr(got, want); e > 1e-12 {
+				t.Fatalf("n=%d IDFT: relative error %g", n, e)
+			}
+		}
+	}
+}
+
+// BenchmarkTransform30 times one 30-point IDFT — the per-packet
+// power-delay-profile transform — on the prime-factor plan and on the
+// mixed-radix plan it replaced.
+func BenchmarkTransform30(b *testing.B) {
+	x := randComplex(rand.New(rand.NewSource(5)), 30)
+	dst := make([]complex128, 30)
+	for _, bc := range []struct {
+		name string
+		p    *Transform
+	}{{"pfa", NewTransform(30)}, {"mixed", NewMixedRadixTransform(30)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bc.p.IDFTInto(dst, x)
+			}
+		})
+	}
+}

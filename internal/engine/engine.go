@@ -246,6 +246,11 @@ type Engine struct {
 	windowsScored atomic.Uint64
 	framesSeen    atomic.Uint64
 	runNanos      atomic.Int64
+
+	// beforeAdvance, when non-nil, runs on a shard just before it drives a
+	// held link one step. It is a test seam — tests set it before Run to
+	// hold a shard at a known point in the schedule; nothing else does.
+	beforeAdvance func(shard int)
 }
 
 // New builds an engine; zero-valued config fields take defaults.
@@ -982,6 +987,9 @@ func (e *Engine) runShard(ctx context.Context, sh *shard, shards []*shard, windo
 			}
 			time.Sleep(idle)
 			continue
+		}
+		if e.beforeAdvance != nil {
+			e.beforeAdvance(sh.id)
 		}
 		progressed, keep, err := e.advance(ctx, done, sh, l, windowsPerLink)
 		if err != nil {

@@ -299,11 +299,12 @@ func TestEngineStreamsFromCSINet(t *testing.T) {
 		nConns int64
 	)
 	factory := func() csinet.Source {
+		// Connections are served concurrently, and NewExtractor prepares
+		// the shared environment's grid cache, which must not race.
 		mu.Lock()
 		nConns++
-		seed := nConns
+		x, err := s.NewExtractor(100 + nConns)
 		mu.Unlock()
-		x, err := s.NewExtractor(100 + seed)
 		if err != nil {
 			return csinet.SourceFunc(func() (*csi.Frame, error) { return nil, io.EOF })
 		}

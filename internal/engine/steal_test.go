@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,10 +181,47 @@ func (w *captureWriter) Flush() {
 	w.mu.Unlock()
 }
 
+// holdHeavyUntilStolen makes migration in a two-shard run independent of
+// how fast each link scores: shard 0 is held, with the heavy link it is
+// driving, until shard 1 has retired its cheap residents and then stolen
+// one of the heavy links still queued on shard 0 (or five seconds have
+// passed, so a scheduler that never steals fails the test instead of
+// hanging it). After that the hook is inert.
+func holdHeavyUntilStolen(e *Engine, cheapIDs []string) {
+	var released atomic.Bool
+	e.beforeAdvance = func(shard int) {
+		if shard != 0 || released.Load() {
+			return
+		}
+		retired := func() bool {
+			for _, id := range cheapIDs {
+				if !e.byID[id].retired.Load() {
+					return false
+				}
+			}
+			return true
+		}
+		stolen := func() bool {
+			for _, sh := range e.shards {
+				if sh.steals.Load() > 0 {
+					return true
+				}
+			}
+			return false
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for !(retired() && stolen()) && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
+		}
+		released.Store(true)
+	}
+}
+
 // TestEngineMigrationUnderChurn exercises everything that must follow a
 // link to its current holder while links actually migrate: three heavy
 // MUSIC-weighted links seeded onto shard 0 and three cheap links onto
-// shard 1, so shard 1 retires its residents early and steals the heavies.
+// shard 1, and shard 0 held (holdHeavyUntilStolen) until shard 1 has
+// retired its residents and stolen a heavy one.
 // While the run churns, blocking recalibrations land on random links (live,
 // migrating, and already-retired ones — the revive path). Afterwards the
 // test checks the scheduler did migrate (Metrics.Steals > 0), every link
@@ -225,6 +263,7 @@ func TestEngineMigrationUnderChurn(t *testing.T) {
 	if err := e.Calibrate(ctx, 60); err != nil {
 		t.Fatal(err)
 	}
+	holdHeavyUntilStolen(e, []string{"l1", "l3", "l5"})
 
 	runDone := make(chan error, 1)
 	go func() { runDone <- e.Run(ctx, windows) }()
