@@ -876,8 +876,8 @@ func BenchmarkDetectorScorePath(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectorScoreScratch compares the allocating Score path against
-// ScoreScratch with a reused per-worker scratch — the engine's hot path.
+// BenchmarkDetectorScoreScratch times ScoreScratch with a reused per-worker
+// scratch — the engine's hot path.
 func BenchmarkDetectorScoreScratch(b *testing.B) {
 	s, frames := engineFixture(b)
 	cfg := core.DefaultConfig(s.Grid, core.SchemeSubcarrier, s.Env.RX.Offsets())
@@ -890,14 +890,6 @@ func BenchmarkDetectorScoreScratch(b *testing.B) {
 		b.Fatal(err)
 	}
 	window := frames[100:125]
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := det.Score(window); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("scratch", func(b *testing.B) {
 		sc := core.NewScratch()
 		b.ReportAllocs()
@@ -1028,15 +1020,16 @@ func ablationROC(b *testing.B, mutate func(*core.Config)) float64 {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(31))
+	sc := core.NewScratch()
 	var samples []eval.Sample
 	for _, loc := range s.Grid3x3() {
 		target := body.Default(loc)
 		target.Position = geom.Point{X: loc.X + rng.NormFloat64()*0.01, Y: loc.Y + rng.NormFloat64()*0.01}
-		pos, err := det.Score(x.CaptureN(25, []body.Body{target}))
+		pos, err := det.ScoreScratch(x.CaptureN(25, []body.Body{target}), sc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		neg, err := det.Score(x.CaptureN(25, nil))
+		neg, err := det.ScoreScratch(x.CaptureN(25, nil), sc)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -97,12 +97,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	threshold, err := det.CalibrateThreshold(null, 0.95, 1.3)
+	threshold, err := det.CalibrateThreshold(null, core.ThresholdQuantile, core.DefaultThresholdMargin)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("mlink-detect: threshold %.4f, monitoring (window %d packets)\n", threshold, *window)
 
+	sc := core.NewScratch()
 	for w := 0; *maxWindows == 0 || w < *maxWindows; w++ {
 		frames, err := client.RecvN(*window)
 		if err != nil {
@@ -112,7 +113,7 @@ func run() error {
 			}
 			return err
 		}
-		dec, err := det.Detect(frames)
+		dec, err := det.DetectScratch(frames, sc)
 		if err != nil {
 			return err
 		}

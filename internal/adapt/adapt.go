@@ -201,7 +201,8 @@ type Policy struct {
 	// re-derived from (default 32).
 	NullWindow int
 	// Quantile and Margin parameterize the online threshold re-derivation,
-	// exactly as in core.Detector.CalibrateThreshold (defaults 0.95, 1.3).
+	// exactly as in core.Detector.CalibrateThreshold (defaults
+	// core.ThresholdQuantile and core.DefaultThresholdMargin).
 	Quantile, Margin float64
 	// MinThresholdFactor floors the re-derived threshold at this fraction
 	// of the calibration-time threshold, so a quiet stretch cannot
@@ -234,10 +235,10 @@ func (p Policy) withDefaults() Policy {
 		p.NullWindow = 32
 	}
 	if p.Quantile <= 0 || p.Quantile > 1 {
-		p.Quantile = 0.95
+		p.Quantile = core.ThresholdQuantile
 	}
 	if p.Margin <= 0 {
-		p.Margin = 1.3
+		p.Margin = core.DefaultThresholdMargin
 	}
 	if p.MinThresholdFactor <= 0 {
 		p.MinThresholdFactor = 0.8

@@ -146,7 +146,7 @@ func TestAdapterConcurrentHealthReaders(t *testing.T) {
 	jobs := make([]job, 16)
 	for i := range jobs {
 		w := h.x.CaptureN(25, nil)
-		dec, err := h.det.Detect(w)
+		dec, err := h.det.DetectScratch(w, h.sc)
 		if err != nil {
 			t.Fatal(err)
 		}

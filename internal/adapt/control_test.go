@@ -3,6 +3,8 @@ package adapt
 import (
 	"math"
 	"testing"
+
+	"mlink/internal/core"
 )
 
 // TestAtomicHealthRoundTrip pins the single pack/unpack implementation: every
@@ -164,13 +166,14 @@ func TestAdapterPersistRoundTrip(t *testing.T) {
 	// Feed both adapters the same future windows: decisions and health must
 	// track exactly (1e-9 is the acceptance bound; in practice the paths
 	// are bit-identical).
+	sc2 := core.NewScratch()
 	for i := 0; i < 12; i++ {
 		window := h.x.CaptureN(25, nil)
 		decA, err := h.det.DetectScratch(window, h.sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		decB, err := det2.Detect(window)
+		decB, err := det2.DetectScratch(window, sc2)
 		if err != nil {
 			t.Fatal(err)
 		}

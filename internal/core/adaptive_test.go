@@ -158,7 +158,7 @@ func TestMeasureWindowMatchesCalibrate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ws WindowStats
-	if err := kernel.MeasureWindowInto(&ws, frames, nil); err != nil {
+	if err := kernel.MeasureWindowInto(&ws, frames, NewScratch()); err != nil {
 		t.Fatal(err)
 	}
 	// Measuring the calibration window must reproduce the profile exactly:
@@ -173,7 +173,7 @@ func TestMeasureWindowMatchesCalibrate(t *testing.T) {
 			}
 		}
 	}
-	if err := kernel.MeasureWindowInto(&ws, nil, nil); !errors.Is(err, ErrBadInput) {
+	if err := kernel.MeasureWindowInto(&ws, nil, NewScratch()); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("empty window err = %v", err)
 	}
 }
@@ -310,7 +310,7 @@ func TestDetectorConcurrentAdaptation(t *testing.T) {
 		}
 		var ws WindowStats
 		for i := 0; i < 50; i++ {
-			if err := det.MeasureWindow(&ws, window, nil); err != nil {
+			if err := det.MeasureWindow(&ws, window, NewScratch()); err != nil {
 				t.Error(err)
 				return
 			}

@@ -233,7 +233,7 @@ func TestPathProfilePersistenceRebuildsPartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := det.Score(window)
+	want, err := det.ScoreScratch(window, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestPathProfilePersistenceRebuildsPartials(t *testing.T) {
 	if err := det.SetProfile(decoded); err != nil {
 		t.Fatal(err)
 	}
-	got, err := det.Score(window)
+	got, err := det.ScoreScratch(window, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestPathProfilePersistenceRebuildsPartials(t *testing.T) {
 	if err := det.SetProfile(lpDec.Current()); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := det.Score(window); err != nil || got != want {
+	if got, err := det.ScoreScratch(window, NewScratch()); err != nil || got != want {
 		t.Fatalf("link-profile restored score %v (err %v) != original %v", got, err, want)
 	}
 }
@@ -345,7 +345,7 @@ func TestPathScorersConcurrentSharedPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	window := driftFrames(t, d, 25)
-	want, err := det.Score(window)
+	want, err := det.ScoreScratch(window, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -393,12 +393,12 @@ func calibrateAndDetect(t *testing.T, scheme Scheme, target geom.Point) (float64
 	}
 
 	emptyWin := x.CaptureN(25, nil)
-	emptyScore, err := det.Score(emptyWin)
+	emptyScore, err := det.ScoreScratch(emptyWin, NewScratch())
 	if err != nil {
 		t.Fatalf("empty score: %v", err)
 	}
 	presWin := x.CaptureN(25, []body.Body{body.Default(target)})
-	presScore, err := det.Score(presWin)
+	presScore, err := det.ScoreScratch(presWin, NewScratch())
 	if err != nil {
 		t.Fatalf("present score: %v", err)
 	}
@@ -447,14 +447,14 @@ func TestDetectorThresholdWorkflow(t *testing.T) {
 		t.Fatalf("threshold = %v", th)
 	}
 	// Empty window must not trigger; LOS-blocking presence must.
-	dEmpty, err := det.Detect(x.CaptureN(25, nil))
+	dEmpty, err := det.DetectScratch(x.CaptureN(25, nil), NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dEmpty.Present {
 		t.Fatalf("false positive on empty room: %+v", dEmpty)
 	}
-	dPres, err := det.Detect(x.CaptureN(25, []body.Body{body.Default(geom.Point{X: 3, Y: 4})}))
+	dPres, err := det.DetectScratch(x.CaptureN(25, []body.Body{body.Default(geom.Point{X: 3, Y: 4})}), NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,8 +481,20 @@ func TestDetectorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := det.Score(nil); !errors.Is(err, ErrBadInput) {
+	if _, err := det.ScoreScratch(nil, NewScratch()); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("empty window err = %v", err)
+	}
+	// The caller owns the scratch: none is allocated behind its back.
+	window := x.CaptureN(25, nil)
+	if _, err := det.Kernel().Score(profile, window, nil); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("nil scratch score err = %v", err)
+	}
+	if _, err := det.DetectScratch(window, nil); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("nil scratch detect err = %v", err)
+	}
+	var ws WindowStats
+	if err := det.MeasureWindow(&ws, window, nil); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("nil scratch measure err = %v", err)
 	}
 	if _, err := det.SelfScores(x.CaptureN(10, nil), 25, 25); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("short holdout err = %v", err)
@@ -521,11 +533,11 @@ func TestPathWeightingEmphasizesOffPathPresence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		empty, err := det.Score(x.CaptureN(25, nil))
+		empty, err := det.ScoreScratch(x.CaptureN(25, nil), NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
-		pres, err := det.Score(x.CaptureN(25, []body.Body{body.Default(offPath)}))
+		pres, err := det.ScoreScratch(x.CaptureN(25, []body.Body{body.Default(offPath)}), NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -574,5 +586,42 @@ func TestMeanMultipathFactor(t *testing.T) {
 	}
 	if _, err := MeanMultipathFactor(nil); err == nil {
 		t.Fatal("empty accepted")
+	}
+}
+
+func TestLinkMeanMu(t *testing.T) {
+	env, grid := testLink(t, true)
+	frames := testExtractor(t, env, grid, 17).CaptureN(8, nil)
+	mean, perSub, err := LinkMeanMu(frames, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The frame-mean of per-frame means and the subcarrier-mean of the
+	// per-subcarrier means are the same quantity, summed in another order.
+	overSub, err := MeanMultipathFactor(perSub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mean <= 0 || math.Abs(mean-overSub) > 1e-12*mean {
+		t.Fatalf("link mean μ %v, mean of per-subcarrier means %v", mean, overSub)
+	}
+	for k := range perSub {
+		var want float64
+		for _, f := range frames {
+			mu, err := MultipathFactors(f.CSI[1], grid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += mu[k] / float64(len(frames))
+		}
+		if perSub[k] != want {
+			t.Fatalf("subcarrier %d: mean μ %v, want %v", k, perSub[k], want)
+		}
+	}
+	if _, _, err := LinkMeanMu(nil, grid); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("no frames err = %v", err)
+	}
+	if _, _, err := LinkMeanMu([]*csi.Frame{{}}, grid); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("antenna-less frame err = %v", err)
 	}
 }

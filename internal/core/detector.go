@@ -254,36 +254,27 @@ type Decision struct {
 	Threshold float64
 }
 
-// Detect scores a monitoring window and applies the threshold.
-func (d *Detector) Detect(window []*csi.Frame) (Decision, error) {
-	return d.DetectScratch(window, nil)
-}
-
-// DetectInto is DetectScratch writing into a caller-owned Decision — the
-// batch-friendly entry point for long-lived scoring loops that reuse their
-// decision structs across ticks. On error dec is left untouched.
-func (d *Detector) DetectInto(dec *Decision, window []*csi.Frame, sc *Scratch) error {
-	out, err := d.DetectScratch(window, sc)
-	if err != nil {
-		return err
-	}
-	*dec = out
-	return nil
-}
-
-// Score computes the scheme's distance statistic for a window of M frames
-// (§IV-C monitoring stage).
-func (d *Detector) Score(window []*csi.Frame) (float64, error) {
-	return d.ScoreScratch(window, nil)
-}
-
-// ScoreScratch is Score with a caller-managed scratch buffer: a long-lived
-// worker that scores many windows passes the same non-nil *Scratch each call
-// and avoids re-allocating the per-window vectors. A nil scratch behaves
-// exactly like Score.
+// ScoreScratch computes the scheme's distance statistic for a window of M
+// frames against the current profile (§IV-C monitoring stage) — the one
+// scoring entry point. The caller owns sc (nil is ErrBadInput) and reuses it
+// across windows; a refresh that follows on the same scratch measures the
+// frames this call sanitized (see MeasureWindow).
 func (d *Detector) ScoreScratch(window []*csi.Frame, sc *Scratch) (float64, error) {
 	profile, _ := d.snapshot()
 	return d.kernel.Score(profile, window, sc)
+}
+
+// DetectScratch is ScoreScratch plus the threshold comparison — the one
+// decision entry point. The decision is made against one consistent
+// (profile, threshold) snapshot even while an adaptation loop is updating
+// the detector concurrently.
+func (d *Detector) DetectScratch(window []*csi.Frame, sc *Scratch) (Decision, error) {
+	profile, threshold := d.snapshot()
+	score, err := d.kernel.Score(profile, window, sc)
+	if err != nil {
+		return Decision{}, err
+	}
+	return Decision{Present: score > threshold, Score: score, Threshold: threshold}, nil
 }
 
 // MeasureWindow computes a window's profile statistics into ws, reusing the

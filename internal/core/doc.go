@@ -6,18 +6,19 @@
 //
 // The lifecycle mirrors §IV-C: Calibrate builds a static Profile from
 // empty-room frames, NewDetector pairs it with a Config, SelfScores +
-// CalibrateThreshold fix the decision threshold from the profile's own
-// variations, and Score/Detect judge monitoring windows. Long-lived scoring
-// workers pass a reusable Scratch to ScoreScratch/DetectScratch to keep the
-// per-window hot path allocation-free (internal/engine does this per pool
-// worker). That holds for every scheme, including the angular
-// SchemeSubcarrierPath: the Kernel carries a precomputed music.Plan
-// (steering table), the Profile carries music.Partials of its calibration
-// frames (rebuilt wherever Frames are established — Calibrate, persistence
-// restore — and carried by reference through refresh/adopt, since those
-// never change Frames), and the Scratch holds the window covariances and
-// spectra, fully rewritten each window so scores are bit-identical across
-// scratches and shard migrations.
+// CalibrateThreshold fix the decision threshold (at ThresholdQuantile) from
+// the profile's own variations, and monitoring windows go through one score,
+// Detector.ScoreScratch, and one decision, Detector.DetectScratch. The
+// caller owns the Scratch and passes it to every call (a nil one is
+// ErrBadInput); reusing it keeps the per-window hot path allocation-free —
+// internal/engine holds one per shard. That holds for every scheme,
+// including the angular SchemeSubcarrierPath: the Kernel carries a
+// precomputed music.Plan (steering table), the Profile carries
+// music.Partials of its calibration frames (rebuilt wherever Frames are
+// established — Calibrate, persistence restore — and carried by reference
+// through refresh/adopt, since those never change Frames), and the Scratch
+// holds the window covariances and spectra, fully rewritten each window so
+// scores are bit-identical across scratches and shard migrations.
 //
 // One sanitize per window: Kernel.Score leaves the window's sanitized frames
 // in the caller's Scratch, and Kernel.MeasureWindowInto (the measurement
@@ -30,6 +31,9 @@
 // them within one score-then-measure sequence on one goroutine, never
 // retaining the scratch across windows — engine links migrate between
 // shards, so a link's next window may be scored on another scratch.
+//
+// One definition of a link's mean multipath factor: LinkMeanMu, which the
+// engine publishes per link and the facade's AssessLink reports.
 //
 // One definition of a window's mean RSS: windowMeanRSSdBInto, the
 // per-subcarrier mean of 10·log₁₀|H|² computed as 10·log₁₀(Π p)/M with

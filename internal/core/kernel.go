@@ -44,8 +44,8 @@ func NewKernel(cfg Config) (*Kernel, error) {
 func (k *Kernel) Config() Config { return k.cfg }
 
 // Score computes the scheme's distance statistic for a window of M frames
-// against the given profile (§IV-C monitoring stage). A nil scratch
-// allocates a transient one.
+// against the given profile (§IV-C monitoring stage), through the caller's
+// scratch (a nil one is rejected with ErrBadInput).
 func (k *Kernel) Score(profile *Profile, window []*csi.Frame, sc *Scratch) (float64, error) {
 	if len(window) == 0 {
 		return 0, fmt.Errorf("empty monitoring window: %w", ErrBadInput)
@@ -54,7 +54,7 @@ func (k *Kernel) Score(profile *Profile, window []*csi.Frame, sc *Scratch) (floa
 		return 0, fmt.Errorf("score without a profile: %w", ErrBadInput)
 	}
 	if sc == nil {
-		sc = NewScratch()
+		return 0, fmt.Errorf("score without a scratch: %w", ErrBadInput)
 	}
 	prep, err := k.prepareScratch(window, sc)
 	if err != nil {
@@ -187,16 +187,13 @@ func meanStatsInto(ws *WindowStats, prep []*csi.Frame, rss [][]float64, work []f
 // afresh. The reuse record is one-shot: any measurement consumes it, so
 // frames recycled into the same slab cannot pass for the window they
 // replaced. The caller must not modify the window's frames between scoring
-// and measuring.
+// and measuring. A nil scratch is rejected with ErrBadInput.
 func (k *Kernel) MeasureWindowInto(ws *WindowStats, window []*csi.Frame, sc *Scratch) error {
 	if len(window) == 0 {
 		return fmt.Errorf("empty window: %w", ErrBadInput)
 	}
-	if ws == nil {
-		return fmt.Errorf("nil window stats: %w", ErrBadInput)
-	}
-	if sc == nil {
-		sc = NewScratch()
+	if ws == nil || sc == nil {
+		return fmt.Errorf("nil window stats or scratch: %w", ErrBadInput)
 	}
 	prep, rss, err := k.takePrepared(window, sc)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"mlink/internal/channel"
+	"mlink/internal/csi"
 	"mlink/internal/dsp"
 )
 
@@ -53,6 +54,37 @@ func MeanMultipathFactor(mu []float64) (float64, error) {
 		return 0, fmt.Errorf("mean multipath factor: %w", err)
 	}
 	return m, nil
+}
+
+// LinkMeanMu is a link's mean multipath factor over empty-room frames, the
+// §IV-A deployment-assessment metric: the mean over frames of each frame's
+// MeanMultipathFactor on antenna 1 (antenna 0 on a one-element receiver).
+// perSub is each subcarrier's mean μ over the frames.
+func LinkMeanMu(frames []*csi.Frame, grid *channel.Grid) (mean float64, perSub []float64, err error) {
+	if len(frames) == 0 || grid == nil {
+		return 0, nil, fmt.Errorf("link mean μ of %d frames: %w", len(frames), ErrBadInput)
+	}
+	var sc Scratch
+	mu := make([]float64, grid.Len())
+	perSub = make([]float64, grid.Len())
+	n := float64(len(frames))
+	for _, f := range frames {
+		if len(f.CSI) == 0 {
+			return 0, nil, fmt.Errorf("frame without antennas: %w", ErrBadInput)
+		}
+		if err := sc.MultipathFactorsInto(mu, f.CSI[min(1, len(f.CSI)-1)], grid); err != nil {
+			return 0, nil, err
+		}
+		m, err := MeanMultipathFactor(mu)
+		if err != nil {
+			return 0, nil, err
+		}
+		mean += m
+		for k, v := range mu {
+			perSub[k] += v / n
+		}
+	}
+	return mean / n, perSub, nil
 }
 
 // SubcarrierRSSdB returns the per-subcarrier received signal strength in dB

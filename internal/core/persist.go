@@ -390,17 +390,10 @@ type DriftMonitorState struct {
 	Latched      bool
 }
 
-// State exports the monitor for persistence.
-func (m *DriftMonitor) State() DriftMonitorState {
-	var st DriftMonitorState
-	m.StateInto(&st)
-	return st
-}
-
-// StateInto is State reusing the caller's struct — notably its Scores and
-// Jumps slices — so the journal's per-window delta emission exports the
-// monitor without allocating once the buffers have grown to the window
-// length.
+// StateInto exports the monitor for persistence into the caller's struct,
+// reusing its Scores and Jumps slices — so the journal's per-window delta
+// emission exports the monitor without allocating once the buffers have
+// grown to the window length.
 func (m *DriftMonitor) StateInto(st *DriftMonitorState) {
 	n := m.count()
 	st.RefMean = m.refMean

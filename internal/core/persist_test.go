@@ -136,7 +136,9 @@ func TestDriftMonitorStateRoundTrip(t *testing.T) {
 		m.Observe(s)
 	}
 
-	back, err := RestoreDriftMonitor(cfg, m.State())
+	var st DriftMonitorState
+	m.StateInto(&st)
+	back, err := RestoreDriftMonitor(cfg, st)
 	if err != nil {
 		t.Fatal(err)
 	}

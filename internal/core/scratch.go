@@ -320,16 +320,3 @@ func (k *Kernel) WarmScratch(sc *Scratch, nAnt, windowLen int) {
 		k.plan.ReserveSpectrum(&sc.calSpec)
 	}
 }
-
-// DetectScratch is Detect with a caller-managed scratch (nil is allowed and
-// behaves like Detect). The decision is made against one consistent
-// (profile, threshold) snapshot even while an adaptation loop is updating
-// the detector concurrently.
-func (d *Detector) DetectScratch(window []*csi.Frame, sc *Scratch) (Decision, error) {
-	profile, threshold := d.snapshot()
-	score, err := d.kernel.Score(profile, window, sc)
-	if err != nil {
-		return Decision{}, err
-	}
-	return Decision{Present: score > threshold, Score: score, Threshold: threshold}, nil
-}

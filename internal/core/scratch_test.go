@@ -73,7 +73,7 @@ func TestScoreScratchParity(t *testing.T) {
 				bodies = nil
 			}
 			window := x.CaptureN(10, bodies)
-			want, err := det.Score(window)
+			want, err := det.ScoreScratch(window, NewScratch())
 			if err != nil {
 				t.Fatalf("%v: %v", scheme, err)
 			}

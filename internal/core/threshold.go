@@ -30,6 +30,14 @@ var (
 // exactly two at its smallest setting).
 const MinNullScores = 2
 
+// ThresholdQuantile is the null-score quantile every detector threshold is
+// calibrated at, and DefaultThresholdMargin the headroom factor applied on
+// top where the caller sets none.
+const (
+	ThresholdQuantile      = 0.95
+	DefaultThresholdMargin = 1.3
+)
+
 // SelfScores slides a window of the given size (with the given stride) over
 // held-out no-presence frames and returns the detector's score for each
 // window — the empirical null distribution the threshold is calibrated
@@ -45,8 +53,9 @@ func (d *Detector) SelfScores(frames []*csi.Frame, windowSize, stride int) ([]fl
 		return nil, fmt.Errorf("%d frames for window %d: %w", len(frames), windowSize, ErrBadInput)
 	}
 	var scores []float64
+	sc := NewScratch()
 	for start := 0; start+windowSize <= len(frames); start += stride {
-		s, err := d.Score(frames[start : start+windowSize])
+		s, err := d.ScoreScratch(frames[start:start+windowSize], sc)
 		if err != nil {
 			return nil, fmt.Errorf("self score at %d: %w", start, err)
 		}

@@ -37,25 +37,26 @@ func twiddles(n int) *twiddleSet {
 	return v.(*twiddleSet)
 }
 
-// DFT computes the discrete Fourier transform of x (O(n²) with cached
-// twiddle factors, fine for the 30-subcarrier vectors this repository
-// transforms).
+// DFTInto computes the discrete Fourier transform of x into dst (len(x),
+// no aliasing): O(n²) with cached twiddle factors, the reference the
+// planned Transform is checked against.
 //
 //	X[k] = Σ_n x[n]·e^{-j2πkn/N}
-func DFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	DFTInto(out, x)
-	return out
-}
+func DFTInto(dst, x []complex128) { matrixDFT(dst, x, false) }
 
-// DFTInto is DFT writing into a caller-provided buffer of len(x), for
-// allocation-free hot paths. dst and x must not alias.
-func DFTInto(dst, x []complex128) {
+// IDFTInto computes the inverse discrete Fourier transform of x into dst
+// (len(x), no aliasing) with 1/N scaling, so that it inverts DFTInto.
+func IDFTInto(dst, x []complex128) { matrixDFT(dst, x, true) }
+
+func matrixDFT(dst, x []complex128, inverse bool) {
 	n := len(x)
 	if n == 0 {
 		return
 	}
 	w := twiddles(n).fwd
+	if inverse {
+		w = twiddles(n).inv
+	}
 	for k := 0; k < n; k++ {
 		var sum complex128
 		idx := 0
@@ -65,51 +66,16 @@ func DFTInto(dst, x []complex128) {
 			if idx >= n {
 				idx -= n
 			}
+		}
+		if inverse {
+			sum *= complex(1/float64(n), 0)
 		}
 		dst[k] = sum
 	}
 }
 
-// IDFT computes the inverse discrete Fourier transform with 1/N scaling so
-// that IDFT(DFT(x)) == x.
-func IDFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	IDFTInto(out, x)
-	return out
-}
-
-// IDFTInto is IDFT writing into a caller-provided buffer of len(x), for
-// allocation-free hot paths. dst and x must not alias.
-func IDFTInto(dst, x []complex128) {
-	n := len(x)
-	if n == 0 {
-		return
-	}
-	w := twiddles(n).inv
-	scale := complex(1/float64(n), 0)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		idx := 0
-		for t := 0; t < n; t++ {
-			sum += x[t] * w[idx]
-			idx += k
-			if idx >= n {
-				idx -= n
-			}
-		}
-		dst[k] = sum * scale
-	}
-}
-
-// Unwrap removes 2π discontinuities from a phase sequence in place-order
-// (the input is not modified; a corrected copy is returned).
-func Unwrap(phase []float64) []float64 {
-	out := append([]float64(nil), phase...)
-	return UnwrapInPlace(out)
-}
-
-// UnwrapInPlace is Unwrap mutating its argument, for allocation-free hot
-// paths. It returns the slice for convenience.
+// UnwrapInPlace removes 2π discontinuities from a phase sequence in place.
+// It returns the slice for convenience.
 func UnwrapInPlace(out []float64) []float64 {
 	for i := 1; i < len(out); i++ {
 		d := out[i] - out[i-1]
@@ -125,19 +91,9 @@ func UnwrapInPlace(out []float64) []float64 {
 	return out
 }
 
-// InterpolateComplex linearly resamples samples located at xs (strictly
-// increasing) onto targets. Targets outside [xs[0], xs[last]] are clamped to
-// the boundary values.
-func InterpolateComplex(xs []float64, ys []complex128, targets []float64) ([]complex128, error) {
-	out := make([]complex128, len(targets))
-	if err := InterpolateComplexInto(out, xs, ys, targets); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// InterpolateComplexInto is InterpolateComplex writing into a caller-provided
-// buffer of len(targets), for allocation-free hot paths.
+// InterpolateComplexInto linearly resamples samples located at xs
+// (strictly increasing) onto targets, writing into out (len(targets)).
+// Targets outside [xs[0], xs[last]] are clamped to the boundary values.
 func InterpolateComplexInto(out []complex128, xs []float64, ys []complex128, targets []float64) error {
 	if len(xs) != len(ys) {
 		return fmt.Errorf("interpolate: %d xs vs %d ys", len(xs), len(ys))

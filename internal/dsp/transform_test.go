@@ -32,8 +32,8 @@ func TestTransformMatchesMatrixDFT(t *testing.T) {
 		gotI := make([]complex128, n)
 		p.DFTInto(gotF, x)
 		p.IDFTInto(gotI, x)
-		wantF := DFT(x)
-		wantI := IDFT(x)
+		wantF := dft(x)
+		wantI := idft(x)
 		for k := 0; k < n; k++ {
 			if d := cmplx.Abs(gotF[k] - wantF[k]); d > 1e-9 {
 				t.Fatalf("n=%d DFT[%d]: |planned-matrix| = %g", n, k, d)
@@ -71,7 +71,7 @@ func TestTransformMismatchedLengthFallsBack(t *testing.T) {
 	x := randComplex(rng, 12)
 	got := make([]complex128, 12)
 	p.IDFTInto(got, x)
-	want := IDFT(x)
+	want := idft(x)
 	for k := range want {
 		if d := cmplx.Abs(got[k] - want[k]); d > 1e-12 {
 			t.Fatalf("fallback IDFT[%d]: |err| = %g", k, d)

@@ -62,11 +62,10 @@ type Config struct {
 	// WindowSize is the monitoring window in packets (default 25, the
 	// paper's operating point at 50 packets/s).
 	WindowSize int
-	// ThresholdQuantile and ThresholdMargin parameterize per-link threshold
-	// calibration from held-out self scores (defaults 0.95 and 1.3, as the
-	// facade uses).
-	ThresholdQuantile float64
-	ThresholdMargin   float64
+	// ThresholdMargin inflates each link's threshold, calibrated at the
+	// core.ThresholdQuantile of its held-out self scores (default
+	// core.DefaultThresholdMargin, as the facade uses).
+	ThresholdMargin float64
 	// Fusion combines per-link decisions into a site verdict (default
 	// KOfN{K: 1}: any positive link trips the site).
 	Fusion FusionPolicy
@@ -97,11 +96,8 @@ func (c Config) withDefaults() Config {
 	if c.WindowSize <= 0 {
 		c.WindowSize = 25
 	}
-	if c.ThresholdQuantile <= 0 || c.ThresholdQuantile > 1 {
-		c.ThresholdQuantile = 0.95
-	}
 	if c.ThresholdMargin <= 0 {
-		c.ThresholdMargin = 1.3
+		c.ThresholdMargin = core.DefaultThresholdMargin
 	}
 	if c.Fusion == nil {
 		c.Fusion = KOfN{K: 1}
@@ -474,7 +470,7 @@ func (e *Engine) calibrateLink(ctx context.Context, l *link, n int, src Source) 
 	if err != nil {
 		return err
 	}
-	if _, err := det.CalibrateThreshold(null, e.cfg.ThresholdQuantile, e.cfg.ThresholdMargin); err != nil {
+	if _, err := det.CalibrateThreshold(null, core.ThresholdQuantile, e.cfg.ThresholdMargin); err != nil {
 		return err
 	}
 	// A RE-calibration floors the fresh threshold at the link's previous
@@ -490,9 +486,9 @@ func (e *Engine) calibrateLink(ctx context.Context, l *link, n int, src Source) 
 			det.SetThreshold(prev)
 		}
 	}
-	meanMu, err := linkMeanMu(cal, l.cfg)
+	meanMu, _, err := core.LinkMeanMu(cal[:min(len(cal), 25)], l.cfg.Grid)
 	if err != nil {
-		return err
+		return fmt.Errorf("assess: %w", err)
 	}
 	var adapter *adapt.Adapter
 	if e.cfg.Adaptation != nil {
@@ -701,34 +697,6 @@ func (e *Engine) RelockLink(linkID string) error {
 	}
 	ad.RequestRelock()
 	return nil
-}
-
-// linkMeanMu averages the mean multipath factor over up to 25 calibration
-// frames — the §IV-A deployment-assessment metric surfaced per link in the
-// metrics block.
-func linkMeanMu(frames []*csi.Frame, cfg core.Config) (float64, error) {
-	const maxFrames = 25
-	if len(frames) > maxFrames {
-		frames = frames[:maxFrames]
-	}
-	ant := 0
-	if frames[0].NumAntennas() > 1 {
-		ant = 1
-	}
-	sc := core.NewScratch()
-	mu := make([]float64, cfg.Grid.Len())
-	var acc float64
-	for _, f := range frames {
-		if err := sc.MultipathFactorsInto(mu, f.CSI[ant], cfg.Grid); err != nil {
-			return 0, fmt.Errorf("assess: %w", err)
-		}
-		m, err := core.MeanMultipathFactor(mu)
-		if err != nil {
-			return 0, fmt.Errorf("assess: %w", err)
-		}
-		acc += m
-	}
-	return acc / float64(len(frames)), nil
 }
 
 // ensureShards (re)builds the shard set for the current fleet under e.mu.
@@ -1185,10 +1153,9 @@ const (
 )
 
 // tick pulls and scores one window for a link: assemble into the link's
-// slab, score against its detector with the shard scratch, let the adapter
-// observe through that same scratch (a refresh measures the frames scoring
-// sanitized — one sanitize per window), recycle the frames, publish the
-// decision. done is polled between frames — a non-blocking channel read, a
+// slab, score, observe and publish it through the shard scratch
+// (scoreWindow), recycle the frames, then report and journal the decision.
+// done is polled between frames — a non-blocking channel read, a
 // few ns — so cancellation lands mid-window even on slow real-time sources,
 // not a whole queue round later.
 // A supervised link draws from its ingest ring and never blocks: an empty
@@ -1226,38 +1193,12 @@ func (e *Engine) tick(done <-chan struct{}, sh *shard, l *link) (tickResult, err
 	}
 	e.framesSeen.Add(uint64(len(l.win)))
 
-	t0 := time.Now()
-	dec, err := l.det.DetectScratch(l.win, sh.sc)
-	adapter := l.adapter.Load()
-	var health adapt.Health
-	if err == nil && adapter != nil {
-		health, err = adapter.ObserveScored(l.win, dec, sh.sc)
-	}
+	dec, adapter, err := e.scoreWindow(sh, l, l.win, sh.sc)
 	l.recycleFrames(l.win)
 	l.win = l.win[:0]
 	if err != nil {
 		return tickEnded, err
 	}
-	// Smooth the window's scoring cost into the link's EWMA (α = 1/8) —
-	// published with the decision, so operators can see which link the
-	// heavy DSP lives on and why it migrates. The same sample feeds the
-	// shard's busy-time counter: scoring dominates a shard's useful work,
-	// and timing only scored windows keeps the starved-poll path free of
-	// clock calls.
-	elapsed := time.Since(t0)
-	sh.busyNs.Add(int64(elapsed))
-	dt := float64(elapsed)
-	if l.ewmaNs == 0 {
-		l.ewmaNs = dt
-	} else {
-		l.ewmaNs += (dt - l.ewmaNs) * 0.125
-	}
-	threshold := dec.Threshold
-	if adapter != nil {
-		threshold = health.Threshold
-	}
-	l.state.publishDecision(dec, threshold, health, l.ewmaNs)
-	e.windowsScored.Add(1)
 	if cb := e.cfg.OnDecision; cb != nil {
 		cb(l.id, dec)
 	}
@@ -1273,6 +1214,44 @@ func (e *Engine) tick(done <-chan struct{}, sh *shard, l *link) (tickResult, err
 		e.jmu.Unlock()
 	}
 	return tickScored, nil
+}
+
+// scoreWindow scores window on l and lets its adapter (nil for a frozen
+// link, and returned) observe the decision through the same scratch, so a
+// refresh measures the frames scoring sanitized; then it publishes the
+// outcome. sh is the scoring shard during Run (nil for a probe): the time
+// feeds its busy counter and the link's published cost EWMA (α = 1/8), which
+// shows operators where the heavy DSP lives and why links migrate.
+func (e *Engine) scoreWindow(sh *shard, l *link, window []*csi.Frame, sc *core.Scratch) (core.Decision, *adapt.Adapter, error) {
+	var t0 time.Time
+	if sh != nil {
+		t0 = time.Now()
+	}
+	dec, err := l.det.DetectScratch(window, sc)
+	if err != nil {
+		return dec, nil, err
+	}
+	threshold := dec.Threshold
+	var health adapt.Health
+	adapter := l.adapter.Load()
+	if adapter != nil {
+		if health, err = adapter.ObserveScored(window, dec, sc); err != nil {
+			return dec, nil, err
+		}
+		threshold = health.Threshold
+	}
+	if sh != nil {
+		elapsed := time.Since(t0)
+		sh.busyNs.Add(int64(elapsed))
+		if dt := float64(elapsed); l.ewmaNs == 0 {
+			l.ewmaNs = dt
+		} else {
+			l.ewmaNs += (dt - l.ewmaNs) * 0.125
+		}
+	}
+	l.state.publishDecision(dec, threshold, health, l.ewmaNs)
+	e.windowsScored.Add(1)
+	return dec, adapter, nil
 }
 
 // recycleFrames hands a scored window's frames back to a pooling source.
@@ -1312,23 +1291,10 @@ func (e *Engine) ScoreWindow(linkID string, window []*csi.Frame) (core.Decision,
 	} else {
 		sc = core.NewScratch()
 	}
-	dec, err := l.det.DetectScratch(window, sc)
+	dec, _, err := e.scoreWindow(nil, l, window, sc)
 	if err != nil {
 		return core.Decision{}, err
 	}
-	adapter := l.adapter.Load()
-	var health adapt.Health
-	if adapter != nil {
-		if health, err = adapter.ObserveScored(window, dec, sc); err != nil {
-			return core.Decision{}, err
-		}
-	}
-	threshold := dec.Threshold
-	if adapter != nil {
-		threshold = health.Threshold
-	}
-	l.state.publishDecision(dec, threshold, health, l.ewmaNs)
-	e.windowsScored.Add(1)
 	e.framesSeen.Add(uint64(len(window)))
 	return dec, nil
 }

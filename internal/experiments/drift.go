@@ -159,10 +159,10 @@ func RunDriftAdaptation(cfg DriftExperimentConfig) (*DriftResult, error) {
 		return nil, err
 	}
 	recycle(holdout)
-	if _, err := frozen.CalibrateThreshold(null, 0.95, 1.3); err != nil {
+	if _, err := frozen.CalibrateThreshold(null, core.ThresholdQuantile, core.DefaultThresholdMargin); err != nil {
 		return nil, err
 	}
-	if _, err := adaptive.CalibrateThreshold(null, 0.95, 1.3); err != nil {
+	if _, err := adaptive.CalibrateThreshold(null, core.ThresholdQuantile, core.DefaultThresholdMargin); err != nil {
 		return nil, err
 	}
 	adapter, err := adapt.NewAdapter(cfg.Policy, adaptive, null)
@@ -190,7 +190,7 @@ func RunDriftAdaptation(cfg DriftExperimentConfig) (*DriftResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := adapter.Observe(window, aDec); err != nil {
+		if _, err := adapter.ObserveScored(window, aDec, sc); err != nil {
 			return nil, err
 		}
 		recycle(window)
@@ -225,7 +225,7 @@ func RunDriftAdaptation(cfg DriftExperimentConfig) (*DriftResult, error) {
 		// The adapter keeps observing during the tail: a detected window is
 		// never folded into the profile (silent-window gate), which is
 		// itself part of what the tail verifies.
-		if _, err := adapter.Observe(window, aDec); err != nil {
+		if _, err := adapter.ObserveScored(window, aDec, sc); err != nil {
 			return nil, err
 		}
 		recycle(window)

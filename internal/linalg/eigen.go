@@ -7,7 +7,7 @@ import (
 	"math/cmplx"
 )
 
-// ErrNotHermitian is returned by EigHermitian when the input is not
+// ErrNotHermitian is returned by EigWorkspace.EigHermitian when the input is not
 // Hermitian within the solver's tolerance.
 var ErrNotHermitian = errors.New("linalg: matrix is not Hermitian")
 
@@ -45,17 +45,9 @@ type EigWorkspace struct {
 // EigHermitian computes the full eigendecomposition of a Hermitian matrix by
 // the cyclic complex Jacobi method. It is O(n³) per sweep and intended for
 // the small matrices (antenna covariance, a handful of elements) used in
-// this repository. The returned Eigen is freshly allocated; hot paths that
-// decompose repeatedly should hold an EigWorkspace and call its method
-// instead.
-func EigHermitian(a *Matrix) (*Eigen, error) {
-	var ws EigWorkspace
-	return ws.EigHermitian(a)
-}
-
-// EigHermitian is the allocation-free form of the package-level
-// EigHermitian: the working matrices, sort scratch and result all live in
-// (and are reused from) the workspace.
+// this repository. The working matrices, sort scratch and result all live
+// in (and are reused from) the workspace; a one-off solve uses a fresh
+// workspace.
 func (ws *EigWorkspace) EigHermitian(a *Matrix) (*Eigen, error) {
 	if a.Rows() != a.Cols() {
 		return nil, fmt.Errorf("eig of %dx%d: %w", a.Rows(), a.Cols(), ErrDimensionMismatch)

@@ -139,14 +139,14 @@ func TestMatrixMul(t *testing.T) {
 
 func TestMatrixMulVec(t *testing.T) {
 	a, _ := MatrixFromRows([][]complex128{{1, 1i}, {0, 2}})
-	got, err := a.MulVec(Vector{1, 1})
-	if err != nil {
+	got := make(Vector, 2)
+	if err := a.MulVecInto(got, Vector{1, 1}); err != nil {
 		t.Fatalf("mulvec: %v", err)
 	}
 	if !almostEq(got[0], 1+1i, eps) || !almostEq(got[1], 2, eps) {
 		t.Fatalf("got %v", got)
 	}
-	if _, err := a.MulVec(Vector{1}); !errors.Is(err, ErrDimensionMismatch) {
+	if err := a.MulVecInto(got, Vector{1}); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("mulvec err = %v", err)
 	}
 }
@@ -201,7 +201,7 @@ func randomHermitian(rng *rand.Rand, n int) *Matrix {
 
 func TestEigHermitianDiagonal(t *testing.T) {
 	a, _ := MatrixFromRows([][]complex128{{3, 0}, {0, 1}})
-	e, err := EigHermitian(a)
+	e, err := new(EigWorkspace).EigHermitian(a)
 	if err != nil {
 		t.Fatalf("eig: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestEigHermitianDiagonal(t *testing.T) {
 func TestEigHermitianKnown2x2(t *testing.T) {
 	// [[2, 1],[1, 2]] has eigenvalues 3 and 1.
 	a, _ := MatrixFromRows([][]complex128{{2, 1}, {1, 2}})
-	e, err := EigHermitian(a)
+	e, err := new(EigWorkspace).EigHermitian(a)
 	if err != nil {
 		t.Fatalf("eig: %v", err)
 	}
@@ -225,7 +225,7 @@ func TestEigHermitianKnown2x2(t *testing.T) {
 func TestEigHermitianComplexKnown(t *testing.T) {
 	// [[1, i],[-i, 1]] has eigenvalues 2 and 0.
 	a, _ := MatrixFromRows([][]complex128{{1, 1i}, {-1i, 1}})
-	e, err := EigHermitian(a)
+	e, err := new(EigWorkspace).EigHermitian(a)
 	if err != nil {
 		t.Fatalf("eig: %v", err)
 	}
@@ -236,11 +236,11 @@ func TestEigHermitianComplexKnown(t *testing.T) {
 
 func TestEigHermitianRejectsNonHermitian(t *testing.T) {
 	a, _ := MatrixFromRows([][]complex128{{1, 2}, {3, 4}})
-	if _, err := EigHermitian(a); !errors.Is(err, ErrNotHermitian) {
+	if _, err := new(EigWorkspace).EigHermitian(a); !errors.Is(err, ErrNotHermitian) {
 		t.Fatalf("err = %v, want ErrNotHermitian", err)
 	}
 	b := NewMatrix(2, 3)
-	if _, err := EigHermitian(b); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := new(EigWorkspace).EigHermitian(b); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("err = %v, want ErrDimensionMismatch", err)
 	}
 }
@@ -251,8 +251,8 @@ func verifyEigen(t *testing.T, a *Matrix, e *Eigen, tol float64) {
 	n := a.Rows()
 	for k := 0; k < n; k++ {
 		v := e.Vectors.Col(k)
-		av, err := a.MulVec(v)
-		if err != nil {
+		av := make(Vector, n)
+		if err := a.MulVecInto(av, v); err != nil {
 			t.Fatalf("mulvec: %v", err)
 		}
 		lv := v.Scale(complex(e.Values[k], 0))
@@ -287,7 +287,7 @@ func TestEigHermitianRandom(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5, 8} {
 		for trial := 0; trial < 20; trial++ {
 			a := randomHermitian(rng, n)
-			e, err := EigHermitian(a)
+			e, err := new(EigWorkspace).EigHermitian(a)
 			if err != nil {
 				t.Fatalf("n=%d trial=%d: %v", n, trial, err)
 			}
@@ -299,7 +299,7 @@ func TestEigHermitianRandom(t *testing.T) {
 func TestEigTracePreserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randomHermitian(rng, 6)
-	e, err := EigHermitian(a)
+	e, err := new(EigWorkspace).EigHermitian(a)
 	if err != nil {
 		t.Fatalf("eig: %v", err)
 	}
@@ -316,7 +316,7 @@ func TestEigTracePreserved(t *testing.T) {
 func TestNoiseSubspace(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randomHermitian(rng, 4)
-	e, err := EigHermitian(a)
+	e, err := new(EigWorkspace).EigHermitian(a)
 	if err != nil {
 		t.Fatalf("eig: %v", err)
 	}
@@ -345,7 +345,7 @@ func TestNoiseSubspace(t *testing.T) {
 
 func TestEigZeroMatrix(t *testing.T) {
 	a := NewMatrix(3, 3)
-	e, err := EigHermitian(a)
+	e, err := new(EigWorkspace).EigHermitian(a)
 	if err != nil {
 		t.Fatalf("eig zero: %v", err)
 	}
@@ -396,7 +396,7 @@ func TestQuickEigReconstruction(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(5)
 		a := randomHermitian(rng, n)
-		e, err := EigHermitian(a)
+		e, err := new(EigWorkspace).EigHermitian(a)
 		if err != nil {
 			t.Fatalf("eig: %v", err)
 		}

@@ -172,20 +172,8 @@ func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// MulVec returns the matrix-vector product m·v.
-func (m *Matrix) MulVec(v Vector) (Vector, error) {
-	if m.cols != len(v) {
-		return nil, fmt.Errorf("mulvec %dx%d and %d: %w", m.rows, m.cols, len(v), ErrDimensionMismatch)
-	}
-	out := make(Vector, m.rows)
-	if err := m.MulVecInto(out, v); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MulVecInto is MulVec writing into a caller-owned dst of length Rows. dst
-// and v must not alias.
+// MulVecInto writes the matrix-vector product m·v into a caller-owned dst
+// of length Rows. dst and v must not alias.
 func (m *Matrix) MulVecInto(dst, v Vector) error {
 	if m.cols != len(v) {
 		return fmt.Errorf("mulvec %dx%d and %d: %w", m.rows, m.cols, len(v), ErrDimensionMismatch)

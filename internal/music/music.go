@@ -176,7 +176,8 @@ func (e *Estimator) Pseudospectrum(r *linalg.Matrix, nSignals int) (*Spectrum, e
 	if r.Rows() != len(e.Offsets) || r.Cols() != len(e.Offsets) {
 		return nil, fmt.Errorf("covariance %dx%d for %d elements: %w", r.Rows(), r.Cols(), len(e.Offsets), ErrBadInput)
 	}
-	eig, err := linalg.EigHermitian(r)
+	var ws linalg.EigWorkspace
+	eig, err := ws.EigHermitian(r)
 	if err != nil {
 		return nil, fmt.Errorf("pseudospectrum: %w", err)
 	}
@@ -228,11 +229,11 @@ func (e *Estimator) Bartlett(r *linalg.Matrix) (*Spectrum, error) {
 	step, maxDeg, n := e.scanGrid()
 	angles := make([]float64, 0, n)
 	power := make([]float64, 0, n)
+	rv := make(linalg.Vector, r.Rows())
 	for gi := 0; gi < n; gi++ {
 		a := -maxDeg + float64(gi)*step
 		sv := e.Steering(geom.DegToRad(a))
-		rv, err := r.MulVec(sv)
-		if err != nil {
+		if err := r.MulVecInto(rv, sv); err != nil {
 			return nil, fmt.Errorf("bartlett: %w", err)
 		}
 		dot, err := sv.Dot(rv)
@@ -246,34 +247,19 @@ func (e *Estimator) Bartlett(r *linalg.Matrix) (*Spectrum, error) {
 }
 
 // Normalized returns a copy of the spectrum scaled to unit maximum, making
-// spectra from different capture windows comparable.
+// spectra from different capture windows comparable (see NormalizeInPlace).
 func (s *Spectrum) Normalized() *Spectrum {
 	out := &Spectrum{
 		AnglesDeg: append([]float64(nil), s.AnglesDeg...),
 		Power:     append([]float64(nil), s.Power...),
 	}
-	var peak float64
-	for _, p := range out.Power {
-		if !math.IsInf(p, 1) && p > peak {
-			peak = p
-		}
-	}
-	if peak <= 0 {
-		return out
-	}
-	for i, p := range out.Power {
-		if math.IsInf(p, 1) {
-			out.Power[i] = 1
-			continue
-		}
-		out.Power[i] = p / peak
-	}
+	out.NormalizeInPlace()
 	return out
 }
 
-// NormalizeInPlace scales the spectrum to unit maximum in place — the
-// allocation-free form of Normalized, with identical semantics (infinite
-// bins map to 1; a spectrum with no positive finite peak is left unchanged).
+// NormalizeInPlace scales the spectrum to unit maximum in place: infinite
+// bins map to 1, and a spectrum with no positive finite peak is left
+// unchanged.
 func (s *Spectrum) NormalizeInPlace() {
 	var peak float64
 	for _, p := range s.Power {

@@ -10,75 +10,13 @@
 // preserves the inter-antenna phase differences MUSIC needs.
 package sanitize
 
-import (
-	"fmt"
+import "mlink/internal/csi"
 
-	"mlink/internal/csi"
-	"mlink/internal/dsp"
-)
-
-// Frame returns a sanitized copy of f: the linear phase trend (over the
-// subcarrier indices idx) common to all antennas is removed. The input
-// frame is unchanged.
-func Frame(f *csi.Frame, idx []int) (*csi.Frame, error) {
-	if err := f.Validate(); err != nil {
-		return nil, fmt.Errorf("sanitize: %w", err)
-	}
-	if len(idx) != f.NumSubcarriers() {
-		return nil, fmt.Errorf("sanitize: %d indices for %d subcarriers", len(idx), f.NumSubcarriers())
-	}
-	xs := make([]float64, len(idx))
-	for i, v := range idx {
-		xs[i] = float64(v)
-	}
-
-	// Average the unwrapped per-antenna phases to estimate the common trend.
-	// The average carries the sampling-time slope, the common oscillator
-	// phase and the mean inter-antenna offset; subtracting its fitted line
-	// removes all three identically from every antenna, which stabilizes the
-	// phase across packets while preserving inter-antenna differences.
-	nSub := f.NumSubcarriers()
-	meanPhase := make([]float64, nSub)
-	for ant := 0; ant < f.NumAntennas(); ant++ {
-		row := f.CSI[ant]
-		ph := make([]float64, nSub)
-		for k, v := range row {
-			ph[k] = phase(v)
-		}
-		un := dsp.Unwrap(ph)
-		for k := range un {
-			meanPhase[k] += un[k] / float64(f.NumAntennas())
-		}
-	}
-
-	fit, err := dsp.FitLinear(xs, meanPhase)
-	if err != nil {
-		return nil, fmt.Errorf("sanitize fit: %w", err)
-	}
-
-	out := f.Clone()
-	// One rotor row serves every antenna: the fitted trend is common-mode.
-	rot := make([]complex128, nSub)
-	for k := range rot {
-		rot[k] = rotor(-(fit.Slope*xs[k] + fit.Intercept))
-	}
-	for ant := range out.CSI {
-		for k := range out.CSI[ant] {
-			out.CSI[ant][k] *= rot[k]
-		}
-	}
-	return out, nil
-}
-
-// Frames sanitizes a batch, failing on the first malformed frame.
+// Frames returns sanitized copies of frames: the linear phase trend (over
+// the subcarrier indices idx) common to all antennas of a frame is removed
+// from each. The input frames are unchanged; it fails on the first
+// malformed frame. A caller sanitizing window after window holds a Scratch
+// instead.
 func Frames(frames []*csi.Frame, idx []int) ([]*csi.Frame, error) {
-	out := make([]*csi.Frame, len(frames))
-	for i, f := range frames {
-		s, err := Frame(f, idx)
-		if err != nil {
-			return nil, fmt.Errorf("frame %d: %w", i, err)
-		}
-		out[i] = s
-	}
-	return out, nil
+	return new(Scratch).Frames(frames, idx)
 }

@@ -13,6 +13,15 @@ import (
 	"mlink/internal/propagation"
 )
 
+// sanitizeFrame sanitizes one frame through Frames.
+func sanitizeFrame(f *csi.Frame, idx []int) (*csi.Frame, error) {
+	out, err := Frames([]*csi.Frame{f}, idx)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
 func buildExtractor(t *testing.T, imp csi.Impairments, seed int64) (*csi.Extractor, []int) {
 	t.Helper()
 	room, err := propagation.RectRoom(6, 8, propagation.Drywall)
@@ -46,7 +55,7 @@ func buildExtractor(t *testing.T, imp csi.Impairments, seed int64) (*csi.Extract
 func TestSanitizeRemovesSTOSlope(t *testing.T) {
 	x, idx := buildExtractor(t, csi.Impairments{MaxSTOSeconds: 50e-9, RandomCommonPhase: true}, 1)
 	f := x.Capture(nil)
-	s, err := Frame(f, idx)
+	s, err := sanitizeFrame(f, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +65,7 @@ func TestSanitizeRemovesSTOSlope(t *testing.T) {
 	for k, v := range s.CSI[0] {
 		ph[k] = cmplx.Phase(v)
 	}
-	un := dsp.Unwrap(ph)
+	un := dsp.UnwrapInPlace(ph)
 	xs := make([]float64, len(idx))
 	for i, v := range idx {
 		xs[i] = float64(v)
@@ -73,7 +82,7 @@ func TestSanitizeRemovesSTOSlope(t *testing.T) {
 func TestSanitizePreservesInterAntennaPhase(t *testing.T) {
 	x, idx := buildExtractor(t, csi.Impairments{MaxSTOSeconds: 50e-9, RandomCommonPhase: true}, 2)
 	f := x.Capture(nil)
-	s, err := Frame(f, idx)
+	s, err := sanitizeFrame(f, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +98,7 @@ func TestSanitizePreservesInterAntennaPhase(t *testing.T) {
 func TestSanitizePreservesAmplitude(t *testing.T) {
 	x, idx := buildExtractor(t, csi.Impairments{MaxSTOSeconds: 30e-9}, 3)
 	f := x.Capture(nil)
-	s, err := Frame(f, idx)
+	s, err := sanitizeFrame(f, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +115,7 @@ func TestSanitizeDoesNotMutateInput(t *testing.T) {
 	x, idx := buildExtractor(t, csi.Impairments{MaxSTOSeconds: 30e-9}, 4)
 	f := x.Capture(nil)
 	orig := f.Clone()
-	if _, err := Frame(f, idx); err != nil {
+	if _, err := sanitizeFrame(f, idx); err != nil {
 		t.Fatal(err)
 	}
 	for ant := range f.CSI {
@@ -123,11 +132,11 @@ func TestSanitizeIdempotentOnCleanFrame(t *testing.T) {
 	// with sanitizing once.
 	x, idx := buildExtractor(t, csi.Impairments{}, 5)
 	f := x.Capture(nil)
-	s1, err := Frame(f, idx)
+	s1, err := sanitizeFrame(f, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Frame(s1, idx)
+	s2, err := sanitizeFrame(s1, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +152,11 @@ func TestSanitizeIdempotentOnCleanFrame(t *testing.T) {
 func TestSanitizeErrors(t *testing.T) {
 	x, idx := buildExtractor(t, csi.Impairments{}, 6)
 	f := x.Capture(nil)
-	if _, err := Frame(f, idx[:5]); err == nil {
+	if _, err := sanitizeFrame(f, idx[:5]); err == nil {
 		t.Fatal("index length mismatch accepted")
 	}
 	bad := &csi.Frame{}
-	if _, err := Frame(bad, idx); err == nil {
+	if _, err := sanitizeFrame(bad, idx); err == nil {
 		t.Fatal("invalid frame accepted")
 	}
 }
@@ -176,11 +185,11 @@ func TestSanitizeStabilizesAcrossPackets(t *testing.T) {
 	x, idx := buildExtractor(t, csi.Impairments{MaxSTOSeconds: 50e-9, RandomCommonPhase: true}, 8)
 	f1 := x.Capture(nil)
 	f2 := x.Capture(nil)
-	s1, err := Frame(f1, idx)
+	s1, err := sanitizeFrame(f1, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Frame(f2, idx)
+	s2, err := sanitizeFrame(f2, idx)
 	if err != nil {
 		t.Fatal(err)
 	}

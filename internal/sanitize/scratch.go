@@ -49,7 +49,7 @@ func (sc *Scratch) Reserve(frames, nAnt, nSub int) {
 }
 
 // Frames sanitizes a batch like the package-level Frames, but into frame
-// buffers owned by the scratch.
+// buffers owned by the scratch, failing on the first malformed frame.
 func (sc *Scratch) Frames(frames []*csi.Frame, idx []int) ([]*csi.Frame, error) {
 	if cap(sc.out) < len(frames) {
 		next := make([]*csi.Frame, len(frames))
@@ -80,8 +80,11 @@ func (sc *Scratch) frame(dst **csi.Frame, f *csi.Frame, idx []int) error {
 		sc.xs[i] = float64(v)
 	}
 
-	// Common phase trend, as in Frame: mean of the unwrapped per-antenna
-	// phases, then a linear fit over subcarrier index.
+	// Average the unwrapped per-antenna phases to estimate the common trend.
+	// The average carries the sampling-time slope, the common oscillator
+	// phase and the mean inter-antenna offset; subtracting its fitted line
+	// removes all three identically from every antenna, which stabilizes the
+	// phase across packets while preserving inter-antenna differences.
 	sc.mean = growFloats(&sc.mean, nSub)
 	for k := range sc.mean {
 		sc.mean[k] = 0

@@ -75,12 +75,14 @@ func (p *Person) body() body.Body {
 }
 
 // System binds a simulated link to a detector: the one-stop entry point for
-// examples and quick experiments.
+// examples and quick experiments. A System is not safe for concurrent use:
+// its extractor and its scoring scratch are single-goroutine state.
 type System struct {
 	Scenario  *scenario.Scenario
 	extractor *csi.Extractor
 	cfg       core.Config
 	detector  *core.Detector
+	sc        *core.Scratch
 
 	adaptPol   *adapt.Policy
 	adapter    *adapt.Adapter
@@ -117,7 +119,7 @@ func newSystem(s *scenario.Scenario, scheme Scheme) (*System, error) {
 		return nil, fmt.Errorf("mlink: %w", err)
 	}
 	cfg := core.DefaultConfig(s.Grid, scheme, s.Env.RX.Offsets())
-	return &System{Scenario: s, extractor: x, cfg: cfg}, nil
+	return &System{Scenario: s, extractor: x, cfg: cfg, sc: core.NewScratch()}, nil
 }
 
 // Capture simulates one packet with the given people present and returns
@@ -164,7 +166,7 @@ func (s *System) Calibrate(n int) error {
 	if err != nil {
 		return fmt.Errorf("mlink calibrate: %w", err)
 	}
-	if _, err := det.CalibrateThreshold(null, 0.95, 1.3); err != nil {
+	if _, err := det.CalibrateThreshold(null, core.ThresholdQuantile, core.DefaultThresholdMargin); err != nil {
 		return fmt.Errorf("mlink calibrate: %w", err)
 	}
 	s.detector = det
@@ -230,12 +232,12 @@ func (s *System) DetectWindow(window []*Frame) (Decision, error) {
 	if s.detector == nil {
 		return Decision{}, ErrNotCalibrated
 	}
-	dec, err := s.detector.Detect(window)
+	dec, err := s.detector.DetectScratch(window, s.sc)
 	if err != nil {
 		return Decision{}, err
 	}
 	if s.adapter != nil {
-		if _, err := s.adapter.Observe(window, dec); err != nil {
+		if _, err := s.adapter.ObserveScored(window, dec, s.sc); err != nil {
 			return Decision{}, fmt.Errorf("mlink adaptation: %w", err)
 		}
 	}
@@ -248,7 +250,7 @@ func (s *System) ScoreWindow(window []*Frame) (float64, error) {
 	if s.detector == nil {
 		return 0, ErrNotCalibrated
 	}
-	return s.detector.Score(window)
+	return s.detector.ScoreScratch(window, s.sc)
 }
 
 // AssessLink measures the link's mean multipath factor from n packets — the
@@ -258,21 +260,9 @@ func (s *System) AssessLink(n int) (meanMu float64, perSubcarrier []float64, err
 	if n < 1 {
 		n = 1
 	}
-	const ant = 1
-	acc := make([]float64, s.Scenario.Grid.Len())
-	for i := 0; i < n; i++ {
-		f := s.extractor.Capture(nil)
-		mu, err := core.MultipathFactors(f.CSI[ant], s.Scenario.Grid)
-		if err != nil {
-			return 0, nil, fmt.Errorf("mlink assess: %w", err)
-		}
-		for k, v := range mu {
-			acc[k] += v / float64(n)
-		}
-	}
-	mean, err := core.MeanMultipathFactor(acc)
+	meanMu, perSubcarrier, err = core.LinkMeanMu(s.extractor.CaptureN(n, nil), s.Scenario.Grid)
 	if err != nil {
 		return 0, nil, fmt.Errorf("mlink assess: %w", err)
 	}
-	return mean, acc, nil
+	return meanMu, perSubcarrier, nil
 }

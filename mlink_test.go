@@ -4,6 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"mlink/internal/csi"
+	"mlink/internal/geom"
+	"mlink/internal/propagation"
+	"mlink/internal/scenario"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -76,6 +81,41 @@ func TestAssessLink(t *testing.T) {
 	}
 	if mean <= 0 || mean > 5 {
 		t.Fatalf("mean mu = %v", mean)
+	}
+}
+
+// TestAssessLinkSingleAntenna assesses a one-element receiver: the metric
+// falls back to antenna 0 instead of indexing a second antenna that is not
+// there.
+func TestAssessLinkSingleAntenna(t *testing.T) {
+	ref, err := scenario.Classroom(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := scenario.Build(scenario.Spec{
+		Name:       "single-antenna",
+		Room:       ref.Env.Room,
+		TX:         geom.Point{X: 1, Y: 4},
+		RXCenter:   geom.Point{X: 5, Y: 4},
+		NumAnts:    1,
+		Params:     propagation.DefaultLinkParams(),
+		MaxBounces: 2,
+		Imp:        csi.DefaultImpairments(),
+		Seed:       3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(s, SchemeBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean, perSub, err := sys.AssessLink(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(perSub) != s.Grid.Len() || mean <= 0 || mean > 5 {
+		t.Fatalf("mean mu = %v over %d subcarriers", mean, len(perSub))
 	}
 }
 
