@@ -223,7 +223,7 @@ func TestDFTIntoMatchesDFTAndAllocs(t *testing.T) {
 		wantF := directDFT(x, -1, 1)
 		wantI := directDFT(x, 1, 1/float64(n))
 		for i := range x {
-			if cmplx.Abs(fwd[i]-wantF[i]) > 1e-9 || cmplx.Abs(inv[i]-wantI[i]) > 1e-9 {
+			if cmplx.Abs(fwd[i]-wantF[i]) > 1e-12 || cmplx.Abs(inv[i]-wantI[i]) > 1e-12 {
 				t.Fatalf("n=%d Into mismatch at %d", n, i)
 			}
 		}
