@@ -11,7 +11,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"mlink/internal/experiments"
@@ -261,24 +263,28 @@ func run() error {
 	flag.Parse()
 	full := *scale == "full"
 
-	var names []string
-	if *which == "all" {
-		names = order
-	} else {
+	names := order
+	if *which != "all" {
 		names = strings.Split(*which, ",")
 	}
+	return render(os.Stdout, names, *seed, full)
+}
+
+// render writes each named experiment's table to w, each preceded by a
+// separator line.
+func render(w io.Writer, names []string, seed int64, full bool) error {
 	for _, name := range names {
 		name = strings.TrimSpace(name)
 		fn, ok := runners[name]
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (known: %s)", name, strings.Join(order, ", "))
 		}
-		out, err := fn(*seed, full)
+		out, err := fn(seed, full)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Println(strings.Repeat("=", 72))
-		fmt.Print(out)
+		fmt.Fprintln(w, strings.Repeat("=", 72))
+		fmt.Fprint(w, out)
 	}
 	return nil
 }
