@@ -24,6 +24,7 @@ import (
 	"mlink/internal/experiments"
 	"mlink/internal/fleet"
 	"mlink/internal/geom"
+	"mlink/internal/linalg"
 	"mlink/internal/music"
 	"mlink/internal/propagation"
 	"mlink/internal/sanitize"
@@ -1171,7 +1172,15 @@ func angleErrWithAntennas(b *testing.B, n int) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var errs []float64
+	plan, err := est.NewPlan()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var (
+		spec music.Spectrum
+		ws   linalg.EigWorkspace
+		errs []float64
+	)
 	for trial := 0; trial < 15; trial++ {
 		x, err := s.NewExtractor(int64(500 + trial))
 		if err != nil {
@@ -1186,8 +1195,7 @@ func angleErrWithAntennas(b *testing.B, n int) float64 {
 		if err != nil {
 			b.Fatal(err)
 		}
-		spec, err := est.Pseudospectrum(cov, 2)
-		if err != nil {
+		if err := plan.PseudospectrumInto(&spec, cov, 2, &ws); err != nil {
 			b.Fatal(err)
 		}
 		dom, err := spec.DominantAngle()

@@ -137,7 +137,6 @@ type EngineConfig struct {
 // the single-link System.
 type Engine struct {
 	eng      *engine.Engine
-	sources  []phasedSwitch
 	sourceBy map[string]phasedSwitch
 
 	// Fleet coordination state: the coordinator observes one fused verdict
@@ -230,11 +229,12 @@ func (e *Engine) fleetObserve() {
 	}
 	e.fleetMu.Lock()
 	defer e.fleetMu.Unlock()
-	if e.coord == nil || len(e.sources) == 0 {
+	n := int(e.linkCount.Load())
+	if e.coord == nil || n == 0 {
 		return
 	}
 	e.fleetTicks++
-	if e.fleetTicks%len(e.sources) != 0 {
+	if e.fleetTicks%n != 0 {
 		return
 	}
 	// A whole-fleet quarantine or outage surfaces as an Inconclusive
@@ -272,11 +272,7 @@ func (e *Engine) LoadProfiles(dir string) ([]string, error) {
 	if err != nil {
 		return restored, fmt.Errorf("mlink load profiles: %w", err)
 	}
-	for _, id := range restored {
-		if src, ok := e.sourceBy[id]; ok {
-			src.setMonitoring(true)
-		}
-	}
+	e.enterMonitoring(restored)
 	return restored, nil
 }
 
@@ -314,11 +310,7 @@ func (e *Engine) EnableJournal(dir string, config ...JournalConfig) ([]string, e
 		j.Close()
 		return restored, fmt.Errorf("mlink journal: %w", err)
 	}
-	for _, id := range restored {
-		if src, ok := e.sourceBy[id]; ok {
-			src.setMonitoring(true)
-		}
-	}
+	e.enterMonitoring(restored)
 	e.journal = j
 	return restored, nil
 }
@@ -348,9 +340,7 @@ func (e *Engine) CalibrateMissing(n int) error {
 	if err := e.eng.CalibrateMissing(context.Background(), n); err != nil {
 		return fmt.Errorf("mlink calibrate: %w", err)
 	}
-	for _, src := range e.sources {
-		src.setMonitoring(true)
-	}
+	e.enterMonitoring(e.Links())
 	return nil
 }
 
@@ -400,19 +390,33 @@ func (e *Engine) AddChaosLink(id string, sys *System, chaos ChaosConfig, people 
 	if sys == nil {
 		return nil, fmt.Errorf("mlink: nil system for link %q", id)
 	}
-	inner := &phasedSource{
-		sys:    sys,
-		bodies: bodiesOf(people),
-		pool:   csi.NewFramePool(len(sys.extractor.Env.RX.Elements), sys.extractor.Grid.Len()),
-	}
+	inner := newPhasedSource(sys, people)
 	src := scenario.NewChaosSource(inner, chaos)
-	if err := e.eng.AddLink(id, sys.cfg, src); err != nil {
-		return nil, fmt.Errorf("mlink: %w", err)
+	if err := e.register(id, sys, src, inner); err != nil {
+		return nil, err
 	}
-	e.sources = append(e.sources, inner)
-	e.sourceBy[id] = inner
-	e.linkCount.Add(1)
 	return src, nil
+}
+
+// register adds a link reading src to the engine; sw switches the link's
+// people in once it enters monitoring.
+func (e *Engine) register(id string, sys *System, src engine.Source, sw phasedSwitch) error {
+	if err := e.eng.AddLink(id, sys.cfg, src); err != nil {
+		return fmt.Errorf("mlink: %w", err)
+	}
+	e.sourceBy[id] = sw
+	e.linkCount.Add(1)
+	return nil
+}
+
+// enterMonitoring switches the people of the given links into their rooms:
+// those links' baselines are in place, so their captures now monitor.
+func (e *Engine) enterMonitoring(ids []string) {
+	for _, id := range ids {
+		if sw, ok := e.sourceBy[id]; ok {
+			sw.setMonitoring(true)
+		}
+	}
 }
 
 // phasedSource streams simulated captures from a System, with the link's
@@ -428,6 +432,14 @@ type phasedSource struct {
 	// recalibration during Run).
 	monitoring atomic.Bool
 	pool       *csi.FramePool
+}
+
+func newPhasedSource(sys *System, people []*Person) *phasedSource {
+	return &phasedSource{
+		sys:    sys,
+		bodies: bodiesOf(people),
+		pool:   csi.NewFramePool(len(sys.extractor.Env.RX.Elements), sys.extractor.Grid.Len()),
+	}
 }
 
 func (s *phasedSource) Next() (*Frame, error) {
@@ -478,18 +490,8 @@ func (e *Engine) AddLink(id string, sys *System, people ...*Person) error {
 	if sys == nil {
 		return fmt.Errorf("mlink: nil system for link %q", id)
 	}
-	src := &phasedSource{
-		sys:    sys,
-		bodies: bodiesOf(people),
-		pool:   csi.NewFramePool(len(sys.extractor.Env.RX.Elements), sys.extractor.Grid.Len()),
-	}
-	if err := e.eng.AddLink(id, sys.cfg, src); err != nil {
-		return fmt.Errorf("mlink: %w", err)
-	}
-	e.sources = append(e.sources, src)
-	e.sourceBy[id] = src
-	e.linkCount.Add(1)
-	return nil
+	src := newPhasedSource(sys, people)
+	return e.register(id, sys, src, src)
 }
 
 // AddDriftLink adopts a System as a monitored link whose environment drifts
@@ -505,13 +507,7 @@ func (e *Engine) AddDriftLink(id string, sys *System, preset DriftPreset, people
 		return fmt.Errorf("mlink: drift link %q: %w", id, err)
 	}
 	src := &phasedDriftSource{stream: stream, bodies: bodiesOf(people)}
-	if err := e.eng.AddLink(id, sys.cfg, src); err != nil {
-		return fmt.Errorf("mlink: %w", err)
-	}
-	e.sources = append(e.sources, src)
-	e.sourceBy[id] = src
-	e.linkCount.Add(1)
-	return nil
+	return e.register(id, sys, src, src)
 }
 
 // Links lists the fleet's link IDs in registration order.
@@ -528,9 +524,7 @@ func (e *Engine) Calibrate(n int) error {
 	if err := e.eng.Calibrate(context.Background(), n); err != nil {
 		return fmt.Errorf("mlink calibrate: %w", err)
 	}
-	for _, src := range e.sources {
-		src.setMonitoring(true)
-	}
+	e.enterMonitoring(e.Links())
 	return nil
 }
 

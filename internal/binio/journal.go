@@ -104,13 +104,6 @@ func EndJournalRecord(dst []byte, mark int) []byte {
 	return dst
 }
 
-// AppendJournalRecord appends one CRC-framed record holding payload.
-func AppendJournalRecord(dst, payload []byte) []byte {
-	dst, mark := BeginJournalRecord(dst)
-	dst = append(dst, payload...)
-	return EndJournalRecord(dst, mark)
-}
-
 // ScanJournal walks a journal record region (the bytes after the header),
 // invoking fn — which may be nil — with each intact record's payload, and
 // returns the length of the clean prefix: the byte count of consecutive

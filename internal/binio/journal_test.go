@@ -2,16 +2,25 @@ package binio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 )
+
+// appendJournalRecord appends one CRC-framed record holding payload.
+func appendJournalRecord(dst, payload []byte) []byte {
+	dst, mark := BeginJournalRecord(dst)
+	dst = append(dst, payload...)
+	return EndJournalRecord(dst, mark)
+}
 
 // journalFixture frames the given payloads into a full journal file
 // (header + records).
 func journalFixture(payloads ...[]byte) []byte {
 	b := AppendJournalHeader(nil)
 	for _, p := range payloads {
-		b = AppendJournalRecord(b, p)
+		b = appendJournalRecord(b, p)
 	}
 	return b
 }
@@ -178,7 +187,7 @@ func TestJournalAppendAfterTruncate(t *testing.T) {
 		t.Fatalf("err = %v, want ErrTornRecord", err)
 	}
 
-	resumed := append(append([]byte(nil), torn[:clean]...), AppendJournalRecord(nil, []byte("post-crash"))...)
+	resumed := append(append([]byte(nil), torn[:clean]...), appendJournalRecord(nil, []byte("post-crash"))...)
 	var got [][]byte
 	n, err := ScanJournal(resumed, func(p []byte) error {
 		got = append(got, append([]byte(nil), p...))
@@ -217,11 +226,13 @@ func TestReserveLenMatchesAppendBytes(t *testing.T) {
 	}
 }
 
-// TestJournalRecordInPlace pins Begin/EndJournalRecord to the
-// AppendJournalRecord framing.
+// TestJournalRecordInPlace pins Begin/EndJournalRecord to the record
+// framing: big-endian payload length, Castagnoli CRC of the payload, payload.
 func TestJournalRecordInPlace(t *testing.T) {
 	payload := []byte("framed in place")
-	want := AppendJournalRecord(nil, payload)
+	want := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	want = binary.BigEndian.AppendUint32(want, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	want = append(want, payload...)
 	got, mark := BeginJournalRecord(nil)
 	got = append(got, payload...)
 	got = EndJournalRecord(got, mark)

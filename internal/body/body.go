@@ -102,16 +102,6 @@ func (b Body) ShadowGain(path geom.Polyline, wavelength float64) float64 {
 	return gain
 }
 
-// ShadowGainDB returns ShadowGain expressed as an amplitude loss in dB
-// (≥ 0; 0 means no shadowing).
-func (b Body) ShadowGainDB(path geom.Polyline, wavelength float64) float64 {
-	g := b.ShadowGain(path, wavelength)
-	if g <= 0 {
-		return math.Inf(1)
-	}
-	return -20 * math.Log10(g)
-}
-
 // EchoAmplitudeScale returns the bistatic-radar amplitude scale factor
 // √(σ/4π) used by the propagation package when it synthesizes the
 // human-created reflection ray TX→body→RX.

@@ -63,15 +63,6 @@ func (g *Grid) Frequencies() []float64 {
 	return out
 }
 
-// Wavelengths returns the wavelength of every subcarrier.
-func (g *Grid) Wavelengths(speedOfLight float64) []float64 {
-	out := make([]float64, len(g.Indices))
-	for i, f := range g.Frequencies() {
-		out[i] = speedOfLight / f
-	}
-	return out
-}
-
 // Len returns the number of subcarriers.
 func (g *Grid) Len() int { return len(g.Indices) }
 

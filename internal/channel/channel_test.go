@@ -55,25 +55,6 @@ func TestNewIntel5300Grid(t *testing.T) {
 	}
 }
 
-func TestWavelengths(t *testing.T) {
-	g, _ := NewIntel5300Grid(CenterFreqChannel11)
-	c := 299792458.0
-	ws := g.Wavelengths(c)
-	if len(ws) != 30 {
-		t.Fatalf("len = %d", len(ws))
-	}
-	mid := c / CenterFreqChannel11
-	for _, w := range ws {
-		if math.Abs(w-mid) > 0.002 {
-			t.Fatalf("wavelength %v too far from %v", w, mid)
-		}
-	}
-	// Higher frequency → shorter wavelength.
-	if ws[0] <= ws[29] {
-		t.Fatalf("wavelength ordering wrong: %v ... %v", ws[0], ws[29])
-	}
-}
-
 func TestAddAWGNSNR(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := 20000

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 
 // naivePathScore recomputes the SchemeSubcarrierPath decision statistic
 // through the retained allocating reference path — naive music.Covariance
-// over every calibration frame, the estimator's trigonometric Bartlett,
-// toDB, WeightedSpectrumDistance — mirroring scoreSubcarrierPath step for
+// over every calibration frame, the trigonometric bartlett,
+// toDB, weightedSpectrumDistance — mirroring scoreSubcarrierPath step for
 // step without any of its caches (steering plan, spectral partials, fused
 // dB distance). The property tests pin the production path to this.
 func naivePathScore(t *testing.T, k *Kernel, profile *Profile, window []*csi.Frame) float64 {
@@ -39,7 +40,7 @@ func naivePathScore(t *testing.T, k *Kernel, profile *Profile, window []*csi.Fra
 	if err != nil {
 		t.Fatalf("naive monitor covariance: %v", err)
 	}
-	monSpec, err := est.Bartlett(monCov)
+	monSpec, err := bartlett(est, monCov)
 	if err != nil {
 		t.Fatalf("naive monitor spectrum: %v", err)
 	}
@@ -47,11 +48,11 @@ func naivePathScore(t *testing.T, k *Kernel, profile *Profile, window []*csi.Fra
 	if err != nil {
 		t.Fatalf("naive calibration covariance: %v", err)
 	}
-	calSpec, err := est.Bartlett(calCov)
+	calSpec, err := bartlett(est, calCov)
 	if err != nil {
 		t.Fatalf("naive calibration spectrum: %v", err)
 	}
-	score, err := WeightedSpectrumDistance(toDB(monSpec), toDB(calSpec), profile.PathWeights)
+	score, err := weightedSpectrumDistance(toDB(monSpec), toDB(calSpec), profile.PathWeights)
 	if err != nil {
 		t.Fatalf("naive distance: %v", err)
 	}
@@ -249,8 +250,12 @@ func TestPathProfilePersistenceRebuildsPartials(t *testing.T) {
 	if decoded.Partials == nil {
 		t.Fatal("UnmarshalProfile left Partials nil for a spectrum-bearing profile")
 	}
-	if decoded.Partials.NumFrames() != len(decoded.Frames) {
-		t.Fatalf("rebuilt partials cover %d frames, profile has %d", decoded.Partials.NumFrames(), len(decoded.Frames))
+	fresh, err := music.NewPartials(decoded.Frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(decoded.Partials, fresh) {
+		t.Fatal("rebuilt partials differ from the partials of the profile's frames")
 	}
 	if err := det.SetProfile(decoded); err != nil {
 		t.Fatal(err)

@@ -237,16 +237,6 @@ func TestPerPacketWeights(t *testing.T) {
 }
 
 func TestApplyWeightsAndAverage(t *testing.T) {
-	out, err := ApplyWeights([]float64{2, 0.5}, []float64{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 6 || out[1] != 2 {
-		t.Fatalf("applied = %v", out)
-	}
-	if _, err := ApplyWeights([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("mismatch err = %v", err)
-	}
 	avg, err := averageWeightVectors([][]float64{{1, 2}, {3, 4}})
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +310,7 @@ func TestPathWeightsFloorCapsExplosion(t *testing.T) {
 func TestWeightedSpectrumDistance(t *testing.T) {
 	a := &music.Spectrum{AnglesDeg: []float64{0, 1}, Power: []float64{1, 0}}
 	b := &music.Spectrum{AnglesDeg: []float64{0, 1}, Power: []float64{0, 0}}
-	d, err := WeightedSpectrumDistance(a, b, []float64{1, 1})
+	d, err := weightedSpectrumDistance(a, b, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,17 +318,17 @@ func TestWeightedSpectrumDistance(t *testing.T) {
 		t.Fatalf("distance = %v", d)
 	}
 	// Identical spectra → 0.
-	z, err := WeightedSpectrumDistance(a, a, []float64{1, 1})
+	z, err := weightedSpectrumDistance(a, a, []float64{1, 1})
 	if err != nil || z != 0 {
 		t.Fatalf("self distance = %v err = %v", z, err)
 	}
-	if _, err := WeightedSpectrumDistance(a, b, []float64{1}); !errors.Is(err, ErrBadInput) {
+	if _, err := weightedSpectrumDistance(a, b, []float64{1}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("weight mismatch err = %v", err)
 	}
-	if _, err := WeightedSpectrumDistance(a, b, []float64{0, 0}); !errors.Is(err, ErrBadInput) {
+	if _, err := weightedSpectrumDistance(a, b, []float64{0, 0}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("zero weights err = %v", err)
 	}
-	if _, err := WeightedSpectrumDistance(nil, b, []float64{1, 1}); !errors.Is(err, ErrBadInput) {
+	if _, err := weightedSpectrumDistance(nil, b, []float64{1, 1}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("nil err = %v", err)
 	}
 }

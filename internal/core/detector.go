@@ -150,12 +150,16 @@ func Calibrate(cfg Config, frames []*csi.Frame) (*Profile, error) {
 		if err != nil {
 			return nil, err
 		}
+		plan, err := est.NewPlan()
+		if err != nil {
+			return nil, err
+		}
 		cov, err := music.Covariance(prep, nil)
 		if err != nil {
 			return nil, fmt.Errorf("static covariance: %w", err)
 		}
-		spec, err := est.Pseudospectrum(cov, cfg.NumSignals)
-		if err != nil {
+		spec := &music.Spectrum{}
+		if err := plan.PseudospectrumInto(spec, cov, cfg.NumSignals, nil); err != nil {
 			return nil, fmt.Errorf("static pseudospectrum: %w", err)
 		}
 		p.StaticSpectrum = spec

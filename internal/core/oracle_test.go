@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 
+	"mlink/internal/geom"
+	"mlink/internal/linalg"
 	"mlink/internal/music"
 )
 
@@ -43,7 +46,7 @@ func averageWeightVectors(vectors [][]float64) ([]float64, error) {
 
 // toDB converts a power spectrum to decibels (floored well below any
 // physical level to keep the distance finite). It is the allocating
-// reference for Spectrum.ToDBInPlace and weightedSpectrumDistanceDB.
+// reference for weightedSpectrumDistanceDB.
 func toDB(s *music.Spectrum) *music.Spectrum {
 	out := &music.Spectrum{
 		AnglesDeg: append([]float64(nil), s.AnglesDeg...),
@@ -56,4 +59,67 @@ func toDB(s *music.Spectrum) *music.Spectrum {
 		out.Power[i] = 10 * math.Log10(p)
 	}
 	return out
+}
+
+// weightedSpectrumDistance computes the path-weighted Euclidean distance
+// between two normalized pseudospectra (the §IV-C decision statistic):
+//
+//	score = √( Σθ w(θ)·(Pm(θ) - Pc(θ))² / Σθ w(θ) )
+//
+// The weight normalization keeps scores comparable across links with
+// different static spectra.
+func weightedSpectrumDistance(mon, cal *music.Spectrum, weights []float64) (float64, error) {
+	if mon == nil || cal == nil {
+		return 0, fmt.Errorf("nil spectrum: %w", ErrBadInput)
+	}
+	n := len(mon.Power)
+	if n == 0 || len(cal.Power) != n || len(weights) != n {
+		return 0, fmt.Errorf("spectrum/weight lengths %d/%d/%d: %w", n, len(cal.Power), len(weights), ErrBadInput)
+	}
+	var num, den float64
+	for i := 0; i < n; i++ {
+		d := mon.Power[i] - cal.Power[i]
+		num += weights[i] * d * d
+		den += weights[i]
+	}
+	if den == 0 {
+		return 0, fmt.Errorf("all-zero path weights: %w", ErrBadInput)
+	}
+	return math.Sqrt(num / den), nil
+}
+
+// bartlett computes the conventional angular power spectrum
+// B(θ) = aᴴ(θ)·R·a(θ) on the estimator's scan grid, recomputing each
+// steering vector a_m(θ) = e^{+j·2π·offset_m·sinθ/λ} with sin/cos and
+// taking the full matrix-vector product — the reference for the cached
+// steering table and upper-triangle kernel of music.Plan.BartlettInto.
+func bartlett(est *music.Estimator, r *linalg.Matrix) (*music.Spectrum, error) {
+	nAnt := len(est.Offsets)
+	if r.Rows() != nAnt || r.Cols() != nAnt {
+		return nil, fmt.Errorf("covariance %dx%d for %d elements: %w", r.Rows(), r.Cols(), nAnt, ErrBadInput)
+	}
+	plan, err := est.NewPlan()
+	if err != nil {
+		return nil, err
+	}
+	out := &music.Spectrum{}
+	plan.ReserveSpectrum(out) // the scan grid's angle axis
+	sv := make([]complex128, nAnt)
+	for ai, a := range out.AnglesDeg {
+		s := math.Sin(geom.DegToRad(a))
+		for m, off := range est.Offsets {
+			phi := 2 * math.Pi * off * s / est.Wavelength
+			sv[m] = complex(math.Cos(phi), math.Sin(phi))
+		}
+		var dot complex128
+		for i := range sv {
+			var ra complex128
+			for j := range sv {
+				ra += r.At(i, j) * sv[j]
+			}
+			dot += cmplx.Conj(sv[i]) * ra
+		}
+		out.Power[ai] = real(dot)
+	}
+	return out, nil
 }

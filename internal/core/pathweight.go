@@ -58,42 +58,19 @@ func PathWeights(static *music.Spectrum, cfg PathWeightConfig) ([]float64, error
 	return out, nil
 }
 
-// WeightedSpectrumDistance computes the path-weighted Euclidean distance
-// between two normalized pseudospectra (the §IV-C decision statistic):
+// weightedSpectrumDistanceDB computes the path-weighted Euclidean distance
+// between the dB forms of two pseudospectra (the §IV-C decision statistic),
 //
-//	score = √( Σθ w(θ)·(Pm(θ) - Pc(θ))² / Σθ w(θ) )
+//	score = √( Σθ w(θ)·(Pm,dB(θ) - Pc,dB(θ))² / Σθ w(θ) ),
 //
-// The weight normalization keeps scores comparable across links with
-// different static spectra.
-func WeightedSpectrumDistance(mon, cal *music.Spectrum, weights []float64) (float64, error) {
-	if mon == nil || cal == nil {
-		return 0, fmt.Errorf("nil spectrum: %w", ErrBadInput)
-	}
-	n := len(mon.Power)
-	if n == 0 || len(cal.Power) != n || len(weights) != n {
-		return 0, fmt.Errorf("spectrum/weight lengths %d/%d/%d: %w", n, len(cal.Power), len(weights), ErrBadInput)
-	}
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := mon.Power[i] - cal.Power[i]
-		num += weights[i] * d * d
-		den += weights[i]
-	}
-	if den == 0 {
-		return 0, fmt.Errorf("all-zero path weights: %w", ErrBadInput)
-	}
-	return math.Sqrt(num / den), nil
-}
-
-// weightedSpectrumDistanceDB computes
-// WeightedSpectrumDistance(toDB(mon), toDB(cal), weights) straight from the
-// linear power spectra: zero-weight angles contribute nothing to either sum
-// term that depends on the spectra, so only the weighted angles pay a
-// logarithm — and each pays one, 10·log₁₀(mon/cal) with both sides floored
-// at 1e-30 as in toDB, instead of two, through the table-backed
-// dsp.Log10Fast (≤2e-9 abs error — ≤2e-8 dB per weighted angle, far below
-// the detector's decision margins). The hot scoring path uses this form;
-// the property tests pin it to the naive toDB/math.Log10 composition.
+// computed straight from the linear power spectra. The weight
+// normalization keeps scores comparable across links with different static
+// spectra. Zero-weight angles contribute nothing to either sum term that
+// depends on the spectra, so only the weighted angles pay a logarithm — and
+// each pays one, 10·log₁₀(mon/cal) with both sides floored at 1e-30, instead
+// of two, through the table-backed dsp.Log10Fast (≤2e-9 abs error — ≤2e-8 dB
+// per weighted angle, far below the detector's decision margins). The
+// property tests pin it to the naive dB conversion and math.Log10.
 func weightedSpectrumDistanceDB(mon, cal *music.Spectrum, weights []float64) (float64, error) {
 	if mon == nil || cal == nil {
 		return 0, fmt.Errorf("nil spectrum: %w", ErrBadInput)

@@ -99,7 +99,7 @@ func TestQuickPerPacketWeightsSumToOne(t *testing.T) {
 	}
 }
 
-// Property: WeightedSpectrumDistance is a pseudmetric — symmetric,
+// Property: weightedSpectrumDistance is a pseudmetric — symmetric,
 // zero on identical spectra, and non-negative.
 func TestQuickSpectrumDistancePseudometric(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
@@ -123,15 +123,15 @@ func TestQuickSpectrumDistancePseudometric(t *testing.T) {
 		}
 		a := &specOf{angles, mkSpec()}
 		b := &specOf{angles, mkSpec()}
-		dab, err := WeightedSpectrumDistance(a.spec(), b.spec(), w)
+		dab, err := weightedSpectrumDistance(a.spec(), b.spec(), w)
 		if err != nil {
 			return false
 		}
-		dba, err := WeightedSpectrumDistance(b.spec(), a.spec(), w)
+		dba, err := weightedSpectrumDistance(b.spec(), a.spec(), w)
 		if err != nil {
 			return false
 		}
-		daa, err := WeightedSpectrumDistance(a.spec(), a.spec(), w)
+		daa, err := weightedSpectrumDistance(a.spec(), a.spec(), w)
 		if err != nil {
 			return false
 		}

@@ -117,19 +117,6 @@ func PerPacketWeightsInto(dst, mu []float64) error {
 	return nil
 }
 
-// ApplyWeights returns the element-wise weighted copy w∘Δs (Eq. 12/15
-// application to a vector of RSS changes).
-func ApplyWeights(weights, deltas []float64) ([]float64, error) {
-	if len(weights) != len(deltas) {
-		return nil, fmt.Errorf("%d weights for %d deltas: %w", len(weights), len(deltas), ErrBadInput)
-	}
-	out := make([]float64, len(deltas))
-	for i := range deltas {
-		out[i] = weights[i] * deltas[i]
-	}
-	return out, nil
-}
-
 // AverageWeightVectorsInto averages per-antenna weight vectors into dst, a
 // caller buffer of the vectors' common length (used when one weight set must
 // drive the array covariance).

@@ -84,30 +84,6 @@ func (f *Frame) Clone() *Frame {
 	return out
 }
 
-// AmplitudeDB returns 20·log10|CSI| for one antenna.
-func (f *Frame) AmplitudeDB(antenna int) []float64 {
-	out := make([]float64, len(f.CSI[antenna]))
-	for k, v := range f.CSI[antenna] {
-		a := cmplx.Abs(v)
-		if a <= 0 {
-			out[k] = math.Inf(-1)
-			continue
-		}
-		out[k] = 20 * math.Log10(a)
-	}
-	return out
-}
-
-// SubcarrierPower returns |CSI|² per subcarrier for one antenna.
-func (f *Frame) SubcarrierPower(antenna int) []float64 {
-	out := make([]float64, len(f.CSI[antenna]))
-	for k, v := range f.CSI[antenna] {
-		re, im := real(v), imag(v)
-		out[k] = re*re + im*im
-	}
-	return out
-}
-
 // Impairments configures the hardware error model.
 type Impairments struct {
 	// SNRdB is the per-subcarrier AWGN signal-to-noise ratio. Zero or

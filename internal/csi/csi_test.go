@@ -287,21 +287,6 @@ func TestFrameClone(t *testing.T) {
 	}
 }
 
-func TestAmplitudeDBAndPower(t *testing.T) {
-	f := &Frame{CSI: [][]complex128{{complex(10, 0), 0}}, RSSI: []float64{0}}
-	db := f.AmplitudeDB(0)
-	if math.Abs(db[0]-20) > 1e-9 {
-		t.Fatalf("db[0] = %v, want 20", db[0])
-	}
-	if !math.IsInf(db[1], -1) {
-		t.Fatalf("db of 0 = %v, want -inf", db[1])
-	}
-	p := f.SubcarrierPower(0)
-	if math.Abs(p[0]-100) > 1e-9 || p[1] != 0 {
-		t.Fatalf("power = %v", p)
-	}
-}
-
 func TestDeterministicWithSameSeed(t *testing.T) {
 	a := newExtractor(t, DefaultImpairments(), 42)
 	b := newExtractor(t, DefaultImpairments(), 42)

@@ -121,7 +121,7 @@ func TestMessageRoundTrip(t *testing.T) {
 	if err := WriteMessage(&buf, TypeFrame, payload); err != nil {
 		t.Fatal(err)
 	}
-	msgType, got, err := ReadMessage(&buf)
+	msgType, got, err := new(MessageReader).Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestMessageEmptyPayload(t *testing.T) {
 	if err := WriteMessage(&buf, TypeHeartbeat, nil); err != nil {
 		t.Fatal(err)
 	}
-	msgType, got, err := ReadMessage(&buf)
+	msgType, got, err := new(MessageReader).Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,23 +154,23 @@ func TestMessageCorruption(t *testing.T) {
 	// Corrupt magic.
 	bad := append([]byte(nil), raw...)
 	bad[0] ^= 0xFF
-	if _, _, err := ReadMessage(bytes.NewReader(bad)); !errors.Is(err, ErrBadMagic) {
+	if _, _, err := new(MessageReader).Read(bytes.NewReader(bad)); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("bad magic err = %v", err)
 	}
 	// Corrupt version.
 	bad = append([]byte(nil), raw...)
 	bad[4] = 99
-	if _, _, err := ReadMessage(bytes.NewReader(bad)); !errors.Is(err, ErrBadVersion) {
+	if _, _, err := new(MessageReader).Read(bytes.NewReader(bad)); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("bad version err = %v", err)
 	}
 	// Corrupt payload → CRC failure.
 	bad = append([]byte(nil), raw...)
 	bad[12] ^= 0xFF
-	if _, _, err := ReadMessage(bytes.NewReader(bad)); !errors.Is(err, ErrBadCRC) {
+	if _, _, err := new(MessageReader).Read(bytes.NewReader(bad)); !errors.Is(err, ErrBadCRC) {
 		t.Fatalf("bad crc err = %v", err)
 	}
 	// Truncated stream.
-	if _, _, err := ReadMessage(bytes.NewReader(raw[:5])); err == nil {
+	if _, _, err := new(MessageReader).Read(bytes.NewReader(raw[:5])); err == nil {
 		t.Fatal("truncated header accepted")
 	}
 }

@@ -212,12 +212,14 @@ func TestServerDisconnectsSlowClient(t *testing.T) {
 	healthy := dialT(t, srv.Addr())
 	defer healthy.Close()
 
+	// The healthy client reads until the test closes it: a client that
+	// stopped reading early would back up and be shed like the wedge.
 	var healthyFrames atomic.Uint64
 	stop := make(chan struct{})
 	go func() {
 		defer close(stop)
 		f := csi.NewFrame(3, 30)
-		for healthyFrames.Load() < 300 {
+		for {
 			if err := healthy.RecvInto(f); err != nil {
 				return
 			}
@@ -240,6 +242,10 @@ func TestServerDisconnectsSlowClient(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	for healthyFrames.Load() < 300 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	healthy.Close()
 	<-stop
 	if got := healthyFrames.Load(); got < 300 {
 		t.Fatalf("healthy client got %d frames, want 300", got)

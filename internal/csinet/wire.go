@@ -232,18 +232,6 @@ func WriteMessage(w io.Writer, msgType byte, payload []byte) error {
 	return nil
 }
 
-// ReadMessage reads and verifies one message.
-func ReadMessage(r io.Reader) (msgType byte, payload []byte, err error) {
-	var mr MessageReader
-	t, p, err := mr.Read(r)
-	if err != nil {
-		return 0, nil, err
-	}
-	// The scratch buffer belongs to the throwaway reader, so handing it out
-	// is safe — this is the allocating convenience path.
-	return t, p, nil
-}
-
 // MessageReader reads framed messages with reusable header/payload scratch,
 // so a long-lived connection's receive loop stops allocating per message.
 // The payload returned by Read aliases the reader's buffer and is valid

@@ -6,8 +6,8 @@
 //
 // Hot-path callers (the Eq. 11 multipath factor in internal/core, phase
 // sanitization in internal/sanitize) use the *Into/*InPlace variants
-// (IDFTInto, InterpolateComplexInto, UnwrapInPlace) with caller-owned
-// buffers; none of the three has an allocating form. Two per-packet
+// (Transform.IDFTInto, UnwrapInPlace) with caller-owned buffers; neither has
+// an allocating form. Two per-packet
 // kernels are specialised for the 30-subcarrier grid without changing
 // results: a planned Transform runs 30 = 2·3·5 as a twiddle-free Good–Thomas
 // prime-factor transform, and MedianInPlace selects the median of a NaN-free

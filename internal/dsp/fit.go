@@ -82,27 +82,3 @@ func FitLog(xs, ys []float64) (LogFit, error) {
 	}
 	return LogFit{A: lin.Slope, B: lin.Intercept, R2: lin.R2}, nil
 }
-
-// Eval returns the fitted value A·ln(x) + B.
-func (f LogFit) Eval(x float64) float64 {
-	return f.A*math.Log(x) + f.B
-}
-
-// Eval returns the fitted value Slope·x + Intercept.
-func (f LinearFit) Eval(x float64) float64 {
-	return f.Slope*x + f.Intercept
-}
-
-// DB converts a linear power ratio to decibels: 10·log10(r). Non-positive
-// ratios map to -inf dB.
-func DB(ratio float64) float64 {
-	if ratio <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(ratio)
-}
-
-// FromDB converts decibels to a linear power ratio.
-func FromDB(db float64) float64 {
-	return math.Pow(10, db/10)
-}

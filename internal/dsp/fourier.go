@@ -1,7 +1,6 @@
 package dsp
 
 import (
-	"fmt"
 	"math"
 	"sync"
 )
@@ -89,45 +88,6 @@ func UnwrapInPlace(out []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// InterpolateComplexInto linearly resamples samples located at xs
-// (strictly increasing) onto targets, writing into out (len(targets)).
-// Targets outside [xs[0], xs[last]] are clamped to the boundary values.
-func InterpolateComplexInto(out []complex128, xs []float64, ys []complex128, targets []float64) error {
-	if len(xs) != len(ys) {
-		return fmt.Errorf("interpolate: %d xs vs %d ys", len(xs), len(ys))
-	}
-	if len(xs) == 0 {
-		return fmt.Errorf("interpolate: %w", ErrEmptyInput)
-	}
-	for i := 1; i < len(xs); i++ {
-		if xs[i] <= xs[i-1] {
-			return fmt.Errorf("interpolate: xs not strictly increasing at %d", i)
-		}
-	}
-	for i, t := range targets {
-		switch {
-		case t <= xs[0]:
-			out[i] = ys[0]
-		case t >= xs[len(xs)-1]:
-			out[i] = ys[len(ys)-1]
-		default:
-			// Binary search for the surrounding knots.
-			lo, hi := 0, len(xs)-1
-			for hi-lo > 1 {
-				mid := (lo + hi) / 2
-				if xs[mid] <= t {
-					lo = mid
-				} else {
-					hi = mid
-				}
-			}
-			frac := (t - xs[lo]) / (xs[hi] - xs[lo])
-			out[i] = ys[lo]*complex(1-frac, 0) + ys[hi]*complex(frac, 0)
-		}
-	}
-	return nil
 }
 
 // MovingAverage smooths xs with a centered window of the given odd width.

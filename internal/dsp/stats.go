@@ -228,23 +228,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return s[lo]*(1-frac) + s[hi]*frac, nil
 }
 
-// MinMax returns the minimum and maximum of xs.
-func MinMax(xs []float64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, fmt.Errorf("minmax: %w", ErrEmptyInput)
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi, nil
-}
-
 // ArgMax returns the index of the largest element of xs.
 func ArgMax(xs []float64) (int, error) {
 	if len(xs) == 0 {

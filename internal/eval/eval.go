@@ -127,21 +127,6 @@ func BalancedPoint(points []ROCPoint) (ROCPoint, error) {
 	return best, nil
 }
 
-// YoudenPoint returns the point maximizing TPR - FPR (an alternative
-// operating-point rule used by the ablation benches).
-func YoudenPoint(points []ROCPoint) (ROCPoint, error) {
-	if len(points) == 0 {
-		return ROCPoint{}, fmt.Errorf("youden point: %w", ErrNoSamples)
-	}
-	best := points[0]
-	for _, p := range points {
-		if p.TPR-p.FPR > best.TPR-best.FPR {
-			best = p
-		}
-	}
-	return best, nil
-}
-
 // DetectionRate returns the fraction of positive samples whose score
 // exceeds the threshold.
 func DetectionRate(samples []Sample, threshold float64) (float64, error) {
@@ -159,23 +144,4 @@ func DetectionRate(samples []Sample, threshold float64) (float64, error) {
 		return 0, fmt.Errorf("detection rate: %w", ErrNoSamples)
 	}
 	return tp / pos, nil
-}
-
-// FalsePositiveRate returns the fraction of negative samples whose score
-// exceeds the threshold.
-func FalsePositiveRate(samples []Sample, threshold float64) (float64, error) {
-	var fp, neg float64
-	for _, s := range samples {
-		if s.Positive {
-			continue
-		}
-		neg++
-		if s.Score > threshold {
-			fp++
-		}
-	}
-	if neg == 0 {
-		return 0, fmt.Errorf("false positive rate: %w", ErrNoSamples)
-	}
-	return fp / neg, nil
 }

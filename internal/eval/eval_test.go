@@ -129,9 +129,6 @@ func TestROCErrors(t *testing.T) {
 	if _, err := BalancedPoint(nil); !errors.Is(err, ErrNoSamples) {
 		t.Fatalf("balanced empty err = %v", err)
 	}
-	if _, err := YoudenPoint(nil); !errors.Is(err, ErrNoSamples) {
-		t.Fatalf("youden empty err = %v", err)
-	}
 }
 
 func TestBalancedPointEqualError(t *testing.T) {
@@ -151,20 +148,6 @@ func TestBalancedPointEqualError(t *testing.T) {
 	}
 }
 
-func TestYoudenPoint(t *testing.T) {
-	points := []ROCPoint{
-		{Threshold: 1, TPR: 0.9, FPR: 0.5},
-		{Threshold: 2, TPR: 0.8, FPR: 0.1},
-	}
-	yp, err := YoudenPoint(points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if yp.Threshold != 2 {
-		t.Fatalf("youden = %+v", yp)
-	}
-}
-
 func TestDetectionAndFalsePositiveRate(t *testing.T) {
 	samples := []Sample{
 		{Score: 0.9, Positive: true},
@@ -176,15 +159,8 @@ func TestDetectionAndFalsePositiveRate(t *testing.T) {
 	if err != nil || dr != 0.5 {
 		t.Fatalf("dr=%v err=%v", dr, err)
 	}
-	fp, err := FalsePositiveRate(samples, 0.5)
-	if err != nil || fp != 0.5 {
-		t.Fatalf("fp=%v err=%v", fp, err)
-	}
 	if _, err := DetectionRate([]Sample{{Positive: false}}, 0); !errors.Is(err, ErrNoSamples) {
 		t.Fatalf("dr err = %v", err)
-	}
-	if _, err := FalsePositiveRate([]Sample{{Positive: true}}, 0); !errors.Is(err, ErrNoSamples) {
-		t.Fatalf("fp err = %v", err)
 	}
 }
 

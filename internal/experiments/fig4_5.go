@@ -170,8 +170,12 @@ func Fig5b(packets int, seed int64) (*Fig5bResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec, err := est.Pseudospectrum(cov, 2)
+	plan, err := est.NewPlan()
 	if err != nil {
+		return nil, err
+	}
+	spec := &music.Spectrum{}
+	if err := plan.PseudospectrumInto(spec, cov, 2, nil); err != nil {
 		return nil, err
 	}
 	norm := spec.Normalized()

@@ -10,6 +10,7 @@ import (
 	"mlink/internal/dsp"
 	"mlink/internal/eval"
 	"mlink/internal/geom"
+	"mlink/internal/linalg"
 	"mlink/internal/music"
 	"mlink/internal/sanitize"
 	"mlink/internal/scenario"
@@ -264,6 +265,14 @@ func Fig10(trials, avgPackets int, seed int64) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	plan, err := est.NewPlan()
+	if err != nil {
+		return nil, err
+	}
+	var (
+		spec music.Spectrum
+		ws   linalg.EigWorkspace
+	)
 	angles, amps := s.Env.TrueAoAs(s.Grid.Center)
 	li, err := dsp.ArgMax(amps)
 	if err != nil {
@@ -295,8 +304,7 @@ func Fig10(trials, avgPackets int, seed int64) (*Fig10Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			spec, err := est.Pseudospectrum(cov, 2)
-			if err != nil {
+			if err := plan.PseudospectrumInto(&spec, cov, 2, &ws); err != nil {
 				return nil, err
 			}
 			dom, err := spec.DominantAngle()

@@ -70,17 +70,36 @@ type Actuator interface {
 
 var _ Actuator = (*engine.Engine)(nil)
 
+const (
+	// ambientFraction is the fraction of evidencing links (of the links
+	// currently fused) that must drift in the same direction before the
+	// event is classified as ambient.
+	ambientFraction = 0.6
+	// minAmbientLinks floors the same-direction count for ambient
+	// classification, so a one- or two-link site cannot "correlate" with
+	// itself into clearing a genuine quarantine.
+	minAmbientLinks = 2
+	// recalPackets is the packet budget per scheduled recalibration: twice
+	// the paper's calibration length. A scheduled rebuild replaces a
+	// threshold refined online from dozens of rolling nulls, so it gets a
+	// bigger holdout than the bootstrap calibration or its q95 threshold
+	// estimate is too noisy to hold the false-alarm budget.
+	recalPackets = 300
+	// jumpScoreZ is the |ScoreZ| a jump-flagged link must reach to count as
+	// fresh step evidence, matching the drift monitor's JumpZ.
+	jumpScoreZ = 6
+	// walkRateDB is the |ShiftRateDB| past which a link counts as actively
+	// walking — its adaptation is absorbing a moving baseline even though
+	// its scores look quiet (0.02 dB/window ≈ 2.4 dB/min at the paper's
+	// cadence). Walking links are surfaced in the Report (a whole-fleet
+	// walk is the early, silent face of ambient drift) and their trend sign
+	// seeds the drift direction when the z evidence is still flat.
+	walkRateDB = 0.02
+)
+
 // Config parameterizes the coordinator. The zero value selects the defaults
 // noted per field.
 type Config struct {
-	// AmbientFraction is the fraction of evidencing links that must drift in
-	// the same direction before the event is classified as ambient
-	// (default 0.6, of the links currently fused).
-	AmbientFraction float64
-	// MinAmbientLinks floors the same-direction count for ambient
-	// classification, so a one- or two-link site cannot "correlate" with
-	// itself into clearing a genuine quarantine (default 2).
-	MinAmbientLinks int
 	// SilentTicks is how many consecutive healthy-links-quiet observations
 	// (fused rounds — see Coordinator.Observe) are required before a
 	// step-change recalibration may be dispatched — the RASID-style
@@ -94,24 +113,6 @@ type Config struct {
 	// observations between dispatches, in addition to waiting for the
 	// previous link's rebuild to finish).
 	CooldownTicks int
-	// RecalPackets is the packet budget per scheduled recalibration
-	// (default 300 — twice the paper's calibration length: a scheduled
-	// rebuild replaces a threshold refined online from dozens of rolling
-	// nulls, so it gets a bigger holdout than the bootstrap calibration or
-	// its q95 threshold estimate is too noisy to hold the false-alarm
-	// budget).
-	RecalPackets int
-	// JumpScoreZ is the |ScoreZ| a jump-flagged link must reach to count as
-	// fresh step evidence (default 6, matching the drift monitor's JumpZ).
-	JumpScoreZ float64
-	// WalkRateDB is the |ShiftRateDB| past which a link counts as actively
-	// walking — its adaptation is absorbing a moving baseline even though
-	// its scores look quiet (default 0.02 dB/window ≈ 2.4 dB/min at the
-	// paper's cadence). Walking links are surfaced in the Report (a
-	// whole-fleet walk is the early, silent face of ambient drift) and
-	// their trend sign seeds the drift direction when the z evidence is
-	// still flat.
-	WalkRateDB float64
 	// AmbientHoldTicks keeps an ambient episode open after its quorum tick
 	// (default 12 observations). Sensitivity to a correlated event varies
 	// across links — an insensitive link's drift statistic can lag the
@@ -122,37 +123,17 @@ type Config struct {
 	// absorbed; the alternative is one lagging link alarming for the rest
 	// of the run.
 	AmbientHoldTicks int
-	// DisableRelock turns off the immediate baseline relock on ambient
-	// classification, leaving recovery entirely to the scheduled
-	// recalibrations (mostly for experiments; relock is what keeps the
-	// false-alarm window to a couple of ticks).
-	DisableRelock bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.AmbientFraction <= 0 || c.AmbientFraction > 1 {
-		c.AmbientFraction = 0.6
-	}
-	if c.MinAmbientLinks <= 0 {
-		c.MinAmbientLinks = 2
-	}
 	if c.SilentTicks <= 0 {
 		c.SilentTicks = 8
 	}
 	if c.CooldownTicks <= 0 {
 		c.CooldownTicks = 2
 	}
-	if c.RecalPackets <= 0 {
-		c.RecalPackets = 300
-	}
-	if c.JumpScoreZ <= 0 {
-		c.JumpScoreZ = 6
-	}
 	if c.AmbientHoldTicks <= 0 {
 		c.AmbientHoldTicks = 12
-	}
-	if c.WalkRateDB <= 0 {
-		c.WalkRateDB = 0.02
 	}
 	return c
 }
@@ -247,7 +228,7 @@ func (c *Coordinator) Observe(v *engine.SiteVerdict) Report {
 	var drifting, jumped, quarantined, walking, nonQuarEvid int
 	var posDir, negDir int
 	healthyAlarm := false
-	evidencing := evidencing(&c.evidBuf, v.Links, c.cfg.JumpScoreZ, c.cfg.WalkRateDB)
+	evidencing := evidencing(&c.evidBuf, v.Links)
 	for _, ev := range evidencing {
 		if ev.drifting {
 			drifting++
@@ -292,9 +273,9 @@ func (c *Coordinator) Observe(v *engine.SiteVerdict) Report {
 	if negDir > sameDir {
 		sameDir = negDir
 	}
-	ambientQuorum := int(math.Ceil(c.cfg.AmbientFraction * float64(n)))
-	if ambientQuorum < c.cfg.MinAmbientLinks {
-		ambientQuorum = c.cfg.MinAmbientLinks
+	ambientQuorum := int(math.Ceil(ambientFraction * float64(n)))
+	if ambientQuorum < minAmbientLinks {
+		ambientQuorum = minAmbientLinks
 	}
 
 	state := StateQuiet
@@ -389,7 +370,7 @@ func (ev linkEvidence) evidencing() bool { return ev.drifting || ev.jumped || ev
 // evidencing digests the fused per-link health snapshots into the evidence
 // the classifier works on, reusing buf so the quiet steady state does not
 // allocate per tick.
-func evidencing(buf *[]linkEvidence, links []engine.LinkDecision, jumpScoreZ, walkRateDB float64) []linkEvidence {
+func evidencing(buf *[]linkEvidence, links []engine.LinkDecision) []linkEvidence {
 	out := (*buf)[:0]
 	for _, d := range links {
 		h := d.Health
@@ -400,7 +381,7 @@ func evidencing(buf *[]linkEvidence, links []engine.LinkDecision, jumpScoreZ, wa
 			// the frames stopped, and counting it toward cross-link drift
 			// consensus (or ambient quorum) would let a dead collector
 			// manufacture site-wide conclusions. Keep a neutral entry so
-			// fleet-size fractions (AmbientFraction) still see the link.
+			// fleet-size fractions (ambientFraction) still see the link.
 			out = append(out, linkEvidence{id: d.LinkID, dir: 1})
 			continue
 		}
@@ -450,16 +431,14 @@ func (c *Coordinator) onAmbient(evs []linkEvidence) {
 		if !ev.evidencing() && !ev.present {
 			continue
 		}
-		if !c.cfg.DisableRelock {
-			if last, ok := c.relockedAt[ev.id]; !ok || c.ticks-last > relockHold {
-				if err := c.act.RelockLink(ev.id); err != nil {
-					c.report.ActuatorErrors++
-				} else {
-					c.relockedAt[ev.id] = c.ticks
-					c.report.Relocks++
-					if ev.quarantined {
-						c.report.QuarantinesCleared++
-					}
+		if last, ok := c.relockedAt[ev.id]; !ok || c.ticks-last > relockHold {
+			if err := c.act.RelockLink(ev.id); err != nil {
+				c.report.ActuatorErrors++
+			} else {
+				c.relockedAt[ev.id] = c.ticks
+				c.report.Relocks++
+				if ev.quarantined {
+					c.report.QuarantinesCleared++
 				}
 			}
 		}
@@ -534,7 +513,7 @@ func (c *Coordinator) dispatch(blocked bool) {
 	id := c.queue[0]
 	c.queue = c.queue[1:]
 	delete(c.queued, id)
-	err := c.act.RequestRecalibration(id, c.cfg.RecalPackets)
+	err := c.act.RequestRecalibration(id, recalPackets)
 	switch {
 	case err == nil:
 		c.inFlight = id

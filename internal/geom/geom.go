@@ -111,20 +111,6 @@ func (s Segment) Intersect(o Segment) (Point, bool) {
 	return s.PointAt(t), true
 }
 
-// LineIntersect intersects the infinite lines through s and o, returning the
-// parameter t on s (unbounded) and whether the lines are non-parallel.
-func (s Segment) LineIntersect(o Segment) (Point, float64, bool) {
-	r := s.B.Sub(s.A)
-	q := o.B.Sub(o.A)
-	denom := r.Cross(q)
-	if denom == 0 {
-		return Point{}, 0, false
-	}
-	diff := o.A.Sub(s.A)
-	t := diff.Cross(q) / denom
-	return s.PointAt(t), t, true
-}
-
 // Contains reports whether p lies on the segment within tolerance tol
 // (distance to the segment ≤ tol).
 func (s Segment) Contains(p Point, tol float64) bool {

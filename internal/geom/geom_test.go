@@ -167,20 +167,6 @@ func TestIntersect(t *testing.T) {
 	}
 }
 
-func TestLineIntersect(t *testing.T) {
-	a := Segment{Point{0, 0}, Point{1, 0}}
-	b := Segment{Point{5, -1}, Point{5, 1}}
-	p, tt, ok := a.LineIntersect(b)
-	if !ok || p.Dist(Point{5, 0}) > eps || math.Abs(tt-5) > eps {
-		t.Fatalf("line intersect = %v %v %v", p, tt, ok)
-	}
-	// Parallel lines.
-	c := Segment{Point{0, 1}, Point{1, 1}}
-	if _, _, ok := a.LineIntersect(c); ok {
-		t.Fatal("parallel line intersect")
-	}
-}
-
 func TestContains(t *testing.T) {
 	s := Segment{Point{0, 0}, Point{10, 0}}
 	if !s.Contains(Point{5, 0.001}, 0.01) {
@@ -279,7 +265,7 @@ func TestQuickImageMethodPathLength(t *testing.T) {
 		q := Point{rng.Float64() * 10, 0.1 + rng.Float64()*5}
 		img := wall.Mirror(p)
 		// Bounce point: intersection of img→q with the wall line.
-		bounce, _, ok := wall.LineIntersect(Segment{img, q})
+		bounce, ok := wall.Intersect(Segment{img, q})
 		if !ok {
 			continue
 		}

@@ -11,9 +11,8 @@
 // Hot-path callers avoid per-call allocation through the workspace surface:
 // EigWorkspace owns the Jacobi solver's working matrices and result storage
 // and may be reused across solves of any size (a one-off solve uses a fresh
-// workspace), and Matrix.Reuse/CopyFrom/SetIdentity plus
-// MulVecInto let covariance and spectrum code write into caller-owned
-// buffers. Workspace results are overwritten by the next solve on that
+// workspace), and Matrix.Reuse/CopyFrom/SetIdentity let covariance code
+// write into caller-owned buffers. Workspace results are overwritten by the next solve on that
 // workspace; callers needing two decompositions at once copy or use two
 // workspaces.
 package linalg

@@ -208,20 +208,3 @@ func (ws *EigWorkspace) collect() *Eigen {
 	}
 	return out
 }
-
-// NoiseSubspace returns the matrix whose columns are the eigenvectors
-// associated with the n-signals smallest eigenvalues (the noise subspace
-// used by MUSIC). signals must be in [0, n).
-func (e *Eigen) NoiseSubspace(signals int) (*Matrix, error) {
-	n := len(e.Values)
-	if signals < 0 || signals >= n {
-		return nil, fmt.Errorf("noise subspace with %d signals of %d dims: %w", signals, n, ErrDimensionMismatch)
-	}
-	out := NewMatrix(n, n-signals)
-	for j := signals; j < n; j++ {
-		for i := 0; i < n; i++ {
-			out.Set(i, j-signals, e.Vectors.At(i, j))
-		}
-	}
-	return out, nil
-}

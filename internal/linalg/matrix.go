@@ -18,32 +18,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]complex128, rows*cols)}
 }
 
-// MatrixFromRows builds a matrix from row slices. All rows must have equal
-// length.
-func MatrixFromRows(rows [][]complex128) (*Matrix, error) {
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("matrix from 0 rows: %w", ErrDimensionMismatch)
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("row %d has %d cols, want %d: %w", i, len(r), cols, ErrDimensionMismatch)
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -55,22 +29,6 @@ func (m *Matrix) At(i, j int) complex128 { return m.data[i*m.cols+j] }
 
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v complex128) { m.data[i*m.cols+j] = v }
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) Vector {
-	out := make(Vector, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) Vector {
-	out := make(Vector, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
 
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
@@ -148,57 +106,6 @@ func (m *Matrix) Scale(s complex128) *Matrix {
 	out := NewMatrix(m.rows, m.cols)
 	for i := range m.data {
 		out.data[i] = s * m.data[i]
-	}
-	return out
-}
-
-// Mul returns the matrix product m·b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.cols != b.rows {
-		return nil, fmt.Errorf("mul %dx%d and %dx%d: %w", m.rows, m.cols, b.rows, b.cols, ErrDimensionMismatch)
-	}
-	out := NewMatrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.cols; j++ {
-				out.data[i*out.cols+j] += a * b.At(k, j)
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVecInto writes the matrix-vector product m·v into a caller-owned dst
-// of length Rows. dst and v must not alias.
-func (m *Matrix) MulVecInto(dst, v Vector) error {
-	if m.cols != len(v) {
-		return fmt.Errorf("mulvec %dx%d and %d: %w", m.rows, m.cols, len(v), ErrDimensionMismatch)
-	}
-	if len(dst) != m.rows {
-		return fmt.Errorf("mulvec dst %d for %d rows: %w", len(dst), m.rows, ErrDimensionMismatch)
-	}
-	for i := 0; i < m.rows; i++ {
-		var sum complex128
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, a := range row {
-			sum += a * v[j]
-		}
-		dst[i] = sum
-	}
-	return nil
-}
-
-// ConjTranspose returns the Hermitian transpose mᴴ.
-func (m *Matrix) ConjTranspose() *Matrix {
-	out := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.Set(j, i, cmplx.Conj(m.At(i, j)))
-		}
 	}
 	return out
 }

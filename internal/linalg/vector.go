@@ -13,11 +13,6 @@ var ErrDimensionMismatch = errors.New("linalg: dimension mismatch")
 // Vector is a dense complex vector.
 type Vector []complex128
 
-// NewVector returns a zero vector of length n.
-func NewVector(n int) Vector {
-	return make(Vector, n)
-}
-
 // Clone returns a deep copy of v.
 func (v Vector) Clone() Vector {
 	out := make(Vector, len(v))
@@ -80,16 +75,6 @@ func (v Vector) Norm() float64 {
 	return math.Sqrt(sum)
 }
 
-// Normalize returns v scaled to unit norm. The zero vector is returned
-// unchanged.
-func (v Vector) Normalize() Vector {
-	n := v.Norm()
-	if n == 0 {
-		return v.Clone()
-	}
-	return v.Scale(complex(1/n, 0))
-}
-
 // Abs returns the element-wise magnitudes of v.
 func (v Vector) Abs() []float64 {
 	out := make([]float64, len(v))
@@ -109,15 +94,6 @@ func (v Vector) Power() []float64 {
 	return out
 }
 
-// Phase returns the element-wise phases of v in radians.
-func (v Vector) Phase() []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = cmplx.Phase(x)
-	}
-	return out
-}
-
 // Conj returns the element-wise complex conjugate of v.
 func (v Vector) Conj() Vector {
 	out := make(Vector, len(v))
@@ -125,15 +101,4 @@ func (v Vector) Conj() Vector {
 		out[i] = cmplx.Conj(x)
 	}
 	return out
-}
-
-// Outer returns the outer product v wᴴ as a len(v)×len(w) matrix.
-func Outer(v, w Vector) *Matrix {
-	m := NewMatrix(len(v), len(w))
-	for i := range v {
-		for j := range w {
-			m.Set(i, j, v[i]*cmplx.Conj(w[j]))
-		}
-	}
-	return m
 }

@@ -163,7 +163,7 @@ func TestMulVecInto(t *testing.T) {
 		}
 	}
 	dst := make(Vector, 2)
-	if err := a.MulVecInto(dst, v); err != nil {
+	if err := a.mulVecInto(dst, v); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
@@ -171,10 +171,10 @@ func TestMulVecInto(t *testing.T) {
 			t.Fatalf("MulVecInto[%d]=%v, want %v", i, dst[i], want[i])
 		}
 	}
-	if err := a.MulVecInto(make(Vector, 3), v); !errors.Is(err, ErrDimensionMismatch) {
+	if err := a.mulVecInto(make(Vector, 3), v); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("wrong dst length: err=%v, want ErrDimensionMismatch", err)
 	}
-	if err := a.MulVecInto(dst, Vector{1}); !errors.Is(err, ErrDimensionMismatch) {
+	if err := a.mulVecInto(dst, Vector{1}); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("wrong v length: err=%v, want ErrDimensionMismatch", err)
 	}
 }

@@ -7,16 +7,15 @@
 // beamformer) spectrum over the same steering vectors backs the detector's
 // angular power comparison.
 //
-// Two call surfaces coexist. Estimator.Pseudospectrum/Bartlett and
-// Covariance are the allocating reference paths — simple, self-contained,
-// and retained as the oracle the property tests pin the fast paths to. The
-// scoring hot path instead uses the precomputed/in-place surface: a Plan
-// caches the steering-vector table for the scan grid once per link (shared
+// Every angular spectrum goes through one call surface. An Estimator holds
+// the array geometry and scan parameters; its Plan caches the
+// steering-vector table for the index-stepped scan grid once (shared
 // read-only across goroutines) and writes spectra into caller-owned buffers
-// via BartlettInto/PseudospectrumInto; Partials caches a fixed frame set's
+// via BartlettInto/PseudospectrumInto. Covariance accumulates a spatial
+// covariance from frames; Partials caches a fixed frame set's
 // per-subcarrier snapshot outer products so a weighted covariance becomes a
 // per-subcarrier combine (CovarianceInto) instead of a sweep over every
-// frame; NormalizeInPlace/ToDBInPlace avoid spectrum copies. Both surfaces
-// share one scan-grid definition (index-stepped, so the grid length is a
-// closed form of StepDeg/MaxDeg) and produce identical angle axes.
+// frame; NormalizeInPlace avoids a spectrum copy. The per-angle
+// trigonometric reference spectra the Plan kernels are pinned to live in
+// the package tests.
 package music

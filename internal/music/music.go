@@ -6,14 +6,14 @@ import (
 	"math"
 
 	"mlink/internal/csi"
-	"mlink/internal/geom"
 	"mlink/internal/linalg"
 )
 
 // ErrBadInput reports invalid estimator input.
 var ErrBadInput = errors.New("music: bad input")
 
-// Estimator computes angular pseudospectra for a uniform linear array.
+// Estimator holds a uniform linear array's geometry and angular scan
+// parameters; NewPlan turns it into the cached spectrum kernels.
 type Estimator struct {
 	// Offsets are the element positions along the array axis in metres,
 	// relative to the array centre (propagation.Array.Offsets()).
@@ -55,28 +55,6 @@ func (e *Estimator) scanGrid() (step, maxDeg float64, n int) {
 	}
 	n = int(math.Floor(2*maxDeg/step+1e-9)) + 1
 	return step, maxDeg, n
-}
-
-// NumAngles returns the length of the estimator's scan grid — the number of
-// angles every Pseudospectrum/Bartlett call (and any Plan built from this
-// estimator) will produce.
-func (e *Estimator) NumAngles() int {
-	_, _, n := e.scanGrid()
-	return n
-}
-
-// Steering returns the array steering vector a(θ) for an angle relative to
-// broadside: a_m(θ) = e^{+j·2π·offset_m·sinθ/λ}. The sign convention matches
-// the propagation model's e^{-j2πfd/c} ray phases (an element closer to the
-// source accumulates less negative phase).
-func (e *Estimator) Steering(thetaRad float64) linalg.Vector {
-	v := make(linalg.Vector, len(e.Offsets))
-	s := math.Sin(thetaRad)
-	for m, off := range e.Offsets {
-		phi := 2 * math.Pi * off * s / e.Wavelength
-		v[m] = complex(math.Cos(phi), math.Sin(phi))
-	}
-	return v
 }
 
 // Covariance accumulates the spatial covariance matrix from CSI frames:
@@ -169,83 +147,6 @@ type Spectrum struct {
 	Power []float64
 }
 
-// Pseudospectrum computes the MUSIC pseudospectrum from a spatial covariance
-// matrix assuming nSignals incoherent sources (clamped to keep a non-empty
-// noise subspace; pass 0 to auto-estimate from the eigenvalue profile).
-func (e *Estimator) Pseudospectrum(r *linalg.Matrix, nSignals int) (*Spectrum, error) {
-	if r.Rows() != len(e.Offsets) || r.Cols() != len(e.Offsets) {
-		return nil, fmt.Errorf("covariance %dx%d for %d elements: %w", r.Rows(), r.Cols(), len(e.Offsets), ErrBadInput)
-	}
-	var ws linalg.EigWorkspace
-	eig, err := ws.EigHermitian(r)
-	if err != nil {
-		return nil, fmt.Errorf("pseudospectrum: %w", err)
-	}
-	if nSignals <= 0 {
-		nSignals = EstimateSignals(eig.Values, 0.08)
-	}
-	if nSignals > len(e.Offsets)-1 {
-		nSignals = len(e.Offsets) - 1
-	}
-	en, err := eig.NoiseSubspace(nSignals)
-	if err != nil {
-		return nil, fmt.Errorf("pseudospectrum: %w", err)
-	}
-	step, maxDeg, n := e.scanGrid()
-	angles := make([]float64, 0, n)
-	power := make([]float64, 0, n)
-	for gi := 0; gi < n; gi++ {
-		a := -maxDeg + float64(gi)*step
-		sv := e.Steering(geom.DegToRad(a))
-		// denom = ‖Enᴴ a‖².
-		var denom float64
-		for j := 0; j < en.Cols(); j++ {
-			var dot complex128
-			for i := 0; i < en.Rows(); i++ {
-				dot += conj(en.At(i, j)) * sv[i]
-			}
-			denom += real(dot)*real(dot) + imag(dot)*imag(dot)
-		}
-		p := math.Inf(1)
-		if denom > 1e-18 {
-			p = 1 / denom
-		}
-		angles = append(angles, a)
-		power = append(power, p)
-	}
-	return &Spectrum{AnglesDeg: angles, Power: power}, nil
-}
-
-// Bartlett computes the conventional (delay-and-sum) angular power spectrum
-// B(θ) = aᴴ(θ)·R·a(θ). Unlike the MUSIC pseudospectrum, which depends only
-// on subspace geometry, the Bartlett spectrum carries the received power per
-// direction — the "subcarrier weighted signal strengths ... processed to
-// output the angular pseudospectrum" the detector's decision distance runs
-// on (§IV-C).
-func (e *Estimator) Bartlett(r *linalg.Matrix) (*Spectrum, error) {
-	if r.Rows() != len(e.Offsets) || r.Cols() != len(e.Offsets) {
-		return nil, fmt.Errorf("covariance %dx%d for %d elements: %w", r.Rows(), r.Cols(), len(e.Offsets), ErrBadInput)
-	}
-	step, maxDeg, n := e.scanGrid()
-	angles := make([]float64, 0, n)
-	power := make([]float64, 0, n)
-	rv := make(linalg.Vector, r.Rows())
-	for gi := 0; gi < n; gi++ {
-		a := -maxDeg + float64(gi)*step
-		sv := e.Steering(geom.DegToRad(a))
-		if err := r.MulVecInto(rv, sv); err != nil {
-			return nil, fmt.Errorf("bartlett: %w", err)
-		}
-		dot, err := sv.Dot(rv)
-		if err != nil {
-			return nil, fmt.Errorf("bartlett: %w", err)
-		}
-		angles = append(angles, a)
-		power = append(power, real(dot))
-	}
-	return &Spectrum{AnglesDeg: angles, Power: power}, nil
-}
-
 // Normalized returns a copy of the spectrum scaled to unit maximum, making
 // spectra from different capture windows comparable (see NormalizeInPlace).
 func (s *Spectrum) Normalized() *Spectrum {
@@ -276,17 +177,6 @@ func (s *Spectrum) NormalizeInPlace() {
 			continue
 		}
 		s.Power[i] = p / peak
-	}
-}
-
-// ToDBInPlace converts a power spectrum to decibels in place, flooring at
-// 1e-30 (well below any physical level) so downstream distances stay finite.
-func (s *Spectrum) ToDBInPlace() {
-	for i, p := range s.Power {
-		if p < 1e-30 {
-			p = 1e-30
-		}
-		s.Power[i] = 10 * math.Log10(p)
 	}
 }
 

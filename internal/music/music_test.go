@@ -45,7 +45,7 @@ func syntheticFrames(t *testing.T, anglesDeg, amps []float64, nFrames int, snrDB
 			for src := range anglesDeg {
 				// Random per-snapshot source phase decorrelates the sources.
 				ph := rng.Float64() * 2 * math.Pi
-				sv := est.Steering(geom.DegToRad(anglesDeg[src]))
+				sv := steering(est, geom.DegToRad(anglesDeg[src]))
 				for ant := 0; ant < 3; ant++ {
 					f.CSI[ant][k] += complex(amps[src], 0) * sv[ant] *
 						complex(math.Cos(ph), math.Sin(ph))
@@ -72,16 +72,37 @@ func TestNewEstimatorValidation(t *testing.T) {
 	}
 }
 
+// planPseudospectrum runs the production path: PseudospectrumInto on a
+// fresh Plan.
+func planPseudospectrum(e *Estimator, r *linalg.Matrix, nSignals int) (*Spectrum, error) {
+	plan, err := e.NewPlan()
+	if err != nil {
+		return nil, err
+	}
+	spec := &Spectrum{}
+	if err := plan.PseudospectrumInto(spec, r, nSignals, nil); err != nil {
+		return nil, err
+	}
+	return spec, nil
+}
+
+// TestSteeringBroadside checks the Plan's steering rows on the default
+// 1° grid, where row i is the angle i-90°.
 func TestSteeringBroadside(t *testing.T) {
 	est, _ := NewEstimator(ulaOffsets(3), lambda)
-	sv := est.Steering(0)
+	plan, err := est.NewPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(i int) []complex128 { return plan.steer[i*plan.nAnt : (i+1)*plan.nAnt] }
+	sv := row(90)
 	for m, v := range sv {
 		if math.Abs(real(v)-1) > 1e-12 || math.Abs(imag(v)) > 1e-12 {
 			t.Fatalf("broadside steering[%d] = %v, want 1", m, v)
 		}
 	}
 	// At 90° with λ/2 spacing, adjacent elements differ by π.
-	sv90 := est.Steering(math.Pi / 2)
+	sv90 := row(180)
 	dphi := phaseOf(sv90[1]) - phaseOf(sv90[0])
 	if math.Abs(math.Abs(dphi)-math.Pi) > 1e-9 {
 		t.Fatalf("endfire phase step = %v, want ±π", dphi)
@@ -135,7 +156,7 @@ func TestPseudospectrumSingleSource(t *testing.T) {
 			t.Fatal(err)
 		}
 		est, _ := NewEstimator(ulaOffsets(3), lambda)
-		spec, err := est.Pseudospectrum(r, 1)
+		spec, err := planPseudospectrum(est, r, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +178,7 @@ func TestPseudospectrumTwoSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	est, _ := NewEstimator(ulaOffsets(3), lambda)
-	spec, err := est.Pseudospectrum(r, 2)
+	spec, err := planPseudospectrum(est, r, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +204,7 @@ func TestPseudospectrumAutoSignals(t *testing.T) {
 	frames := syntheticFrames(t, []float64{10}, []float64{1}, 10, 30, 9)
 	r, _ := Covariance(frames, nil)
 	est, _ := NewEstimator(ulaOffsets(3), lambda)
-	spec, err := est.Pseudospectrum(r, 0) // auto-estimate
+	spec, err := planPseudospectrum(est, r, 0) // auto-estimate
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +219,11 @@ func TestPseudospectrumClampsSignals(t *testing.T) {
 	r, _ := Covariance(frames, nil)
 	est, _ := NewEstimator(ulaOffsets(3), lambda)
 	// Requesting too many signals must clamp, not fail.
-	if _, err := est.Pseudospectrum(r, 10); err != nil {
+	if _, err := planPseudospectrum(est, r, 10); err != nil {
 		t.Fatalf("clamped pseudospectrum err = %v", err)
 	}
 	// Covariance size mismatch must fail.
-	if _, err := est.Pseudospectrum(linalg.NewMatrix(2, 2), 1); !errors.Is(err, ErrBadInput) {
+	if _, err := planPseudospectrum(est, linalg.NewMatrix(2, 2), 1); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("size mismatch err = %v", err)
 	}
 }
@@ -307,7 +328,7 @@ func TestEndToEndAoAFromRayTracer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := est.Pseudospectrum(r, 1)
+	spec, err := planPseudospectrum(est, r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +363,7 @@ func TestWeightedCovarianceFocusesSubcarriers(t *testing.T) {
 				angle = -60
 			}
 			ph := rng.Float64() * 2 * math.Pi
-			sv := est.Steering(geom.DegToRad(angle))
+			sv := steering(est, geom.DegToRad(angle))
 			for ant := 0; ant < 3; ant++ {
 				f.CSI[ant][k] = sv[ant] * complex(math.Cos(ph), math.Sin(ph))
 			}
@@ -358,7 +379,7 @@ func TestWeightedCovarianceFocusesSubcarriers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := est.Pseudospectrum(r, 1)
+	spec, err := planPseudospectrum(est, r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

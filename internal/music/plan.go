@@ -11,11 +11,11 @@ import (
 
 // Plan is the precomputed, immutable side of angular scoring: the scan grid
 // and the full steering-vector table a(θ) for every grid angle, built once
-// from an Estimator's parameters. The per-window trigonometry of the naive
-// Pseudospectrum/Bartlett paths (nAngles × nAnt sin/cos pairs per spectrum)
-// disappears into the table, and the Into methods below write spectra into
-// caller-owned buffers — a scoring worker holding a Plan computes angular
-// spectra with zero allocations.
+// from an Estimator's parameters. The per-angle trigonometry of a textbook
+// spectrum (nAngles × nAnt sin/cos pairs per spectrum) disappears into the
+// table, and the Into methods below write spectra into caller-owned
+// buffers — a scoring worker holding a Plan computes angular spectra with
+// zero allocations.
 //
 // A Plan is read-only after construction and safe to share between
 // goroutines; it is meant to live on a long-lived owner (core.Kernel builds
@@ -24,7 +24,9 @@ type Plan struct {
 	nAnt      int
 	anglesDeg []float64
 	// steer is the row-major steering table: row i (nAnt entries) is
-	// a(anglesDeg[i]), bit-identical to Steering(DegToRad(anglesDeg[i])).
+	// a(anglesDeg[i]): a_m(θ) = e^{+j·2π·offset_m·sinθ/λ}. The sign
+	// convention matches the propagation model's e^{-j2πfd/c} ray phases
+	// (an element closer to the source accumulates less negative phase).
 	steer []complex128
 }
 
@@ -54,12 +56,6 @@ func (e *Estimator) NewPlan() (*Plan, error) {
 	}
 	return p, nil
 }
-
-// NumAngles returns the scan-grid length.
-func (p *Plan) NumAngles() int { return len(p.anglesDeg) }
-
-// NumAntennas returns the array size the plan was built for.
-func (p *Plan) NumAntennas() int { return p.nAnt }
 
 // reuseSpectrum sizes dst for the plan's grid and copies the angle axis.
 func (p *Plan) reuseSpectrum(dst *Spectrum) {
@@ -131,9 +127,9 @@ func (p *Plan) BartlettInto(dst *Spectrum, r *linalg.Matrix) error {
 
 // PseudospectrumInto computes the MUSIC pseudospectrum over the cached
 // steering table into dst, running the eigensolver through the caller's
-// workspace (nil allocates a transient one). Semantics match the naive
-// Pseudospectrum: nSignals ≤ 0 auto-estimates from the eigenvalue profile,
-// and the count is clamped to keep a non-empty noise subspace.
+// workspace (nil allocates a transient one). nSignals ≤ 0 auto-estimates
+// from the eigenvalue profile, and the count is clamped to keep a non-empty
+// noise subspace.
 func (p *Plan) PseudospectrumInto(dst *Spectrum, r *linalg.Matrix, nSignals int, ws *linalg.EigWorkspace) error {
 	if dst == nil {
 		return fmt.Errorf("nil spectrum: %w", ErrBadInput)
@@ -221,9 +217,6 @@ func NewPartials(frames []*csi.Frame) (*Partials, error) {
 	}
 	return p, nil
 }
-
-// NumFrames returns the number of accumulated frames.
-func (p *Partials) NumFrames() int { return p.frames }
 
 // Accumulate rebuilds the partials from a frame set, replacing any previous
 // contents and reusing the backing storage.

@@ -45,26 +45,23 @@ func TestScanGridLengthStable(t *testing.T) {
 			t.Fatal(err)
 		}
 		est.StepDeg, est.MaxDeg = tc.step, tc.maxDeg
-		if got := est.NumAngles(); got != tc.want {
-			t.Errorf("step=%v max=%v: NumAngles=%d, want %d", tc.step, tc.maxDeg, got, tc.want)
-		}
 		plan, err := est.NewPlan()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan.NumAngles() != tc.want {
-			t.Errorf("step=%v max=%v: plan has %d angles, want %d", tc.step, tc.maxDeg, plan.NumAngles(), tc.want)
+		if len(plan.anglesDeg) != tc.want {
+			t.Errorf("step=%v max=%v: plan has %d angles, want %d", tc.step, tc.maxDeg, len(plan.anglesDeg), tc.want)
 		}
 		frames := syntheticFrames(t, []float64{10}, []float64{1}, 8, 20, 1)
 		r, err := Covariance(frames, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := est.Pseudospectrum(r, 1)
+		ps, err := pseudospectrum(est, r, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs, err := est.Bartlett(r)
+		bs, err := bartlett(est, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,8 +144,8 @@ func TestPartialsCovarianceMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if parts.NumFrames() != len(frames) {
-			t.Fatalf("%s: NumFrames=%d, want %d", name, parts.NumFrames(), len(frames))
+		if parts.frames != len(frames) {
+			t.Fatalf("%s: partials cover %d frames, want %d", name, parts.frames, len(frames))
 		}
 		var got linalg.Matrix
 		if err := parts.CovarianceInto(&got, w); err != nil {
@@ -208,7 +205,7 @@ func TestPlanIntoMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantB, err := est.Bartlett(r)
+			wantB, err := bartlett(est, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +214,7 @@ func TestPlanIntoMatchesNaive(t *testing.T) {
 			}
 			compareSpectra(t, "bartlett", &dstB, wantB)
 			for _, nSig := range []int{0, 1, 2, 5} {
-				wantP, err := est.Pseudospectrum(r, nSig)
+				wantP, err := pseudospectrum(est, r, nSig)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -251,9 +248,8 @@ func compareSpectra(t *testing.T, tag string, got, want *Spectrum) {
 	}
 }
 
-// TestInPlaceSpectrumOpsMatchAllocating pins NormalizeInPlace to Normalized
-// and ToDBInPlace to the floored 10·log10 definition, including the
-// degenerate inputs Normalized special-cases.
+// TestInPlaceSpectrumOpsMatchAllocating pins NormalizeInPlace to Normalized,
+// including the degenerate inputs Normalized special-cases.
 func TestInPlaceSpectrumOpsMatchAllocating(t *testing.T) {
 	cases := map[string][]float64{
 		"regular":  {1, 4, 2, 0.5},
@@ -276,17 +272,6 @@ func TestInPlaceSpectrumOpsMatchAllocating(t *testing.T) {
 			if relDiff(got.Power[i], want.Power[i]) > 1e-12 &&
 				!(math.IsInf(got.Power[i], 1) && math.IsInf(want.Power[i], 1)) {
 				t.Errorf("%s: NormalizeInPlace[%d]=%v, Normalized=%v", name, i, got.Power[i], want.Power[i])
-			}
-		}
-		db := mk()
-		db.ToDBInPlace()
-		for i, p := range pow {
-			if p < 1e-30 {
-				p = 1e-30
-			}
-			if want := 10 * math.Log10(p); relDiff(db.Power[i], want) > 1e-12 &&
-				!(math.IsInf(db.Power[i], 1) && math.IsInf(want, 1)) {
-				t.Errorf("%s: ToDBInPlace[%d]=%v, want %v", name, i, db.Power[i], want)
 			}
 		}
 	}
@@ -374,7 +359,6 @@ func TestPlanIntoAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec.NormalizeInPlace()
-		spec.ToDBInPlace()
 	}
 	run() // warm buffers
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {

@@ -140,9 +140,6 @@ func (e *Environment) PrepareGrid(freqs []float64) error {
 	return nil
 }
 
-// Prepared reports whether PrepareGrid has built a cache.
-func (e *Environment) Prepared() bool { return e.cache != nil }
-
 // PreparedFor reports whether the cache matches the given frequency grid —
 // the guard callers sharing an environment across grids use before
 // ResponseInto, since a cache rebuilt for another grid would otherwise

@@ -113,7 +113,7 @@ func TestPrepareGridErrors(t *testing.T) {
 	if err := env.PrepareGrid([]float64{2.4e9, -1}); err == nil {
 		t.Fatal("negative frequency accepted")
 	}
-	if env.Prepared() {
+	if env.cache != nil {
 		t.Fatal("failed PrepareGrid left a cache behind")
 	}
 

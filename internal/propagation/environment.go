@@ -120,12 +120,6 @@ func NewEnvironment(room *Room, tx geom.Point, rx Array, params LinkParams, maxB
 	return env, nil
 }
 
-// StaticRays returns the environment-only rays (LOS + wall bounces) for a
-// receive element. The slice is shared; callers must not modify it.
-func (e *Environment) StaticRays(rxIdx int) []Ray {
-	return e.staticRays[rxIdx]
-}
-
 // spreadingAmplitude returns the geometric spreading factor of a ray at
 // frequency f per Eq. 9 (amplitude form): √(PtGtGr)·c/((4πd)^{n/2}·f) for
 // end-to-end rays, and the bistatic radar form √(PtGtGr)·c/(f·4π·(d1·d2)^{n/2})

@@ -238,7 +238,7 @@ func TestEnvironmentValidation(t *testing.T) {
 		t.Fatalf("empty array err = %v", err)
 	}
 	e := mustEnv(t, r, geom.Point{X: 1, Y: 4}, rx, 1)
-	if got := len(e.StaticRays(0)); got != 5 {
+	if got := len(e.staticRays[0]); got != 5 {
 		t.Fatalf("static rays = %d, want 5 (LOS + 4 bounces)", got)
 	}
 }

@@ -122,10 +122,5 @@ func (b *Background) Step() []body.Body {
 	return out
 }
 
-// Positions returns the current positions (a copy).
-func (b *Background) Positions() []geom.Point {
-	return append([]geom.Point(nil), b.positions...)
-}
-
 // Len returns the number of background people.
 func (b *Background) Len() int { return len(b.positions) }

@@ -1,7 +1,6 @@
 // Package scenario reproduces the paper's measurement campaigns as seeded,
 // deterministic simulation setups: the 6m×8m classroom of §III-A, the five
-// TX–RX link cases of Fig. 6 (LinkCase, or LinkCases for the whole fleet at
-// once), the 3×3 presence grids, the 500-location sampler, link-crossing
+// TX–RX link cases of Fig. 6 (LinkCase), the 3×3 presence grids, the 500-location sampler, link-crossing
 // trajectories, and the background dynamics (up to five students working
 // ≥5 m away) of §V-A.
 //

@@ -90,21 +90,6 @@ func ShortLinkNearWall(seed int64) (*Scenario, error) {
 	})
 }
 
-// LinkCases builds all NumLinkCases evaluation links of Fig. 6 as one
-// fleet, deriving a distinct seed per case — the multi-link deployment the
-// monitoring engine manages.
-func LinkCases(seed int64) ([]*Scenario, error) {
-	out := make([]*Scenario, 0, NumLinkCases)
-	for n := 1; n <= NumLinkCases; n++ {
-		s, err := LinkCase(n, seed+int64(n))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
 // LinkCase returns evaluation link case n ∈ [1,5] (Fig. 6): five links with
 // diverse TX–RX distances across two rooms (plus the vacant area of
 // Case 3).

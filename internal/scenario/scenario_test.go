@@ -285,9 +285,9 @@ func TestBackground(t *testing.T) {
 		}
 	}
 	// Motion must actually happen.
-	p0 := bg.Positions()
+	p0 := append([]geom.Point(nil), bg.positions...)
 	bg.Step()
-	p1 := bg.Positions()
+	p1 := bg.positions
 	moved := false
 	for i := range p0 {
 		if p0[i] != p1[i] {

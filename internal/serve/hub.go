@@ -54,19 +54,14 @@ const (
 // hub's freelist once the last subscriber is done with it. A Frame is
 // immutable between Publish and the final Release.
 type Frame struct {
-	hub     *Hub
-	data    []byte
-	dataOff int // start of the JSON document inside data
-	round   uint64
-	refs    atomic.Int64
+	hub   *Hub
+	data  []byte
+	round uint64
+	refs  atomic.Int64
 }
 
 // Bytes is the frame's wire form. Valid until Release.
 func (f *Frame) Bytes() []byte { return f.data }
-
-// JSON is the frame's verdict document without the SSE envelope — a
-// sub-slice of Bytes between "data: " and the trailing blank line.
-func (f *Frame) JSON() []byte { return f.data[f.dataOff : len(f.data)-2] }
 
 // Round is the fusion round this frame serializes (the SSE id).
 func (f *Frame) Round() uint64 { return f.round }
@@ -204,7 +199,6 @@ func (h *Hub) PublishRound() error {
 	b := append(f.data[:0], "event: verdict\nid: "...)
 	b = strconv.AppendUint(b, f.round, 10)
 	b = append(b, "\ndata: "...)
-	f.dataOff = len(b)
 	b = AppendVerdict(b, &h.verdict)
 	f.data = append(b, '\n', '\n')
 	h.broadcast(f)

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -73,7 +74,7 @@ func TestHubPublishAndNext(t *testing.T) {
 	if wire[len(wire)-2:] != "\n\n" {
 		t.Fatalf("frame does not end with blank line: %q", wire)
 	}
-	js := string(f.JSON())
+	js := strings.TrimSuffix(wire[strings.Index(wire, "data: ")+len("data: "):], "\n\n")
 	if js[0] != '{' || js[len(js)-1] != '}' {
 		t.Fatalf("JSON view = %q, want a bare object", js)
 	}

@@ -81,10 +81,6 @@ type Policy struct {
 	// BackoffMin/BackoffMax bound the jittered exponential reconnect
 	// backoff (defaults 50ms and 5s).
 	BackoffMin, BackoffMax time.Duration
-	// BackoffJitter is the ± fraction applied to each backoff sleep so a
-	// site full of links redialing one restarted collector doesn't
-	// synchronize (default 0.2; negative disables jitter).
-	BackoffJitter float64
 	// HoldLiveFrames is the anti-flap hysteresis: after a reconnect the
 	// link stays Recovering — excluded from fusion — until this many
 	// consecutive frames arrive (default 25, one typical window).
@@ -120,12 +116,6 @@ func (p Policy) withDefaults() Policy {
 		if p.BackoffMax < p.BackoffMin {
 			p.BackoffMax = p.BackoffMin
 		}
-	}
-	if p.BackoffJitter == 0 {
-		p.BackoffJitter = 0.2
-	}
-	if p.BackoffJitter < 0 {
-		p.BackoffJitter = 0
 	}
 	if p.HoldLiveFrames <= 0 {
 		p.HoldLiveFrames = 25
@@ -484,13 +474,13 @@ func (s *Supervisor) setErr(err error) {
 	s.errBox.Store(&err)
 }
 
-// jittered spreads d by ±BackoffJitter so redials across links decorrelate.
+// backoffJitter is the ± fraction applied to each backoff sleep so a site
+// full of links redialing one restarted collector doesn't synchronize.
+const backoffJitter = 0.2
+
+// jittered spreads d by ±backoffJitter so redials across links decorrelate.
 func (s *Supervisor) jittered(d time.Duration) time.Duration {
-	j := s.pol.BackoffJitter
-	if j <= 0 {
-		return d
-	}
-	f := 1 + j*(2*s.rng.Float64()-1)
+	f := 1 + backoffJitter*(2*s.rng.Float64()-1)
 	return time.Duration(float64(d) * f)
 }
 

@@ -1,6 +1,7 @@
 package mlink
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -353,8 +354,9 @@ func TestEngineSubscribeFacade(t *testing.T) {
 		Present bool `json:"present"`
 		Total   int  `json:"total"`
 	}
-	if jerr := json.Unmarshal(f.JSON(), &doc); jerr != nil {
-		t.Fatalf("streamed frame is not a verdict document: %v (%q)", jerr, f.JSON())
+	_, js, _ := bytes.Cut(f.Bytes(), []byte("data: "))
+	if jerr := json.Unmarshal(js, &doc); jerr != nil {
+		t.Fatalf("streamed frame is not a verdict document: %v (%q)", jerr, f.Bytes())
 	}
 	f.Release()
 	if doc.Total != 1 {
