@@ -431,10 +431,10 @@ func BenchmarkEngineScoringWorkers(b *testing.B) {
 
 // BenchmarkEngineSteadyState measures one full steady-state tick of the
 // sharded pipeline per benchmark op: every link of an 8-link fleet pulls and
-// scores one window, and every fleet-wide round of decisions triggers a
-// fused site verdict plus a metrics poll through the reuse-friendly
-// VerdictInto/MetricsInto/LinksInto paths — the complete monitoring loop a
-// daemon like mlink-serve runs forever. A warm-up Run primes the per-link
+// scores one window, and every closed fusion round hands the report loop a
+// fused site verdict (Config.OnRound) that it follows with a metrics poll
+// through the reuse-friendly MetricsInto/LinksInto paths — the complete
+// monitoring loop a daemon like mlink-serve runs forever. A warm-up Run primes the per-link
 // slabs, shard scratches and report buffers outside the timer; after it the
 // loop must report 0 allocs/op (cmd/benchcheck enforces this in CI; the
 // constant per-Run setup — spawning shards, one context — amortizes to zero
@@ -443,9 +443,6 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 	const links = 8
 	s, frames := engineFixture(b)
 	var (
-		reportMu sync.Mutex
-		decided  int
-		verdict  engine.SiteVerdict
 		metrics  engine.Metrics
 		ids      []string
 		verdicts uint64
@@ -455,19 +452,9 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 		Workers:    4,
 		WindowSize: 25,
 		Fusion:     engine.KOfN{K: 1},
-		OnDecision: func(string, core.Decision) {
-			// The daemon's report loop: after each fleet-wide round, fuse a
-			// site verdict and poll the metrics block, all through the
-			// allocation-free Into variants.
-			reportMu.Lock()
-			defer reportMu.Unlock()
-			decided++
-			if decided%links != 0 {
-				return
-			}
-			if err := e.VerdictInto(&verdict); err != nil {
-				b.Error(err)
-			}
+		OnRound: func(*engine.SiteVerdict) {
+			// The daemon's report loop: after each closed round, poll the
+			// metrics block, all through the allocation-free Into variants.
 			e.MetricsInto(&metrics)
 			ids = e.LinksInto(ids)
 			verdicts++
@@ -515,9 +502,6 @@ func BenchmarkEngineSteadyStateSupervised(b *testing.B) {
 	const links = 8
 	s, frames := engineFixture(b)
 	var (
-		reportMu sync.Mutex
-		decided  int
-		verdict  engine.SiteVerdict
 		metrics  engine.Metrics
 		ids      []string
 		verdicts uint64
@@ -527,16 +511,7 @@ func BenchmarkEngineSteadyStateSupervised(b *testing.B) {
 		Workers:    4,
 		WindowSize: 25,
 		Fusion:     engine.KOfN{K: 1},
-		OnDecision: func(string, core.Decision) {
-			reportMu.Lock()
-			defer reportMu.Unlock()
-			decided++
-			if decided%links != 0 {
-				return
-			}
-			if err := e.VerdictInto(&verdict); err != nil {
-				b.Error(err)
-			}
+		OnRound: func(*engine.SiteVerdict) {
 			e.MetricsInto(&metrics)
 			ids = e.LinksInto(ids)
 			verdicts++
@@ -765,19 +740,17 @@ func BenchmarkBroadcastFanout(b *testing.B) {
 // BenchmarkEngineSteadyStateSubscribed is BenchmarkEngineSteadyState with
 // the serving plane attached and maximally popular: 10 000 idle SSE
 // subscribers hang off the hub while the fleet scores, and the report loop
-// nudges the hub once per fused round exactly as the facade's OnDecision
-// wiring does. The hub's encoder goroutine coalesces those nudges and
-// publishes off the scoring path, so the scoring-side cost is one atomic
-// add per decision plus a non-blocking channel send per round — benchcheck
+// nudges the hub once per closed fusion round exactly as the facade's
+// OnRound wiring does. The hub's encoder goroutine coalesces those nudges
+// and publishes off the scoring path, so the scoring-side cost is the
+// engine's round bookkeeping (one uncontended lock per decision) plus a
+// non-blocking channel send per round — benchcheck
 // pins this via scale_vs against the unsubscribed baseline: thousands of
 // watchers must not cost the scoring path a measurable slowdown.
 func BenchmarkEngineSteadyStateSubscribed(b *testing.B) {
 	const links = 8
 	s, frames := engineFixture(b)
 	var (
-		reportMu sync.Mutex
-		decided  int
-		verdict  engine.SiteVerdict
 		metrics  engine.Metrics
 		ids      []string
 		verdicts uint64
@@ -788,16 +761,7 @@ func BenchmarkEngineSteadyStateSubscribed(b *testing.B) {
 		Workers:    4,
 		WindowSize: 25,
 		Fusion:     engine.KOfN{K: 1},
-		OnDecision: func(string, core.Decision) {
-			reportMu.Lock()
-			defer reportMu.Unlock()
-			decided++
-			if decided%links != 0 {
-				return
-			}
-			if err := e.VerdictInto(&verdict); err != nil {
-				b.Error(err)
-			}
+		OnRound: func(*engine.SiteVerdict) {
 			e.MetricsInto(&metrics)
 			ids = e.LinksInto(ids)
 			verdicts++

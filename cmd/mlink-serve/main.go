@@ -185,8 +185,6 @@ func run() error {
 
 	var (
 		printMu    sync.Mutex
-		decided    int
-		verdict    mlink.SiteVerdict // reused across report ticks (VerdictInto)
 		eng        *mlink.Engine
 		fleetState mlink.FleetState
 		// lastLifecycle records each supervised link's latest transition
@@ -206,28 +204,27 @@ func run() error {
 				mark = "*"
 			}
 			fmt.Printf("%s link %-6s score %7.4f  thr %7.4f\n", mark, linkID, d.Score, d.Threshold)
-			decided++
-			if decided%*nLinks == 0 {
-				if err := eng.VerdictInto(&verdict); err == nil {
-					switch {
-					case verdict.Inconclusive:
-						fmt.Printf("  site [%s] INCONCLUSIVE: no link can vote (%d down, %d recovering, %d recalibrating of %d)\n",
-							verdict.Policy, verdict.Coverage.Down, verdict.Coverage.Recovering,
-							verdict.Coverage.Recalibrating, verdict.Coverage.Links)
-					case verdict.Coverage.Degraded():
-						fmt.Printf("  site [%s] present=%v score=%.3f (%d/%d links positive; DEGRADED %d/%d fused)\n",
-							verdict.Policy, verdict.Present, verdict.Score, verdict.Positive, verdict.Total,
-							verdict.Coverage.Fused, verdict.Coverage.Links)
-					default:
-						fmt.Printf("  site [%s] present=%v score=%.3f (%d/%d links positive)\n",
-							verdict.Policy, verdict.Present, verdict.Score, verdict.Positive, verdict.Total)
-					}
-				}
-				if rep, ok := eng.FleetReport(); ok && rep.State != 0 && rep.State != fleetState {
-					fleetState = rep.State
-					fmt.Printf("  fleet state -> %s (drifting %d, jumped %d, quarantined %d; relocks %d, recals %d)\n",
-						rep.State, rep.Drifting, rep.Jumped, rep.Quarantined, rep.Relocks, rep.RecalsDispatched)
-				}
+		},
+		OnRound: func(v *mlink.SiteVerdict) {
+			printMu.Lock()
+			defer printMu.Unlock()
+			switch {
+			case v.Inconclusive:
+				fmt.Printf("  site [%s] INCONCLUSIVE: no link can vote (%d down, %d recovering, %d recalibrating of %d)\n",
+					v.Policy, v.Coverage.Down, v.Coverage.Recovering,
+					v.Coverage.Recalibrating, v.Coverage.Links)
+			case v.Coverage.Degraded():
+				fmt.Printf("  site [%s] present=%v score=%.3f (%d/%d links positive; DEGRADED %d/%d fused)\n",
+					v.Policy, v.Present, v.Score, v.Positive, v.Total,
+					v.Coverage.Fused, v.Coverage.Links)
+			default:
+				fmt.Printf("  site [%s] present=%v score=%.3f (%d/%d links positive)\n",
+					v.Policy, v.Present, v.Score, v.Positive, v.Total)
+			}
+			if rep, ok := eng.FleetReport(); ok && rep.State != 0 && rep.State != fleetState {
+				fleetState = rep.State
+				fmt.Printf("  fleet state -> %s (drifting %d, jumped %d, quarantined %d; relocks %d, recals %d)\n",
+					rep.State, rep.Drifting, rep.Jumped, rep.Quarantined, rep.Relocks, rep.RecalsDispatched)
 			}
 		},
 	})

@@ -2,7 +2,6 @@ package mlink
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -129,6 +128,12 @@ type EngineConfig struct {
 	// OnDecision, when non-nil, observes every scored window. It is called
 	// from scoring workers and must be safe for concurrent use.
 	OnDecision func(linkID string, d Decision)
+	// OnRound, when non-nil, receives the fused verdict of every closed
+	// fusion round (v.Round is its id), one call at a time and without
+	// engine locks held. The verdict is engine-owned and valid only during
+	// the call. A round waits for every link that is live, not retired and
+	// not recalibrating to score a window.
+	OnRound func(v *SiteVerdict)
 }
 
 // Engine monitors a fleet of links concurrently: per-link calibration on a
@@ -139,30 +144,18 @@ type Engine struct {
 	eng      *engine.Engine
 	sourceBy map[string]phasedSwitch
 
-	// Fleet coordination state: the coordinator observes one fused verdict
-	// per round of link decisions, driven from the engine's OnDecision
-	// callback (shard goroutines — hence the mutex). fleetOn gates the
-	// whole path with one atomic load so non-fleet engines keep their
-	// decision callbacks uncontended.
-	fleetOn      atomic.Bool
-	fleetMu      sync.Mutex
-	coord        *fleet.Coordinator
-	fleetTicks   int
-	fleetVerdict SiteVerdict
+	// coord is the fleet coordinator EnableFleet attaches; it observes the
+	// verdict of every closed fusion round.
+	coord atomic.Pointer[fleet.Coordinator]
 
 	// journal is the crash-safe online persistence attached by EnableJournal
 	// (nil when journaling is off).
 	journal *fleet.Journal
 
-	// Serving-plane state: hub is the lazily-started SSE broadcast hub
-	// (Subscribe/Handler/Serve). decided counts scored windows so the
-	// OnDecision wrapper can nudge the hub once per fused round (every
-	// linkCount decisions) with a single atomic add — subscribers never
-	// touch the scoring path beyond that.
-	hub       atomic.Pointer[serve.Hub]
-	hubOnce   sync.Once
-	decided   atomic.Uint64
-	linkCount atomic.Int64
+	// hub is the lazily-started SSE broadcast hub (Subscribe/Handler/Serve),
+	// nudged once per closed fusion round.
+	hub     atomic.Pointer[serve.Hub]
+	hubOnce sync.Once
 }
 
 // phasedSwitch is a source whose occupancy activates once calibration ends.
@@ -171,21 +164,22 @@ type phasedSwitch interface{ setMonitoring(bool) }
 // NewEngine builds an empty fleet engine.
 func NewEngine(cfg EngineConfig) *Engine {
 	e := &Engine{sourceBy: make(map[string]phasedSwitch)}
-	userCb := cfg.OnDecision
+	userCb := cfg.OnRound
 	e.eng = engine.New(engine.Config{
 		Workers:    cfg.Workers,
 		WindowSize: cfg.WindowSize,
 		Fusion:     cfg.Fusion,
 		Adaptation: cfg.Adaptation,
-		OnDecision: func(linkID string, d Decision) {
+		OnDecision: cfg.OnDecision,
+		OnRound: func(v *SiteVerdict) {
 			if userCb != nil {
-				userCb(linkID, d)
+				userCb(v)
 			}
-			e.fleetObserve()
+			if c := e.coord.Load(); c != nil {
+				c.Observe(v)
+			}
 			if h := e.hub.Load(); h != nil {
-				if n := e.linkCount.Load(); n > 0 && e.decided.Add(1)%uint64(n) == 0 {
-					h.Notify()
-				}
+				h.Notify()
 			}
 		},
 	})
@@ -203,50 +197,18 @@ func (e *Engine) EnableFleet(config ...FleetConfig) error {
 	if len(config) > 0 {
 		cfg = config[0]
 	}
-	e.fleetMu.Lock()
-	defer e.fleetMu.Unlock()
-	e.coord = fleet.New(cfg, e.eng)
-	e.fleetOn.Store(true)
+	e.coord.Store(fleet.New(cfg, e.eng))
 	return nil
 }
 
 // FleetReport returns the fleet coordinator's latest classification and
 // action counters; ok is false when EnableFleet was never called.
 func (e *Engine) FleetReport() (FleetReport, bool) {
-	e.fleetMu.Lock()
-	coord := e.coord
-	e.fleetMu.Unlock()
+	coord := e.coord.Load()
 	if coord == nil {
 		return FleetReport{}, false
 	}
 	return coord.Report(), true
-}
-
-// fleetObserve gives the coordinator one observation per fused round.
-func (e *Engine) fleetObserve() {
-	if !e.fleetOn.Load() {
-		return
-	}
-	e.fleetMu.Lock()
-	defer e.fleetMu.Unlock()
-	n := int(e.linkCount.Load())
-	if e.coord == nil || n == 0 {
-		return
-	}
-	e.fleetTicks++
-	if e.fleetTicks%n != 0 {
-		return
-	}
-	// A whole-fleet quarantine or outage surfaces as an Inconclusive
-	// verdict (nil error) whose per-link decisions still carry their health
-	// evidence — precisely the state the coordinator exists to recover
-	// from, so it is observed like any other round. The ErrAllQuarantined
-	// tolerance remains for defence in depth against policies fused
-	// directly.
-	if err := e.eng.VerdictInto(&e.fleetVerdict); err != nil && !errors.Is(err, engine.ErrAllQuarantined) {
-		return
-	}
-	e.coord.Observe(&e.fleetVerdict)
 }
 
 // SaveProfiles snapshots every calibrated link's adapted state (profile
@@ -405,7 +367,6 @@ func (e *Engine) register(id string, sys *System, src engine.Source, sw phasedSw
 		return fmt.Errorf("mlink: %w", err)
 	}
 	e.sourceBy[id] = sw
-	e.linkCount.Add(1)
 	return nil
 }
 
@@ -512,10 +473,6 @@ func (e *Engine) AddDriftLink(id string, sys *System, preset DriftPreset, people
 
 // Links lists the fleet's link IDs in registration order.
 func (e *Engine) Links() []string { return e.eng.Links() }
-
-// LinksInto is Links appending into a caller-owned buffer (reset to length
-// zero first) — the allocation-free variant for report loops.
-func (e *Engine) LinksInto(dst []string) []string { return e.eng.LinksInto(dst) }
 
 // Calibrate calibrates every link in parallel from n empty-room packets
 // each (plus n held-out packets for threshold calibration). On success the

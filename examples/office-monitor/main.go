@@ -42,34 +42,24 @@ func run() error {
 	preset := scenario.AmbientDrift(2, 6, 1100)
 
 	var (
-		eng     *engine.Engine
-		coord   *fleet.Coordinator
-		verdict engine.SiteVerdict
-		decided int
-		last    fleet.State
+		coord *fleet.Coordinator
+		last  fleet.State
 	)
 	pol := adapt.Policy{} // package defaults
-	eng = engine.New(engine.Config{
+	eng := engine.New(engine.Config{
 		Workers:         1,
 		WindowSize:      window,
 		ThresholdMargin: 2.5,
 		Fusion:          engine.KOfN{K: 1},
 		Adaptation:      &pol,
-		OnDecision: func(id string, d core.Decision) {
-			decided++
-			if decided%3 != 0 {
-				return
-			}
-			if err := eng.VerdictInto(&verdict); err != nil {
-				return
-			}
-			rep := coord.Observe(&verdict)
+		OnRound: func(v *engine.SiteVerdict) {
+			rep := coord.Observe(v)
 			mark := "     "
-			if verdict.Present {
+			if v.Present {
 				mark = "ALARM"
 			}
 			fmt.Printf("round %3d  %s  site score %.2f (%d/%d links positive)\n",
-				decided/3, mark, verdict.Score, verdict.Positive, verdict.Total)
+				v.Round, mark, v.Score, v.Positive, v.Total)
 			if rep.State != last {
 				last = rep.State
 				fmt.Printf("           fleet -> %s (drifting %d, jumped %d, quarantined %d; relocks %d, recals %d)\n",

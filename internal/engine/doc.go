@@ -59,4 +59,21 @@
 // Degraded, and when no link can vote the verdict is Inconclusive — an
 // explicit "site unobserved" answer, not an error and not a fabricated
 // "absent".
+//
+// A fusion round is the engine's one definition of "every link has had its
+// say": the detection interval a site verdict is reported per. A round
+// waits on a set of links — every registered link that is not retired for
+// the Run, not Recalibrating, and whose lifecycle is Unsupervised or Live
+// (the links VerdictInto fuses at full weight). The rule is checked at
+// every publication of a decision (Run's shards and ScoreWindow alike) and
+// at every change to that set: a supervisor lifecycle transition, the start
+// and end of an online recalibration, and a link's retirement. A round
+// closes at the first such event after which (a) at least one link has
+// published since the last close and (b) every waited-for link has. The
+// supervisor's StaleAfter is thus the round's deadline: a stalled link
+// stops holding rounds once it turns Stale. A site whose every link is Down
+// closes no rounds; its verdict, read by polling, stays Inconclusive.
+// Round ids start at 1 and continue across Runs; SiteVerdict.Round and
+// Metrics.Rounds carry the latest, and Config.OnRound receives each closed
+// round's verdict in order, one call at a time.
 package engine

@@ -78,6 +78,14 @@ type Config struct {
 	// OnDecision, when non-nil, is invoked from scoring shards after every
 	// scored window. It must be safe for concurrent use and fast.
 	OnDecision func(linkID string, d core.Decision)
+	// OnRound, when non-nil, receives the site verdict of every closed
+	// fusion round (see the package doc for when a round closes), with
+	// v.Round set to the round's id. Calls never overlap, see ids 1, 2, 3…
+	// with none skipped, and hold no engine lock; a round whose fusion
+	// fails is skipped. The verdict is fused right after the round closes
+	// (or, when an earlier call was still running, right after it returns).
+	// It is engine-owned and valid only during the call.
+	OnRound func(v *SiteVerdict)
 	// Supervision, when non-nil, decouples ingestion from scoring: every
 	// link gets a supervise.Supervisor whose producer goroutine pulls the
 	// source into a bounded ring the shard consumes non-blockingly, so one
@@ -170,6 +178,8 @@ type link struct {
 	needFull bool
 
 	state linkState
+	// round is the link's fusion-round membership, guarded by e.rounds.mu.
+	round roundMember
 }
 
 // recalJob is one posted online recalibration: the packet budget plus a
@@ -243,6 +253,9 @@ type Engine struct {
 	framesSeen    atomic.Uint64
 	runNanos      atomic.Int64
 
+	// rounds closes fusion rounds and delivers them to cfg.OnRound.
+	rounds rounds
+
 	// beforeAdvance, when non-nil, runs on a shard just before it drives a
 	// held link one step. It is a test seam — tests set it before Run to
 	// hold a shard at a known point in the schedule; nothing else does.
@@ -315,6 +328,7 @@ func (e *Engine) AddLink(id string, cfg core.Config, src Source) error {
 	l.recycler, _ = src.(FrameRecycler)
 	e.links = append(e.links, l)
 	e.byID[id] = l
+	e.rounds.reset(e.links, 0)
 	return nil
 }
 
@@ -727,6 +741,7 @@ func (e *Engine) ensureShards() {
 	}
 	e.revive.reset(len(e.links))
 	e.remaining.Store(int64(len(e.links)))
+	e.rounds.reset(e.links, outRetired|outRecal|outLifecycle)
 	if e.journal != nil && e.jw == nil {
 		e.jw = e.journal.NewWriter()
 	}
@@ -751,6 +766,15 @@ func (e *Engine) ensureShards() {
 				// sharing one seed would redial a restarted collector in
 				// exact unison, defeating the jitter.
 				pol.Seed += int64(i)
+				// A link that is not Live leaves the set fusion rounds
+				// wait on until it is Live again.
+				user := pol.OnTransition
+				pol.OnTransition = func(id string, from, to adapt.Lifecycle, cause error) {
+					if user != nil {
+						user(id, from, to, cause)
+					}
+					e.setRoundOut(l, outLifecycle, to != adapt.LifecycleLive)
+				}
 				l.sup = supervise.New(l.id, pol, l.src, l.recycler)
 			}
 		} else if l.sup != nil {
@@ -840,6 +864,8 @@ func (e *Engine) Run(ctx context.Context, windowsPerLink int) error {
 				close(job.done)
 			}
 		}
+		// Outside Run every link counts as unsupervised (see VerdictInto).
+		e.rounds.reset(e.links, outLifecycle)
 		e.mu.Unlock()
 	}()
 
@@ -1057,6 +1083,7 @@ func (e *Engine) advance(ctx context.Context, done <-chan struct{}, sh *shard, l
 // the retirement is hinted to the revive queue (see postRecal for why at
 // least one side always pushes).
 func (e *Engine) retire(l *link) {
+	e.setRoundOut(l, outRetired, true)
 	l.retired.Store(true)
 	e.remaining.Add(-1)
 	if e.jw != nil {
@@ -1095,6 +1122,7 @@ func (e *Engine) serviceRecal(ctx context.Context, l *link) bool {
 		l.state.setRecalibrating(false)
 		return false
 	}
+	e.setRoundOut(l, outRecal, true)
 	src := l.src
 	if l.sup != nil {
 		// The producer goroutine owns the raw source while Run is active, so
@@ -1116,6 +1144,7 @@ func (e *Engine) serviceRecal(ctx context.Context, l *link) bool {
 		e.jmu.Unlock()
 	}
 	l.state.setRecalibrating(false)
+	e.setRoundOut(l, outRecal, false)
 	close(job.done)
 	return true
 }
@@ -1202,6 +1231,9 @@ func (e *Engine) tick(done <-chan struct{}, sh *shard, l *link) (tickResult, err
 	if cb := e.cfg.OnDecision; cb != nil {
 		cb(l.id, dec)
 	}
+	if e.rounds.publish(&l.round) {
+		e.deliverRounds()
+	}
 	if e.jw != nil {
 		e.jmu.Lock()
 		if l.needFull {
@@ -1272,6 +1304,14 @@ func (l *link) recycleFrames(frames []*csi.Frame) {
 // calibration is active: the link's detector, adapter and published state
 // have exactly one writer at a time.
 func (e *Engine) ScoreWindow(linkID string, window []*csi.Frame) (core.Decision, error) {
+	var closed bool
+	defer func() {
+		// Deferred first, so it runs after the unlock: rounds are delivered
+		// with no engine lock held.
+		if closed {
+			e.deliverRounds()
+		}
+	}()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	l, ok := e.byID[linkID]
@@ -1296,6 +1336,7 @@ func (e *Engine) ScoreWindow(linkID string, window []*csi.Frame) (core.Decision,
 		return core.Decision{}, err
 	}
 	e.framesSeen.Add(uint64(len(window)))
+	closed = e.rounds.publish(&l.round)
 	return dec, nil
 }
 
@@ -1395,11 +1436,12 @@ func (e *Engine) VerdictInto(v *SiteVerdict) error {
 		cov.Fused++
 	}
 	e.mu.Unlock()
+	round := e.rounds.closed.Load()
 	if len(decisions) == 0 && excluded > 0 {
 		// Links have scored but every one is currently unusable: an
 		// explicit inconclusive verdict, not an error — the caller's report
 		// loop keeps running and sees the site recover through Coverage.
-		*v = SiteVerdict{Inconclusive: true, Policy: e.cfg.Fusion.String(), Links: decisions, Coverage: cov}
+		*v = SiteVerdict{Inconclusive: true, Policy: e.cfg.Fusion.String(), Links: decisions, Coverage: cov, Round: round}
 		return nil
 	}
 	out, err := e.cfg.Fusion.Fuse(decisions)
@@ -1408,13 +1450,14 @@ func (e *Engine) VerdictInto(v *SiteVerdict) error {
 			// The drift-axis dead site (every vote quarantined away) gets
 			// the same explicit inconclusive treatment as the dead-coverage
 			// one; the per-link evidence stays available in v.Links.
-			*v = SiteVerdict{Inconclusive: true, Policy: e.cfg.Fusion.String(), Links: decisions, Coverage: cov}
+			*v = SiteVerdict{Inconclusive: true, Policy: e.cfg.Fusion.String(), Links: decisions, Coverage: cov, Round: round}
 			return nil
 		}
 		v.Links = decisions
 		return err
 	}
 	out.Coverage = cov
+	out.Round = round
 	*v = out
 	return nil
 }

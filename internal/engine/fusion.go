@@ -84,6 +84,11 @@ type SiteVerdict struct {
 	// recalibrating, or quarantined, so no trustworthy vote exists. The
 	// answer is "inspect/recalibrate the site", never "absent".
 	Inconclusive bool
+	// Round is the id of the latest closed fusion round (stamped by the
+	// engine): 0 before the first close, then +1 per close, continuing
+	// across Runs. A verdict handed to Config.OnRound carries that round's
+	// id.
+	Round uint64
 }
 
 // FusionPolicy combines per-link decisions into one site verdict.

@@ -76,6 +76,8 @@ type Metrics struct {
 	ScoresPerSec float64
 	// Steals counts link migrations between shards (sum over Shards).
 	Steals uint64
+	// Rounds counts closed fusion rounds (the id of the latest one).
+	Rounds uint64
 	// PerLink holds one entry per link in registration order.
 	PerLink []LinkMetrics
 	// Shards holds one entry per scoring shard.
@@ -110,6 +112,7 @@ func (e *Engine) MetricsInto(m *Metrics) {
 		m.ScoresPerSec = float64(m.WindowsScored) / secs
 	}
 	m.Steals = 0
+	m.Rounds = e.rounds.closed.Load()
 	for _, sh := range e.shards {
 		sm := ShardMetrics{
 			WindowsScored: sh.windows.Load(),

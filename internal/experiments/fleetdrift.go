@@ -166,15 +166,14 @@ func runFleetArm(cfg FleetDriftConfig, mode fleetArmMode) (FleetArm, error) {
 		eng     *engine.Engine
 		coord   *fleet.Coordinator
 		verdict engine.SiteVerdict
-		decided int
 		ticks   *int
 		alarms  *int
 	)
 	// Every decision triggers one site evaluation for the false-alarm
-	// accounting; the coordinator observes once per fused round (every
-	// Links-th decision), the cadence its tick windows are sized for. With
-	// one worker the whole arm runs on a single shard goroutine, so the
-	// callback needs no locking and the run is deterministic.
+	// accounting; the coordinator observes once per closed fusion round,
+	// the cadence its tick windows are sized for. With one worker the whole
+	// arm runs on a single shard goroutine, so the callbacks need no locking
+	// and the run is deterministic.
 	onDecision := func(string, core.Decision) {
 		if err := eng.VerdictInto(&verdict); err != nil {
 			return
@@ -183,10 +182,6 @@ func runFleetArm(cfg FleetDriftConfig, mode fleetArmMode) (FleetArm, error) {
 		if verdict.Present {
 			*alarms++
 		}
-		decided++
-		if coord != nil && decided%cfg.Links == 0 {
-			coord.Observe(&verdict)
-		}
 	}
 	engCfg := engine.Config{
 		Workers:         1,
@@ -194,6 +189,11 @@ func runFleetArm(cfg FleetDriftConfig, mode fleetArmMode) (FleetArm, error) {
 		ThresholdMargin: cfg.ThresholdMargin,
 		Fusion:          cfg.Fusion,
 		OnDecision:      onDecision,
+		OnRound: func(v *engine.SiteVerdict) {
+			if coord != nil {
+				coord.Observe(v)
+			}
+		},
 	}
 	if mode != armFrozen {
 		pol := cfg.Policy

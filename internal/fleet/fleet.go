@@ -212,11 +212,12 @@ func (c *Coordinator) Report() Report {
 
 // Observe folds one fused site verdict into the fleet state machine and
 // applies the resulting actions (suppression, relock, staggered
-// recalibration dispatch). Call it once per fused round — after one
-// VerdictInto per full pass over the fleet's links — so the tick-based
-// windows in Config (SilentTicks, AmbientHoldTicks, CooldownTicks) mean
-// what their defaults assume. The facade's fleet mode and mlink-serve drive
-// it at exactly that cadence.
+// recalibration dispatch). Call it once per fused round — from the
+// engine's Config.OnRound, with the verdict it hands over — so the
+// tick-based windows in Config (SilentTicks, AmbientHoldTicks,
+// CooldownTicks) count closed rounds. The facade's fleet mode does exactly
+// that. Observe may request recalibrations while holding its lock: the
+// engine delivers a round those requests close only after this call returns.
 func (c *Coordinator) Observe(v *engine.SiteVerdict) Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()

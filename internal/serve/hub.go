@@ -63,7 +63,9 @@ type Frame struct {
 // Bytes is the frame's wire form. Valid until Release.
 func (f *Frame) Bytes() []byte { return f.data }
 
-// Round is the fusion round this frame serializes (the SSE id).
+// Round is the hub's sequence number for this frame (the SSE id). It counts
+// the hub's encodes, not the engine's fusion rounds: the verdict's own
+// round id is the "round" field of the frame's JSON.
 func (f *Frame) Round() uint64 { return f.round }
 
 // Release drops the caller's reference; the last release recycles the

@@ -124,9 +124,12 @@ func appendCoverage(b []byte, c *engine.Coverage) []byte {
 // AppendVerdict appends v as the /v1/verdict JSON document. Inconclusive and
 // Coverage are first-class fields: a dead site (every link down, recovering,
 // recalibrating or quarantined) serializes as a well-formed verdict with
-// "inconclusive": true, never as an error payload.
+// "inconclusive": true, never as an error payload. "round" is the id of the
+// latest closed fusion round.
 func AppendVerdict(b []byte, v *engine.SiteVerdict) []byte {
-	b = append(b, `{"present":`...)
+	b = append(b, `{"round":`...)
+	b = strconv.AppendUint(b, v.Round, 10)
+	b = append(b, `,"present":`...)
 	b = strconv.AppendBool(b, v.Present)
 	b = append(b, `,"inconclusive":`...)
 	b = strconv.AppendBool(b, v.Inconclusive)

@@ -12,9 +12,10 @@ import (
 
 // TestAppendVerdictGolden parses the hand-rolled encoder's output with
 // encoding/json and checks every field round-trips, including the
-// inconclusive/coverage block and non-finite score handling.
+// inconclusive/coverage block, the round id and non-finite score handling.
 func TestAppendVerdictGolden(t *testing.T) {
 	v := engine.SiteVerdict{
+		Round:    42,
 		Present:  true,
 		Score:    0.625,
 		Positive: 2,
@@ -37,6 +38,7 @@ func TestAppendVerdictGolden(t *testing.T) {
 		},
 	}
 	var doc struct {
+		Round        uint64  `json:"round"`
 		Present      bool    `json:"present"`
 		Inconclusive bool    `json:"inconclusive"`
 		Score        float64 `json:"score"`
@@ -67,7 +69,7 @@ func TestAppendVerdictGolden(t *testing.T) {
 	if err := json.Unmarshal(out, &doc); err != nil {
 		t.Fatalf("encoder output is not valid JSON: %v\n%s", err, out)
 	}
-	if !doc.Present || doc.Inconclusive || doc.Score != 0.625 || doc.Positive != 2 || doc.Total != 3 {
+	if doc.Round != 42 || !doc.Present || doc.Inconclusive || doc.Score != 0.625 || doc.Positive != 2 || doc.Total != 3 {
 		t.Fatalf("verdict fields mismatched: %+v", doc)
 	}
 	if doc.Policy != v.Policy {
@@ -179,5 +181,18 @@ func TestAppendVerdictAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("AppendVerdict allocates %.1f/op into a warm buffer, want 0", allocs)
+	}
+}
+
+// TestAppendMetricsAllocFree is the same check for the Prometheus encoder.
+func TestAppendMetricsAllocFree(t *testing.T) {
+	var m engine.Metrics
+	(&stubEngine{}).MetricsInto(&m)
+	buf := AppendMetrics(nil, &m, nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = AppendMetrics(buf[:0], &m, nil)
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendMetrics allocates %.1f/op into a warm buffer, want 0", allocs)
 	}
 }

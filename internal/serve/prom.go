@@ -18,6 +18,7 @@ func AppendMetrics(b []byte, m *engine.Metrics, hub *Hub) []byte {
 	b = appendMetric(b, "mlink_frames_seen_total", "counter", "CSI frames ingested across the fleet.", float64(m.FramesSeen))
 	b = appendMetric(b, "mlink_scores_per_second", "gauge", "Windows scored per second of active run time.", m.ScoresPerSec)
 	b = appendMetric(b, "mlink_steals_total", "counter", "Link migrations between scoring shards.", float64(m.Steals))
+	b = appendMetric(b, "mlink_fusion_rounds_total", "counter", "Fusion rounds closed across the fleet.", float64(m.Rounds))
 
 	b = appendHeader(b, "mlink_shard_windows_total", "counter", "Windows scored per shard.")
 	for i := range m.Shards {

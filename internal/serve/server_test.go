@@ -30,7 +30,7 @@ func (s *stubEngine) MetricsInto(m *engine.Metrics) {
 	})
 	shards := m.Shards[:0]
 	shards = append(shards, engine.ShardMetrics{WindowsScored: 10, Steals: 1, Utilization: 0.5})
-	*m = engine.Metrics{Links: 1, WindowsScored: 10, FramesSeen: 250, ScoresPerSec: 5, Steals: 1, PerLink: perLink, Shards: shards}
+	*m = engine.Metrics{Links: 1, WindowsScored: 10, FramesSeen: 250, ScoresPerSec: 5, Steals: 1, Rounds: 3, PerLink: perLink, Shards: shards}
 }
 
 func newTestServer(t *testing.T, hub *Hub, logf func(string, ...any)) (*httptest.Server, *stubEngine) {
@@ -146,6 +146,8 @@ func TestServerPrometheusMetrics(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE mlink_windows_scored_total counter",
 		"mlink_windows_scored_total 10",
+		"# TYPE mlink_fusion_rounds_total counter",
+		"mlink_fusion_rounds_total 3",
 		`mlink_link_present{link="l0"} 1`,
 		`mlink_shard_utilization{shard="0"} 0.5`,
 		"mlink_stream_subscribers 0",

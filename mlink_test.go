@@ -409,3 +409,48 @@ func TestEngineFacadeFleetMode(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineFleetObservesEachRound checks the facade's round wiring: the
+// user's OnRound and the fleet coordinator each see every closed fusion
+// round exactly once, in id order.
+func TestEngineFleetObservesEachRound(t *testing.T) {
+	var seen []uint64 // OnRound calls never overlap
+	eng := NewEngine(EngineConfig{
+		Workers:    2,
+		WindowSize: 25,
+		OnRound:    func(v *SiteVerdict) { seen = append(seen, v.Round) },
+	})
+	if err := eng.EnableAdaptation(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.EnableFleet(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		sys, err := NewLinkCaseSystem(i, SchemeSubcarrier, 30+int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.AddLink(fmt.Sprintf("l%d", i), sys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Calibrate(60); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(t.Context(), 8); err != nil {
+		t.Fatal(err)
+	}
+	rounds := eng.Metrics().Rounds
+	if rounds == 0 || uint64(len(seen)) != rounds {
+		t.Fatalf("OnRound saw %d rounds, engine closed %d", len(seen), rounds)
+	}
+	for i, id := range seen {
+		if id != uint64(i+1) {
+			t.Fatalf("OnRound ids %v, want 1..%d", seen, rounds)
+		}
+	}
+	if rep, _ := eng.FleetReport(); rep.Ticks != rounds {
+		t.Fatalf("coordinator observed %d rounds, engine closed %d", rep.Ticks, rounds)
+	}
+}

@@ -88,7 +88,7 @@ func TestEngineStreamSoakChaos(t *testing.T) {
 	}()
 
 	// Round driver: nudge the hub as rounds complete. (The facade's
-	// Subscribe wires this into OnDecision; here the hub is external so the
+	// Subscribe wires this into OnRound; here the hub is external so the
 	// test controls the shed threshold.)
 	notifyCtx, notifyStop := context.WithCancel(context.Background())
 	defer notifyStop()
@@ -320,7 +320,7 @@ func TestServeAPIAllLinksDown(t *testing.T) {
 }
 
 // TestEngineSubscribeFacade exercises the facade's own stream wiring: the
-// first Subscribe lazily starts the hub, the OnDecision hook publishes one
+// first Subscribe lazily starts the hub, the OnRound hook publishes one
 // frame per fused round, and CloseStream ends every subscription cleanly.
 func TestEngineSubscribeFacade(t *testing.T) {
 	eng := NewEngine(EngineConfig{Workers: 1, WindowSize: 25, Fusion: KOfN{K: 1}})
@@ -351,15 +351,16 @@ func TestEngineSubscribeFacade(t *testing.T) {
 		t.Fatalf("Next: %v", err)
 	}
 	var doc struct {
-		Present bool `json:"present"`
-		Total   int  `json:"total"`
+		Round   uint64 `json:"round"`
+		Present bool   `json:"present"`
+		Total   int    `json:"total"`
 	}
 	_, js, _ := bytes.Cut(f.Bytes(), []byte("data: "))
 	if jerr := json.Unmarshal(js, &doc); jerr != nil {
 		t.Fatalf("streamed frame is not a verdict document: %v (%q)", jerr, f.Bytes())
 	}
 	f.Release()
-	if doc.Total != 1 {
+	if doc.Total != 1 || doc.Round < 1 {
 		t.Fatalf("streamed verdict = %+v, want the solo link's vote", doc)
 	}
 	if err := <-runDone; err != nil {
