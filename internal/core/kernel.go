@@ -359,10 +359,12 @@ func (k *Kernel) scoreSubcarrier(profile *Profile, window []*csi.Frame, sc *Scra
 // The whole computation is allocation-free at steady state: the monitor
 // covariance accumulates through the scratch's per-subcarrier partials, the
 // calibration covariance is a weight-combine of the profile's precomputed
-// partials (the frames themselves are never touched per window), and both
-// Bartlett spectra run over the kernel's cached steering table. Every
-// scratch buffer is fully rewritten per window, so a link migrating between
-// shards reproduces bit-identical spectra on its new holder's scratch.
+// partials (the frames themselves are never touched per window), and one
+// fused pass over the kernel's cached steering table evaluates both
+// Bartlett powers and the distance at the nonzero-weight angles only,
+// writing no spectrum. Every scratch buffer is fully rewritten per window,
+// so a link migrating between shards reproduces bit-identical scores on its
+// new holder's scratch.
 func (k *Kernel) scoreSubcarrierPath(profile *Profile, window []*csi.Frame, sc *Scratch) (float64, error) {
 	perAnt, err := k.windowWeights(window, sc)
 	if err != nil {
@@ -375,9 +377,6 @@ func (k *Kernel) scoreSubcarrierPath(profile *Profile, window []*csi.Frame, sc *
 	if err := music.CovarianceInto(&sc.monCov, window, w, &sc.winPartials); err != nil {
 		return 0, fmt.Errorf("monitor covariance: %w", err)
 	}
-	if err := k.plan.BartlettInto(&sc.monSpec, &sc.monCov); err != nil {
-		return 0, fmt.Errorf("monitor spectrum: %w", err)
-	}
 	parts := profile.Partials
 	if parts == nil {
 		// A profile assembled outside Calibrate carries no cached partials;
@@ -389,8 +388,9 @@ func (k *Kernel) scoreSubcarrierPath(profile *Profile, window []*csi.Frame, sc *
 	if err := parts.CovarianceInto(&sc.calCov, w); err != nil {
 		return 0, fmt.Errorf("calibration covariance: %w", err)
 	}
-	if err := k.plan.BartlettInto(&sc.calSpec, &sc.calCov); err != nil {
-		return 0, fmt.Errorf("calibration spectrum: %w", err)
+	score, err := k.plan.BartlettDistanceDB(&sc.monCov, &sc.calCov, profile.PathWeights)
+	if err != nil {
+		return 0, fmt.Errorf("path distance: %w: %w", ErrBadInput, err)
 	}
-	return weightedSpectrumDistanceDB(&sc.monSpec, &sc.calSpec, profile.PathWeights)
+	return score, nil
 }

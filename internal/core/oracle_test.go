@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 
+	"mlink/internal/dsp"
 	"mlink/internal/geom"
 	"mlink/internal/linalg"
 	"mlink/internal/music"
@@ -61,6 +62,47 @@ func toDB(s *music.Spectrum) *music.Spectrum {
 	return out
 }
 
+// weightedSpectrumDistanceDB computes the path-weighted Euclidean distance
+// between the dB forms of two materialized power spectra,
+//
+//	score = √( Σθ w(θ)·(Pm,dB(θ) - Pc,dB(θ))² / Σθ w(θ) ),
+//
+// one 10·dsp.Log10Fast(mon/cal) per weighted angle with both sides floored
+// at 1e-30. Fed two Plan.BartlettInto spectra, it is the bitwise reference
+// for the fused music.Plan.BartlettDistanceDB: the weight sum runs over
+// every angle, and each weighted angle does the same arithmetic.
+func weightedSpectrumDistanceDB(mon, cal *music.Spectrum, weights []float64) (float64, error) {
+	if mon == nil || cal == nil {
+		return 0, fmt.Errorf("nil spectrum: %w", ErrBadInput)
+	}
+	n := len(mon.Power)
+	if n == 0 || len(cal.Power) != n || len(weights) != n {
+		return 0, fmt.Errorf("spectrum/weight lengths %d/%d/%d: %w", n, len(cal.Power), len(weights), ErrBadInput)
+	}
+	var num, den float64
+	for i := 0; i < n; i++ {
+		w := weights[i]
+		den += w
+		if w == 0 {
+			continue
+		}
+		m := mon.Power[i]
+		if m < 1e-30 {
+			m = 1e-30
+		}
+		c := cal.Power[i]
+		if c < 1e-30 {
+			c = 1e-30
+		}
+		d := 10 * dsp.Log10Fast(m/c)
+		num += w * d * d
+	}
+	if den == 0 {
+		return 0, fmt.Errorf("all-zero path weights: %w", ErrBadInput)
+	}
+	return math.Sqrt(num / den), nil
+}
+
 // weightedSpectrumDistance computes the path-weighted Euclidean distance
 // between two normalized pseudospectra (the §IV-C decision statistic):
 //
@@ -102,8 +144,12 @@ func bartlett(est *music.Estimator, r *linalg.Matrix) (*music.Spectrum, error) {
 	if err != nil {
 		return nil, err
 	}
+	// BartlettInto sizes the spectrum and writes the scan grid's angle
+	// axis; every power is then recomputed below.
 	out := &music.Spectrum{}
-	plan.ReserveSpectrum(out) // the scan grid's angle axis
+	if err := plan.BartlettInto(out, r); err != nil {
+		return nil, err
+	}
 	sv := make([]complex128, nAnt)
 	for ai, a := range out.AnglesDeg {
 		s := math.Sin(geom.DegToRad(a))

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 
-	"mlink/internal/dsp"
 	"mlink/internal/music"
 )
 
@@ -56,49 +54,4 @@ func PathWeights(static *music.Spectrum, cfg PathWeightConfig) ([]float64, error
 		out[i] = 1 / p
 	}
 	return out, nil
-}
-
-// weightedSpectrumDistanceDB computes the path-weighted Euclidean distance
-// between the dB forms of two pseudospectra (the §IV-C decision statistic),
-//
-//	score = √( Σθ w(θ)·(Pm,dB(θ) - Pc,dB(θ))² / Σθ w(θ) ),
-//
-// computed straight from the linear power spectra. The weight
-// normalization keeps scores comparable across links with different static
-// spectra. Zero-weight angles contribute nothing to either sum term that
-// depends on the spectra, so only the weighted angles pay a logarithm — and
-// each pays one, 10·log₁₀(mon/cal) with both sides floored at 1e-30, instead
-// of two, through the table-backed dsp.Log10Fast (≤2e-9 abs error — ≤2e-8 dB
-// per weighted angle, far below the detector's decision margins). The
-// property tests pin it to the naive dB conversion and math.Log10.
-func weightedSpectrumDistanceDB(mon, cal *music.Spectrum, weights []float64) (float64, error) {
-	if mon == nil || cal == nil {
-		return 0, fmt.Errorf("nil spectrum: %w", ErrBadInput)
-	}
-	n := len(mon.Power)
-	if n == 0 || len(cal.Power) != n || len(weights) != n {
-		return 0, fmt.Errorf("spectrum/weight lengths %d/%d/%d: %w", n, len(cal.Power), len(weights), ErrBadInput)
-	}
-	var num, den float64
-	for i := 0; i < n; i++ {
-		w := weights[i]
-		den += w
-		if w == 0 {
-			continue
-		}
-		m := mon.Power[i]
-		if m < 1e-30 {
-			m = 1e-30
-		}
-		c := cal.Power[i]
-		if c < 1e-30 {
-			c = 1e-30
-		}
-		d := 10 * dsp.Log10Fast(m/c)
-		num += w * d * d
-	}
-	if den == 0 {
-		return 0, fmt.Errorf("all-zero path weights: %w", ErrBadInput)
-	}
-	return math.Sqrt(num / den), nil
 }

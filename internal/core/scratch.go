@@ -57,15 +57,15 @@ type Scratch struct {
 	sw     SubcarrierWeights
 
 	// Angular-scheme buffers (SchemeSubcarrierPath): the averaged
-	// subcarrier-weight row, the monitor window's covariance partials, the
-	// combined covariance matrices and the two Bartlett spectra. All are
-	// fully rewritten every window, so a link migrating between shards
-	// (work stealing) carries no angular state — the new holder's scratch
-	// reproduces bit-identical spectra.
-	wavg             []float64
-	winPartials      music.Partials
-	monCov, calCov   linalg.Matrix
-	monSpec, calSpec music.Spectrum
+	// subcarrier-weight row, the monitor window's covariance partials and
+	// the two combined covariance matrices. The Bartlett spectra are never
+	// materialized: music.Plan.BartlettDistanceDB scores straight from the
+	// covariances. All are fully rewritten every window, so a link
+	// migrating between shards (work stealing) carries no angular state —
+	// the new holder's scratch reproduces bit-identical scores.
+	wavg           []float64
+	winPartials    music.Partials
+	monCov, calCov linalg.Matrix
 
 	// Reusable sanitized-window frames, plus a one-shot record of what they
 	// hold: the kernel that prepared them, the prepared frames and the
@@ -316,7 +316,5 @@ func (k *Kernel) WarmScratch(sc *Scratch, nAnt, windowLen int) {
 		sc.winPartials.Reserve(nAnt, n)
 		sc.monCov.Reuse(nAnt, nAnt)
 		sc.calCov.Reuse(nAnt, nAnt)
-		k.plan.ReserveSpectrum(&sc.monSpec)
-		k.plan.ReserveSpectrum(&sc.calSpec)
 	}
 }

@@ -11,7 +11,11 @@
 // the array geometry and scan parameters; its Plan caches the
 // steering-vector table for the index-stepped scan grid once (shared
 // read-only across goroutines) and writes spectra into caller-owned buffers
-// via BartlettInto/PseudospectrumInto. Covariance accumulates a spatial
+// via BartlettInto/PseudospectrumInto. The detector's path-weighted score
+// needs no spectrum at all: BartlettDistanceDB walks the table once,
+// evaluating both Bartlett powers and the dB distance only at
+// nonzero-weight angles, bit-identical to two BartlettInto spectra fed
+// through the same distance. Covariance accumulates a spatial
 // covariance from frames; Partials caches a fixed frame set's
 // per-subcarrier snapshot outer products so a weighted covariance becomes a
 // per-subcarrier combine (CovarianceInto) instead of a sweep over every

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mlink/internal/csi"
+	"mlink/internal/dsp"
 	"mlink/internal/geom"
 	"mlink/internal/linalg"
 )
@@ -66,13 +67,28 @@ func (p *Plan) reuseSpectrum(dst *Spectrum) {
 	dst.Power = dst.Power[:len(p.anglesDeg)]
 }
 
-// ReserveSpectrum pre-sizes dst for the plan's scan grid, so the first
-// BartlettInto/PseudospectrumInto on a fresh spectrum allocates nothing.
-func (p *Plan) ReserveSpectrum(dst *Spectrum) {
-	if dst == nil {
-		return
+// triangle hoists a covariance's angle-independent trace and its strict
+// upper triangle (row-major, i<j) into buf, so the angle loops index a small
+// dense slice instead of recomputing matrix offsets per angle. Arrays up to
+// 6 elements fit buf; larger ones (not a hot path here) pay one allocation.
+func (p *Plan) triangle(r *linalg.Matrix, buf *[16]complex128) (tr float64, up []complex128, err error) {
+	nAnt := p.nAnt
+	if r.Rows() != nAnt || r.Cols() != nAnt {
+		return 0, nil, fmt.Errorf("covariance %dx%d for %d elements: %w", r.Rows(), r.Cols(), nAnt, ErrBadInput)
 	}
-	p.reuseSpectrum(dst)
+	for i := 0; i < nAnt; i++ {
+		tr += real(r.At(i, i))
+	}
+	up = buf[:0]
+	if tri := nAnt * (nAnt - 1) / 2; tri > len(buf) {
+		up = make([]complex128, 0, tri)
+	}
+	for i := 0; i < nAnt-1; i++ {
+		for j := i + 1; j < nAnt; j++ {
+			up = append(up, r.At(i, j))
+		}
+	}
+	return tr, up, nil
 }
 
 // BartlettInto computes the conventional angular power spectrum
@@ -85,30 +101,13 @@ func (p *Plan) BartlettInto(dst *Spectrum, r *linalg.Matrix) error {
 	if dst == nil {
 		return fmt.Errorf("nil spectrum: %w", ErrBadInput)
 	}
-	if r.Rows() != p.nAnt || r.Cols() != p.nAnt {
-		return fmt.Errorf("covariance %dx%d for %d elements: %w", r.Rows(), r.Cols(), p.nAnt, ErrBadInput)
+	var buf [16]complex128
+	tr, up, err := p.triangle(r, &buf)
+	if err != nil {
+		return err
 	}
 	p.reuseSpectrum(dst)
 	nAnt := p.nAnt
-	var tr float64
-	for i := 0; i < nAnt; i++ {
-		tr += real(r.At(i, i))
-	}
-	// Hoist the strict upper triangle once so the angle loop indexes a small
-	// dense slice instead of recomputing matrix offsets per angle. Arrays up
-	// to 6 elements fit the stack buffer; larger ones (not a hot path here)
-	// pay one allocation.
-	var upArr [16]complex128
-	tri := nAnt * (nAnt - 1) / 2
-	up := upArr[:0]
-	if tri > len(upArr) {
-		up = make([]complex128, 0, tri)
-	}
-	for i := 0; i < nAnt-1; i++ {
-		for j := i + 1; j < nAnt; j++ {
-			up = append(up, r.At(i, j))
-		}
-	}
 	for ai := range dst.Power {
 		row := p.steer[ai*nAnt : (ai+1)*nAnt]
 		var cross complex128
@@ -123,6 +122,89 @@ func (p *Plan) BartlettInto(dst *Spectrum, r *linalg.Matrix) error {
 		dst.Power[ai] = tr + 2*real(cross)
 	}
 	return nil
+}
+
+// BartlettDistanceDB is the §IV-C decision statistic: the path-weighted
+// Euclidean distance between the dB Bartlett spectra of a monitoring and a
+// calibration covariance,
+//
+//	score = √( Σθ w(θ)·(Bm,dB(θ) - Bc,dB(θ))² / Σθ w(θ) ),
+//
+// with weights aligned to the scan grid. It walks the steering table once
+// and only at angles whose weight is nonzero (the Eq. 17 weights vanish
+// outside (θmin, θmax)), where it evaluates both powers, floors each at
+// 1e-30 and adds 10·log₁₀(m/c) through the table-backed dsp.Log10Fast
+// (≤2e-9 abs error). No spectrum is written and nothing is allocated.
+//
+// The result is bit-identical to two BartlettInto spectra fed through the
+// same distance: each power sums the same (i, j) terms in the same order,
+// and only the real half of the last complex product is computed —
+// Re(x·a) = Re x·Re a − Im x·Im a is exactly the real part Go's complex
+// multiply produces. A zero weight adds +0 to the weight sum, so skipping
+// it is exact.
+func (p *Plan) BartlettDistanceDB(mon, cal *linalg.Matrix, weights []float64) (float64, error) {
+	if len(weights) != len(p.anglesDeg) {
+		return 0, fmt.Errorf("%d weights for %d scan angles: %w", len(weights), len(p.anglesDeg), ErrBadInput)
+	}
+	var monBuf, calBuf [16]complex128
+	trM, upM, err := p.triangle(mon, &monBuf)
+	if err != nil {
+		return 0, fmt.Errorf("monitor: %w", err)
+	}
+	trC, upC, err := p.triangle(cal, &calBuf)
+	if err != nil {
+		return 0, fmt.Errorf("calibration: %w", err)
+	}
+	upC = upC[:len(upM)] // one bounds check covers both triangles
+	nAnt := p.nAnt
+	var num, den float64
+	// The power ratios are logged in batches: a call inside the angle loop
+	// would spill its live registers every angle (Go's ABI saves none), so
+	// each batch first fills ratio/wt, then takes the logs, and num still
+	// accumulates in angle order.
+	var ratio, wt [64]float64
+	for ai := 0; ai < len(weights); {
+		n := 0
+		for ; ai < len(weights) && n < len(ratio); ai++ {
+			w := weights[ai]
+			if w == 0 {
+				continue
+			}
+			den += w
+			row := p.steer[ai*nAnt : (ai+1)*nAnt]
+			var crossM, crossC float64
+			t := 0
+			for i := 0; i < nAnt-1; i++ {
+				ci := conj(row[i])
+				for j := i + 1; j < nAnt; j++ {
+					a := row[j]
+					xm := ci * upM[t]
+					xc := ci * upC[t]
+					crossM += real(xm)*real(a) - imag(xm)*imag(a)
+					crossC += real(xc)*real(a) - imag(xc)*imag(a)
+					t++
+				}
+			}
+			m := trM + 2*crossM
+			if m < 1e-30 {
+				m = 1e-30
+			}
+			c := trC + 2*crossC
+			if c < 1e-30 {
+				c = 1e-30
+			}
+			ratio[n], wt[n] = m/c, w
+			n++
+		}
+		for k := 0; k < n; k++ {
+			d := 10 * dsp.Log10Fast(ratio[k])
+			num += wt[k] * d * d
+		}
+	}
+	if den == 0 {
+		return 0, fmt.Errorf("all-zero path weights: %w", ErrBadInput)
+	}
+	return math.Sqrt(num / den), nil
 }
 
 // PseudospectrumInto computes the MUSIC pseudospectrum over the cached
