@@ -25,16 +25,11 @@ var angularSteps = []float64{1, 0.5, 0.05}
 // produced the calibration frames, for drawing monitoring windows.
 func angularFixture(tb testing.TB, linkCase int, seed int64, stepDeg float64) (*Kernel, *Profile, *scenario.Scenario, *csi.Extractor) {
 	tb.Helper()
-	s, err := scenario.LinkCase(linkCase, seed)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	cfg, s := pathConfig(tb, linkCase, seed, stepDeg)
 	x, err := s.NewExtractor(seed)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := DefaultConfig(s.Grid, SchemeSubcarrierPath, s.Env.RX.Offsets())
-	cfg.SpectrumStepDeg = stepDeg
 	profile, err := Calibrate(cfg, x.CaptureN(60, nil))
 	if err != nil {
 		tb.Fatal(err)
@@ -265,4 +260,81 @@ func BenchmarkAngularDistance(b *testing.B) {
 			}
 		}
 	})
+}
+
+// pathConfig is a path-scheme config for a link case on a scan grid of
+// stepDeg.
+func pathConfig(tb testing.TB, linkCase int, seed int64, stepDeg float64) (Config, *scenario.Scenario) {
+	tb.Helper()
+	s, err := scenario.LinkCase(linkCase, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := DefaultConfig(s.Grid, SchemeSubcarrierPath, s.Env.RX.Offsets())
+	cfg.SpectrumStepDeg = stepDeg
+	return cfg, s
+}
+
+// TestKernelPlansSharedPerGeometry: a kernel holds its geometry's shared
+// plan — the one Calibrate's estimator resolves to — so links with one
+// array share a steering table. The five link cases' arrays differ in the
+// last bits of their offsets, and cases 2 and 3 share one with a −0 middle
+// element, so they map to four plans.
+func TestKernelPlansSharedPerGeometry(t *testing.T) {
+	plans := map[int]*music.Plan{}
+	distinct := map[*music.Plan]bool{}
+	for c := 1; c <= scenario.NumLinkCases; c++ {
+		cfg, _ := pathConfig(t, c, int64(c), 0.05)
+		k, err := NewKernel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := newEstimator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calPlan, err := est.NewPlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k.plan != calPlan {
+			t.Fatalf("case %d: kernel and calibration hold different plans", c)
+		}
+		plans[c], distinct[k.plan] = k.plan, true
+	}
+	if len(distinct) != 4 || plans[2] != plans[3] {
+		t.Fatalf("five link cases map to %d plans (cases 2 and 3 shared: %v), want 4 with 2 and 3 shared",
+			len(distinct), plans[2] == plans[3])
+	}
+}
+
+// BenchmarkLinkCalibration times one path-scheme link's calibration on the
+// 0.05-degree (3601-row) grid, as the engine runs it: Calibrate on 150
+// frames, NewDetector, then the threshold from 150 held-out frames
+// (SelfScores + CalibrateThreshold).
+func BenchmarkLinkCalibration(b *testing.B) {
+	cfg, s := pathConfig(b, 2, 5, 0.05)
+	x, err := s.NewExtractor(5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cal, holdout := x.CaptureN(150, nil), x.CaptureN(150, nil)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		profile, err := Calibrate(cfg, cal)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d, err := NewDetector(cfg, profile)
+		if err != nil {
+			b.Fatal(err)
+		}
+		null, err := d.SelfScores(holdout, 25, 25)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.CalibrateThreshold(null, ThresholdQuantile, DefaultThresholdMargin); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -12,13 +12,14 @@
 // caller owns the Scratch and passes it to every call (a nil one is
 // ErrBadInput); reusing it keeps the per-window hot path allocation-free —
 // internal/engine holds one per shard. That holds for every scheme,
-// including the angular SchemeSubcarrierPath: the Kernel carries a
-// precomputed music.Plan (steering table), the Profile carries
-// music.Partials of its calibration frames (rebuilt wherever Frames are
-// established — Calibrate, persistence restore — and carried by reference
-// through refresh/adopt, since those never change Frames), and the Scratch
-// holds the window covariances and spectra, fully rewritten each window so
-// scores are bit-identical across scratches and shard migrations.
+// including the angular SchemeSubcarrierPath: the Kernel carries its array
+// geometry's shared music.Plan (steering table, built once per process and
+// used by Calibrate too), the Profile carries music.Partials of its
+// calibration frames (rebuilt wherever Frames are established — Calibrate,
+// persistence restore — and carried by reference through refresh/adopt,
+// since those never change Frames), and the Scratch holds the window
+// covariances, fully rewritten each window so scores are bit-identical
+// across scratches and shard migrations.
 //
 // One sanitize per window: Kernel.Score leaves the window's sanitized frames
 // in the caller's Scratch, and Kernel.MeasureWindowInto (the measurement

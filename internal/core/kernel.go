@@ -16,9 +16,10 @@ import (
 // workers can keep a Kernel forever without synchronization.
 type Kernel struct {
 	cfg Config
-	// plan is the precomputed steering table for SchemeSubcarrierPath (nil
-	// otherwise) — built once here, shared read-only by every worker that
-	// scores through this kernel, never rebuilt per window.
+	// plan is the steering table for SchemeSubcarrierPath (nil otherwise):
+	// the process-wide music.Plan of the link's array geometry, the same
+	// one Calibrate used, shared read-only by every worker and every kernel
+	// on that geometry, never rebuilt per window.
 	plan *music.Plan
 }
 

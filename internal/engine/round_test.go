@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"strconv"
 	"sync"
@@ -230,16 +231,20 @@ func TestRoundIDsUnderStealing(t *testing.T) {
 }
 
 // recalGate holds a link's recalibration capture until release is closed
-// (or ten seconds pass); calibration and scoring reads pass straight
-// through. l is set once the link is registered.
+// (or ten seconds pass), and closes started on the first read it sees the
+// link recalibrating; calibration and scoring reads pass straight through.
+// l is set once the link is registered.
 type recalGate struct {
 	Source
 	l       *link
 	release chan struct{}
+	started chan struct{}
+	once    sync.Once
 }
 
 func (g *recalGate) Next() (*csi.Frame, error) {
 	if g.l != nil && g.l.state.recalibrating() {
+		g.once.Do(func() { close(g.started) })
 		select {
 		case <-g.release:
 		case <-time.After(10 * time.Second):
@@ -248,20 +253,48 @@ func (g *recalGate) Next() (*csi.Frame, error) {
 	return g.Source.Next()
 }
 
+// holdTail passes a link's first from frames straight through, then holds
+// every later read until started is closed. A hold that outlasts the bound
+// fails the read, and with it the run.
+type holdTail struct {
+	Source
+	from    int
+	read    int
+	started <-chan struct{}
+}
+
+func (h *holdTail) Next() (*csi.Frame, error) {
+	if h.read++; h.read > h.from {
+		select {
+		case <-h.started:
+		case <-time.After(20 * time.Second):
+			return nil, errors.New("l1 never started recalibrating while this link held its last windows")
+		}
+	}
+	return h.Source.Next()
+}
+
 // TestRoundRecalFromCallback requests a recalibration from inside OnRound
 // while holding a lock the callback also takes, as fleet.Coordinator.Observe
 // does. The run must not deadlock, and rounds must keep closing on the
 // other links while the recalibrating one rebuilds: its capture is held
-// until two such rounds have been delivered.
+// until two such rounds have been delivered. l0 and l2 hold their last
+// windows until l1 is recalibrating, so those rounds exist however the
+// shards are scheduled. The request rides round 1, which closes once each
+// link has scored one window — before any hold — so the hold can never keep
+// the request itself from being made.
 func TestRoundRecalFromCallback(t *testing.T) {
-	const windows = 40
+	const (
+		windows = 40
+		tail    = 4 // windows l0 and l2 hold back for l1's recalibration
+	)
 	var (
 		mu        sync.Mutex // the coordinator's lock
 		last      uint64
 		requested bool
 		duringRec int // rounds fused while l1 was recalibrating
 	)
-	gate := &recalGate{release: make(chan struct{})}
+	gate := &recalGate{release: make(chan struct{}), started: make(chan struct{})}
 	var e *Engine
 	e = New(Config{
 		Workers:    2,
@@ -278,7 +311,7 @@ func TestRoundRecalFromCallback(t *testing.T) {
 					close(gate.release)
 				}
 			}
-			if !requested && v.Round == 3 {
+			if !requested && v.Round == 1 {
 				requested = true
 				if err := e.RequestRecalibration("l1", 100); err != nil {
 					t.Errorf("RequestRecalibration: %v", err)
@@ -287,10 +320,11 @@ func TestRoundRecalFromCallback(t *testing.T) {
 		},
 	})
 	// Seeded round-robin, l1 is shard 1's only link: while shard 1 rebuilds
-	// it, shard 0 keeps scoring l0 and l2.
+	// it, shard 0 keeps scoring l0 and l2. Each link first reads 2·60
+	// calibration frames (roundFleet), then 25 per window.
 	roundFleet(t, e, 3, 45, func(i int, src Source) Source {
 		if i != 1 {
-			return src
+			return &holdTail{Source: src, from: 2*60 + (windows-tail)*25, started: gate.started}
 		}
 		gate.Source = src
 		return gate

@@ -8,11 +8,13 @@
 // angular power comparison.
 //
 // Every angular spectrum goes through one call surface. An Estimator holds
-// the array geometry and scan parameters; its Plan caches the
-// steering-vector table for the index-stepped scan grid once (shared
-// read-only across goroutines) and writes spectra into caller-owned buffers
-// via BartlettInto/PseudospectrumInto. The detector's path-weighted score
-// needs no spectrum at all: BartlettDistanceDB walks the table once,
+// the array geometry and scan parameters; NewPlan returns the process-wide
+// Plan for that exact geometry, which caches the steering-vector table for
+// the index-stepped scan grid once (built on first use, then shared
+// read-only by every caller and goroutine — a link's calibration and its
+// scoring kernel hold the same one) and writes spectra into caller-owned
+// buffers via BartlettInto/PseudospectrumInto. The detector's path-weighted
+// score needs no spectrum at all: BartlettDistanceDB walks the table once,
 // evaluating both Bartlett powers and the dB distance only at
 // nonzero-weight angles, bit-identical to two BartlettInto spectra fed
 // through the same distance. Covariance accumulates a spatial

@@ -1,8 +1,10 @@
 package music
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"mlink/internal/csi"
 	"mlink/internal/dsp"
@@ -12,15 +14,16 @@ import (
 
 // Plan is the precomputed, immutable side of angular scoring: the scan grid
 // and the full steering-vector table a(θ) for every grid angle, built once
-// from an Estimator's parameters. The per-angle trigonometry of a textbook
-// spectrum (nAngles × nAnt sin/cos pairs per spectrum) disappears into the
-// table, and the Into methods below write spectra into caller-owned
-// buffers — a scoring worker holding a Plan computes angular spectra with
-// zero allocations.
+// per array geometry. The per-angle trigonometry of a textbook spectrum
+// (nAngles × nAnt sin/cos pairs per spectrum) disappears into the table,
+// and the Into methods below write spectra into caller-owned buffers — a
+// scoring worker holding a Plan computes angular spectra with zero
+// allocations.
 //
 // A Plan is read-only after construction and safe to share between
-// goroutines; it is meant to live on a long-lived owner (core.Kernel builds
-// one per path-weighted link).
+// goroutines. NewPlan hands out one process-wide Plan per geometry, so a
+// link's calibration, its scoring kernel and every other link with the same
+// array all hold the same table.
 type Plan struct {
 	nAnt      int
 	anglesDeg []float64
@@ -31,7 +34,22 @@ type Plan struct {
 	steer []complex128
 }
 
-// NewPlan precomputes the steering table for the estimator's scan grid.
+// planCache maps a geometry key (planKey) → *Plan, the same lock-free-on-read
+// pattern as dsp.Plan's transform cache. Geometries are few — one per
+// distinct receive array and scan grid in the process — and a Plan is
+// immutable once built, so entries live for the whole process.
+var planCache sync.Map
+
+// NewPlan returns the process-wide shared steering plan for the estimator's
+// array geometry and scan grid, building it on first use. The plan is keyed
+// on the exact bits of every offset, the wavelength and the resolved scan
+// step and bound: estimators that resolve to the same grid (StepDeg 0 and
+// 1, MaxDeg 0 and 90) share one plan, while offsets that differ in any bit
+// — even only in the sign of a zero — get their own, so every caller sees
+// exactly the table a fresh build would give it. Plans are never evicted:
+// the process keeps one per distinct geometry, just as dsp.Plan keeps one
+// transform per size. Two goroutines racing on a new geometry may both
+// build it; the first one stored wins and both return it.
 func (e *Estimator) NewPlan() (*Plan, error) {
 	if len(e.Offsets) < 2 {
 		return nil, fmt.Errorf("need ≥2 elements, got %d: %w", len(e.Offsets), ErrBadInput)
@@ -40,6 +58,30 @@ func (e *Estimator) NewPlan() (*Plan, error) {
 		return nil, fmt.Errorf("wavelength %v: %w", e.Wavelength, ErrBadInput)
 	}
 	step, maxDeg, n := e.scanGrid()
+	key := planKey(e.Offsets, e.Wavelength, step, maxDeg)
+	if v, ok := planCache.Load(key); ok {
+		return v.(*Plan), nil
+	}
+	v, _ := planCache.LoadOrStore(key, e.buildPlan(step, maxDeg, n))
+	return v.(*Plan), nil
+}
+
+// planKey encodes a geometry as the bit patterns of its offsets, wavelength,
+// scan step and scan bound.
+func planKey(offsets []float64, wavelength, step, maxDeg float64) string {
+	b := make([]byte, 0, 8*(len(offsets)+3))
+	for _, off := range offsets {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(off))
+	}
+	for _, v := range [...]float64{wavelength, step, maxDeg} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return string(b)
+}
+
+// buildPlan computes the steering table for a resolved scan grid of n
+// angles, angle(i) = -maxDeg + i·step.
+func (e *Estimator) buildPlan(step, maxDeg float64, n int) *Plan {
 	p := &Plan{
 		nAnt:      len(e.Offsets),
 		anglesDeg: make([]float64, n),
@@ -55,7 +97,7 @@ func (e *Estimator) NewPlan() (*Plan, error) {
 			row[m] = complex(math.Cos(phi), math.Sin(phi))
 		}
 	}
-	return p, nil
+	return p
 }
 
 // reuseSpectrum sizes dst for the plan's grid and copies the angle axis.

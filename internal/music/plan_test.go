@@ -365,3 +365,169 @@ func TestPlanIntoAllocFree(t *testing.T) {
 		t.Fatalf("warm Into pipeline allocates %v/op, want 0", allocs)
 	}
 }
+
+// planCount is the number of geometries in the process-wide plan cache.
+func planCount() int {
+	n := 0
+	planCache.Range(func(_, _ any) bool { n++; return true })
+	return n
+}
+
+// requirePlanBits fails unless got's angle axis and steering table equal
+// want's bit for bit.
+func requirePlanBits(t *testing.T, tag string, got, want *Plan) {
+	t.Helper()
+	if got.nAnt != want.nAnt || len(got.anglesDeg) != len(want.anglesDeg) || len(got.steer) != len(want.steer) {
+		t.Fatalf("%s: plan shape %d×%d, want %d×%d", tag, len(got.anglesDeg), got.nAnt, len(want.anglesDeg), want.nAnt)
+	}
+	for i, a := range got.anglesDeg {
+		if math.Float64bits(a) != math.Float64bits(want.anglesDeg[i]) {
+			t.Fatalf("%s: angle %d is %v, want %v", tag, i, a, want.anglesDeg[i])
+		}
+	}
+	if !sameSteerBits(got, want) {
+		t.Fatalf("%s: steering table differs from a fresh build", tag)
+	}
+}
+
+func sameSteerBits(a, b *Plan) bool {
+	for i, v := range a.steer {
+		w := b.steer[i]
+		if math.Float64bits(real(v)) != math.Float64bits(real(w)) || math.Float64bits(imag(v)) != math.Float64bits(imag(w)) {
+			return false
+		}
+	}
+	return true
+}
+
+// freshPlan builds e's plan without the cache.
+func freshPlan(e *Estimator) *Plan {
+	return e.buildPlan(e.scanGrid())
+}
+
+// TestNewPlanSharedPerGeometry: estimators with one geometry — separately
+// allocated offsets, and scan parameters that resolve to the same grid —
+// get one plan.
+func TestNewPlanSharedPerGeometry(t *testing.T) {
+	plan := func(offsets []float64, step, maxDeg float64) *Plan {
+		t.Helper()
+		p, err := (&Estimator{Offsets: offsets, Wavelength: lambda, StepDeg: step, MaxDeg: maxDeg}).NewPlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	base := plan(ulaOffsets(3), 1, 90)
+	if again := plan(ulaOffsets(3), 1, 90); again != base {
+		t.Fatal("same geometry returned two plans")
+	}
+	if p := plan(ulaOffsets(3), 0, 90); p != base {
+		t.Fatal("StepDeg 0 and 1 resolve to one grid but got two plans")
+	}
+	if p := plan(ulaOffsets(3), 1, 0); p != base {
+		t.Fatal("MaxDeg 0 and 90 resolve to one grid but got two plans")
+	}
+	requirePlanBits(t, "shared", base, freshPlan(&Estimator{Offsets: ulaOffsets(3), Wavelength: lambda}))
+}
+
+// TestNewPlanKeyedOnExactGeometry changes one input at a time — one offset
+// bit, the sign of a zero offset, the wavelength, the step, the bound —
+// and requires a plan of its own that equals a fresh build bit for bit.
+func TestNewPlanKeyedOnExactGeometry(t *testing.T) {
+	base := Estimator{Offsets: ulaOffsets(3), Wavelength: lambda, StepDeg: 0.5, MaxDeg: 90}
+	if base.Offsets[1] != 0 || math.Signbit(base.Offsets[1]) {
+		t.Fatalf("middle element at %v, want +0", base.Offsets[1])
+	}
+	basePlan, err := base.NewPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	variant := func(mut func(e *Estimator)) *Estimator {
+		e := base
+		e.Offsets = append([]float64(nil), base.Offsets...)
+		mut(&e)
+		return &e
+	}
+	cases := []struct {
+		name string
+		est  *Estimator
+	}{
+		{"offset ulp", variant(func(e *Estimator) { e.Offsets[0] = math.Nextafter(e.Offsets[0], 0) })},
+		{"-0 offset", variant(func(e *Estimator) { e.Offsets[1] = math.Copysign(0, -1) })},
+		{"wavelength ulp", variant(func(e *Estimator) { e.Wavelength = math.Nextafter(e.Wavelength, 1) })},
+		{"step", variant(func(e *Estimator) { e.StepDeg = 0.25 })},
+		{"max", variant(func(e *Estimator) { e.MaxDeg = 60 })},
+	}
+	seen := map[*Plan]string{basePlan: "base"}
+	for _, tc := range cases {
+		p, err := tc.est.NewPlan()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if prev, dup := seen[p]; dup {
+			t.Fatalf("%s: shares its plan with %s", tc.name, prev)
+		}
+		seen[p] = tc.name
+		requirePlanBits(t, tc.name, p, freshPlan(tc.est))
+		if again, _ := tc.est.NewPlan(); again != p {
+			t.Fatalf("%s: second call returned another plan", tc.name)
+		}
+	}
+	// The sign of a zero offset reaches the table (sin(−0·s) keeps the
+	// sign), which is why the key compares bits and not values.
+	neg := cases[1].est
+	negPlan, _ := neg.NewPlan()
+	if sameSteerBits(negPlan, basePlan) {
+		t.Fatal("−0 and +0 offsets built bit-identical tables; the test no longer covers the sign")
+	}
+}
+
+// TestNewPlanConcurrentFirstUse: goroutines that ask for one new geometry
+// at once all get the same plan (run under -race in CI).
+func TestNewPlanConcurrentFirstUse(t *testing.T) {
+	const goroutines = 16
+	est := Estimator{Offsets: ulaOffsets(4), Wavelength: lambda * 1.0625, StepDeg: 0.05}
+	start := make(chan struct{})
+	plans := make([]*Plan, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			e := est
+			e.Offsets = append([]float64(nil), est.Offsets...)
+			<-start
+			plans[g], errs[g] = e.NewPlan()
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g := range plans {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if plans[g] != plans[0] {
+			t.Fatalf("goroutine %d got its own plan", g)
+		}
+	}
+	requirePlanBits(t, "concurrent", plans[0], freshPlan(&est))
+}
+
+// TestNewPlanRejectsInvalidEstimator: validation runs before the cache, so
+// a bad estimator gets ErrBadInput and leaves no entry behind.
+func TestNewPlanRejectsInvalidEstimator(t *testing.T) {
+	before := planCount()
+	for _, e := range []*Estimator{
+		{Offsets: []float64{0}, Wavelength: lambda},
+		{Offsets: ulaOffsets(3), Wavelength: 0},
+		{Offsets: ulaOffsets(3), Wavelength: -lambda},
+	} {
+		if p, err := e.NewPlan(); !errors.Is(err, ErrBadInput) || p != nil {
+			t.Fatalf("%+v: plan %v, err %v; want ErrBadInput", e, p, err)
+		}
+	}
+	if after := planCount(); after != before {
+		t.Fatalf("invalid estimators left %d cache entries", after-before)
+	}
+}
