@@ -38,7 +38,7 @@ func goldenFloat(s string) float64 {
 
 // TestGoldenDecisions pins the detector's decisions bit for bit: every
 // (link, window) score and threshold, and each engine link's mean μ, through
-// the facade Engine (every scheme, sanitization on and off, frozen links and
+// the facade Engine (every scheme on two link cases, frozen links and
 // adaptive gain-walk links) and through an adaptive System.DetectWindow.
 // Refactors of the scoring, refresh or calibration paths must leave the
 // file unchanged; regenerate it with -update only for an intended change of
@@ -106,9 +106,9 @@ func TestGoldenDecisions(t *testing.T) {
 	}
 }
 
-// goldenEngine runs one facade engine over a link per (scheme, sanitize)
-// pair — frozen links on the plain capture path, or adaptive links on a
-// gain-walk drift stream — and records every decision. One link per engine
+// goldenEngine runs one facade engine over two links per scheme — frozen
+// links on the plain capture path, or adaptive links on a gain-walk drift
+// stream — and records every decision. One link per engine
 // has a person standing on it after calibration.
 func goldenEngine(t *testing.T, got map[string]*goldenTrace, adaptive bool) {
 	t.Helper()
@@ -135,13 +135,13 @@ func goldenEngine(t *testing.T, got map[string]*goldenTrace, adaptive bool) {
 	}
 	n := 0
 	for _, scheme := range []Scheme{SchemeBaseline, SchemeSubcarrier, SchemeSubcarrierPath} {
-		for _, sanitize := range []bool{true, false} {
-			sys, err := NewLinkCaseSystem(1+n%5, scheme, int64(1+n))
+		for range 2 {
+			linkCase, seed := 1+n%5, int64(1+n)
+			sys, err := NewLinkCaseSystem(linkCase, scheme, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys.cfg.Sanitize = sanitize
-			id := fmt.Sprintf("engine/%s/%s/sanitize=%v", arm, scheme, sanitize)
+			id := fmt.Sprintf("engine/%s/%s/case%d-seed%d", arm, scheme, linkCase, seed)
 			got[id] = &goldenTrace{}
 			var people []*Person
 			if n == 2 {

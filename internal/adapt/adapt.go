@@ -456,7 +456,7 @@ func (a *Adapter) Health() Health {
 // distribution. The window's frames are only read during the call — the
 // caller may recycle them afterwards. It returns the post-update health.
 //
-// A refresh or relock prepares the window afresh in the adapter's own
+// A refresh or relock measures the window afresh in the adapter's own
 // scratch; a caller that just scored the window should use ObserveScored.
 //
 // Observe must be called from a single goroutine (the link's owner); see the
@@ -467,10 +467,10 @@ func (a *Adapter) Observe(window []*csi.Frame, dec core.Decision) (Health, error
 
 // ObserveScored is Observe for a window the caller has just scored into dec
 // through the adapter's detector with scratch sc: a refresh or relock
-// measures the sanitized frames sc already holds instead of sanitizing the
-// window again. If sc did not just score this window under the detector's
-// kernel, or is nil, the window is prepared first, so the result is always
-// Observe's, bit for bit. sc is used only during the call, never retained:
+// copies the window's mean RSS rows scoring left in sc instead of
+// recomputing them. If sc did not just score this window under the
+// detector's kernel, or is nil, the rows are recomputed, so the result is
+// always Observe's, bit for bit. sc is used only during the call, never retained:
 // links migrate between scoring shards.
 func (a *Adapter) ObserveScored(window []*csi.Frame, dec core.Decision, sc *core.Scratch) (Health, error) {
 	defer func() { a.pub.publish(a.health) }()

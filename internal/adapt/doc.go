@@ -42,12 +42,12 @@
 // snapshot, so a restarted daemon resumes from the adapted baseline instead
 // of recalibrating; see fleet.Store.
 //
-// One sanitize per window: a refresh or relock needs the window's profile
-// statistics, measured over its sanitized frames. ObserveScored takes the
-// scratch that just scored the window and measures the frames scoring
-// already prepared there (core.Kernel.MeasureWindowInto's guarded reuse);
-// Observe is the standalone form, which prepares the window afresh in the
-// adapter's own scratch. Both give bit-identical decisions, health,
+// One mean-RSS pass per window: a refresh or relock needs the window's
+// profile statistics. ObserveScored takes the scratch that just scored the
+// window and copies the mean RSS rows scoring left there
+// (core.Kernel.MeasureWindowInto's guarded reuse); Observe is the
+// standalone form, which measures the window afresh in the adapter's own
+// scratch. Both give bit-identical decisions, health,
 // thresholds and journal deltas. The scored scratch is only read inside
 // the call and never retained, because links migrate between engine
 // shards and each window may be scored on a different shard's scratch.

@@ -25,13 +25,13 @@ type scoredArm struct {
 // TestObserveScoredMatchesObserve pins the scored observation path to the
 // standalone one bit for bit: over every drift preset and three seeds, an
 // adapter fed through ObserveScored with the scratch that just scored the
-// window — the engine's path, which measures refreshes from the frames
-// scoring already sanitized — must publish the same decisions, health,
-// thresholds and journal deltas as one fed through Observe, which
-// re-prepares every refreshed window. Two further arms hand ObserveScored a
-// scratch that did not just score this window under this detector (it last
-// scored a decoy window, or this window under another kernel); they must
-// fall back to preparing the window and agree as well. Every arm receives
+// window — the engine's path, whose refreshes copy the mean RSS rows
+// scoring computed — must publish the same decisions, health, thresholds
+// and journal deltas as one fed through Observe, which re-measures every
+// refreshed window. Two further arms hand ObserveScored a scratch that did
+// not just score this window under this detector (it last scored a decoy
+// window, or this window under another kernel); they must fall back to
+// measuring the window afresh and agree as well. Every arm receives
 // a fleet relock request mid-run, so the relock path is covered too.
 func TestObserveScoredMatchesObserve(t *testing.T) {
 	presets := []scenario.DriftPreset{

@@ -162,7 +162,7 @@ func TestMeasureWindowMatchesCalibrate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Measuring the calibration window must reproduce the profile exactly:
-	// same sanitization, same means.
+	// same frames, same means.
 	for ant := range profile.MeanAmp {
 		for k := range profile.MeanAmp[ant] {
 			if math.Abs(ws.MeanAmp[ant][k]-profile.MeanAmp[ant][k]) > 1e-9 {

@@ -19,12 +19,7 @@ import (
 // dB distance). The property tests pin the production path to this.
 func naivePathScore(t *testing.T, k *Kernel, profile *Profile, window []*csi.Frame) float64 {
 	t.Helper()
-	sc := NewScratch()
-	prep, err := k.prepareScratch(window, sc)
-	if err != nil {
-		t.Fatalf("naive prepare: %v", err)
-	}
-	perAnt, err := k.windowWeights(prep, sc)
+	perAnt, err := k.windowWeights(window, NewScratch())
 	if err != nil {
 		t.Fatalf("naive weights: %v", err)
 	}
@@ -36,7 +31,7 @@ func naivePathScore(t *testing.T, k *Kernel, profile *Profile, window []*csi.Fra
 	if err != nil {
 		t.Fatalf("naive estimator: %v", err)
 	}
-	monCov, err := music.Covariance(prep, w)
+	monCov, err := music.Covariance(window, w)
 	if err != nil {
 		t.Fatalf("naive monitor covariance: %v", err)
 	}

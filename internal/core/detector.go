@@ -7,7 +7,6 @@ import (
 	"mlink/internal/channel"
 	"mlink/internal/csi"
 	"mlink/internal/music"
-	"mlink/internal/sanitize"
 )
 
 // Scheme selects the detection variant evaluated in §V.
@@ -53,9 +52,6 @@ type Config struct {
 	PathWeight PathWeightConfig
 	// SpectrumStepDeg is the pseudospectrum resolution (default 1°).
 	SpectrumStepDeg float64
-	// Sanitize enables phase calibration of every frame before processing
-	// (required for meaningful MUSIC on impaired CSI).
-	Sanitize bool
 	// UsePerPacketWeights switches Eq. 15 weighting to the simpler Eq. 12
 	// per-packet weighting (ablation).
 	UsePerPacketWeights bool
@@ -71,7 +67,6 @@ func DefaultConfig(grid *channel.Grid, scheme Scheme, arrayOffsets []float64) Co
 		NumSignals:      2,
 		PathWeight:      DefaultPathWeightConfig(),
 		SpectrumStepDeg: 1,
-		Sanitize:        true,
 	}
 }
 
@@ -112,9 +107,11 @@ type Profile struct {
 	StaticSpectrum *music.Spectrum
 	// PathWeights is the Eq. 17 weight vector aligned with StaticSpectrum.
 	PathWeights []float64
-	// Frames are the sanitized calibration frames, retained because the
-	// monitoring stage re-weights calibration data with monitor-derived
-	// subcarrier weights (§IV-C).
+	// Frames are the calibration frames as passed to Calibrate, retained
+	// (not copied) because the monitoring stage re-weights calibration data
+	// with monitor-derived subcarrier weights (§IV-C). Profiles persisted
+	// by earlier builds hold phase-sanitized frames; every statistic
+	// scoring reads is invariant to that phase, so they score the same.
 	Frames []*csi.Frame
 	// Partials are the per-subcarrier covariance partials of Frames — a
 	// derived cache that lets scoring re-weight the calibration covariance
@@ -125,7 +122,9 @@ type Profile struct {
 	Partials *music.Partials
 }
 
-// Calibrate builds the static profile from no-presence frames.
+// Calibrate builds the static profile from no-presence frames. The profile
+// keeps the frames themselves, so the caller must not modify or recycle
+// them afterwards.
 func Calibrate(cfg Config, frames []*csi.Frame) (*Profile, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -133,16 +132,15 @@ func Calibrate(cfg Config, frames []*csi.Frame) (*Profile, error) {
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("calibrate with no frames: %w", ErrBadInput)
 	}
-	prep, err := prepare(cfg, frames)
-	if err != nil {
+	if err := checkShape(frames, frames[0].NumAntennas(), cfg.Grid.Len()); err != nil {
 		return nil, fmt.Errorf("calibrate: %w", err)
 	}
 	var ws WindowStats
-	meanStatsInto(&ws, prep, nil, make([]float64, prep[0].NumSubcarriers()))
+	meanStatsInto(&ws, frames, nil, make([]float64, cfg.Grid.Len()))
 	p := &Profile{
 		MeanAmp:   ws.MeanAmp,
 		MeanRSSdB: ws.MeanRSSdB,
-		Frames:    prep,
+		Frames:    frames,
 	}
 
 	if cfg.Scheme == SchemeSubcarrierPath {
@@ -154,7 +152,7 @@ func Calibrate(cfg Config, frames []*csi.Frame) (*Profile, error) {
 		if err != nil {
 			return nil, err
 		}
-		cov, err := music.Covariance(prep, nil)
+		cov, err := music.Covariance(frames, nil)
 		if err != nil {
 			return nil, fmt.Errorf("static covariance: %w", err)
 		}
@@ -167,7 +165,7 @@ func Calibrate(cfg Config, frames []*csi.Frame) (*Profile, error) {
 		if err != nil {
 			return nil, fmt.Errorf("path weights: %w", err)
 		}
-		p.Partials, err = music.NewPartials(prep)
+		p.Partials, err = music.NewPartials(frames)
 		if err != nil {
 			return nil, fmt.Errorf("spectral partials: %w", err)
 		}
@@ -261,8 +259,8 @@ type Decision struct {
 // ScoreScratch computes the scheme's distance statistic for a window of M
 // frames against the current profile (§IV-C monitoring stage) — the one
 // scoring entry point. The caller owns sc (nil is ErrBadInput) and reuses it
-// across windows; a refresh that follows on the same scratch measures the
-// frames this call sanitized (see MeasureWindow).
+// across windows; a refresh that follows on the same scratch copies the mean
+// RSS rows this call computed (see MeasureWindow).
 func (d *Detector) ScoreScratch(window []*csi.Frame, sc *Scratch) (float64, error) {
 	profile, _ := d.snapshot()
 	return d.kernel.Score(profile, window, sc)
@@ -282,19 +280,10 @@ func (d *Detector) DetectScratch(window []*csi.Frame, sc *Scratch) (Decision, er
 }
 
 // MeasureWindow computes a window's profile statistics into ws, reusing the
-// frames sc prepared if it just scored this window through the detector's
-// kernel (see Kernel.MeasureWindowInto).
+// mean RSS rows sc holds if it just scored this window through the
+// detector's kernel (see Kernel.MeasureWindowInto).
 func (d *Detector) MeasureWindow(ws *WindowStats, window []*csi.Frame, sc *Scratch) error {
 	return d.kernel.MeasureWindowInto(ws, window, sc)
-}
-
-// prepare optionally sanitizes frames per the config. Calibrate uses this
-// allocating path because the profile retains the sanitized frames.
-func prepare(cfg Config, frames []*csi.Frame) ([]*csi.Frame, error) {
-	if !cfg.Sanitize {
-		return frames, nil
-	}
-	return sanitize.Frames(frames, cfg.Grid.Indices)
 }
 
 func newEstimator(cfg Config) (*music.Estimator, error) {

@@ -21,17 +21,15 @@
 // covariances, fully rewritten each window so scores are bit-identical
 // across scratches and shard migrations.
 //
-// One sanitize per window: Kernel.Score leaves the window's sanitized frames
-// in the caller's Scratch, and Kernel.MeasureWindowInto (the measurement
-// half of a profile refresh) measures those frames instead of sanitizing
-// the window again — when, and only when, the scratch's one-shot record
-// says it just prepared exactly this window (same kernel, same source
-// frames). Any other scratch falls back to preparing the window, so the
-// statistics are bit-identical either way. Scratch lifetime: a scratch's
-// prepared frames are only valid until its next use, and a caller reads
-// them within one score-then-measure sequence on one goroutine, never
-// retaining the scratch across windows — engine links migrate between
-// shards, so a link's next window may be scored on another scratch.
+// Scoring reads the caller's frames as they are: Calibrate, Kernel.Score
+// and MeasureWindowInto apply no phase sanitization. Removing a phase that
+// is common to all antennas at each subcarrier (the fitted line
+// internal/sanitize subtracts) leaves
+// per-subcarrier power, amplitude and spatial covariance unchanged, so Δs,
+// the baseline's amplitudes and the Bartlett/MUSIC spectra do not depend
+// on it; the multipath factor μ (Eq. 11) is computed on the raw row, as
+// LinkMeanMu always did. Profiles persisted by earlier builds hold
+// sanitized calibration frames and score the same within rounding.
 //
 // One definition of a link's mean multipath factor: LinkMeanMu, which the
 // engine publishes per link and the facade's AssessLink reports.
@@ -42,9 +40,15 @@
 // Δs, Calibrate's profile fingerprint and a refresh's window statistics all
 // call it, so a profile is never EWMA-mixed with an RSS computed another
 // way. Reuse rule: SchemeSubcarrier scoring leaves its rows in the Scratch
-// beside the prepared-frames record, and MeasureWindowInto copies them only
-// on a record hit over scratch-owned (sanitized) frames. Frames the caller
-// owns may have changed since scoring, so they are always measured afresh.
+// with a one-shot record of the kernel and the window's frame pointers, and
+// MeasureWindowInto copies them — bit-identical to a recompute — only when
+// the record names exactly the window it measures under the same kernel.
+// The caller must not modify a window's frames between scoring and
+// measuring it. A scratch's rows are only valid until its next use, and a
+// caller reads them within one score-then-measure sequence on one
+// goroutine, never retaining the scratch across windows — engine links
+// migrate between shards, so a link's next window may be scored on another
+// scratch.
 //
 // The detector is split into an immutable scoring Kernel and mutable link
 // state so profiles can adapt online: LinkProfile applies EWMA refreshes

@@ -5,7 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"mlink/internal/body"
 	"mlink/internal/csi"
+	"mlink/internal/geom"
 	"mlink/internal/linalg"
 	"mlink/internal/music"
 	"mlink/internal/sanitize"
@@ -120,6 +122,76 @@ func TestSanitizeInvariance(t *testing.T) {
 		if worstPow > invarianceTol || worstAmp > invarianceTol || worstCov > invarianceTol {
 			t.Errorf("%s: raw vs sanitized relative disagreement power %.3g, amplitude %.3g, covariance %.3g > %g",
 				name, worstPow, worstAmp, worstCov, invarianceTol)
+		}
+	}
+}
+
+// TestSanitizedProfileStillScores pins that profiles persisted by earlier
+// builds, which calibrated on phase-sanitized frames, keep scoring raw
+// windows: for every scheme and link case 1–5, such a profile taken
+// through AppendBinary/UnmarshalProfile scores empty and occupied raw
+// windows within 1e-6 relative of a profile calibrated on the raw frames.
+// The fingerprints and covariances agree to invarianceTol; the path
+// scheme's MUSIC weights and the dB distances amplify that a little.
+func TestSanitizedProfileStillScores(t *testing.T) {
+	const tol = 1e-6
+	for c := 1; c <= 5; c++ {
+		s, err := scenario.LinkCase(c, int64(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := s.NewExtractor(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cal := x.CaptureN(100, nil)
+		clean, err := sanitize.Frames(cal, s.Grid.Indices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid := s.LinkMidpoint()
+		windows := [][]*csi.Frame{
+			x.CaptureN(25, nil),
+			x.CaptureN(25, nil),
+			x.CaptureN(25, []body.Body{body.Default(mid)}),
+			x.CaptureN(25, []body.Body{body.Default(geom.Point{X: mid.X + 1, Y: mid.Y + 1})}),
+		}
+		for _, scheme := range []Scheme{SchemeBaseline, SchemeSubcarrier, SchemeSubcarrierPath} {
+			cfg := DefaultConfig(s.Grid, scheme, s.Env.RX.Offsets())
+			fresh, err := Calibrate(cfg, cal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old, err := Calibrate(cfg, clean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := old.AppendBinary(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if old, err = UnmarshalProfile(blob); err != nil {
+				t.Fatal(err)
+			}
+			k, err := NewKernel(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := NewScratch()
+			for i, w := range windows {
+				want, err := k.Score(fresh, w, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := k.Score(old, w, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := math.Abs(got-want) / math.Abs(want); !(d <= tol) {
+					t.Errorf("case %d %s window %d: sanitized-profile score %v, raw-profile score %v (relative %.3g > %g)",
+						c, scheme, i, got, want, d, tol)
+				}
+			}
 		}
 	}
 }

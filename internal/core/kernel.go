@@ -57,30 +57,41 @@ func (k *Kernel) Score(profile *Profile, window []*csi.Frame, sc *Scratch) (floa
 	if sc == nil {
 		return 0, fmt.Errorf("score without a scratch: %w", ErrBadInput)
 	}
-	prep, err := k.prepareScratch(window, sc)
-	if err != nil {
-		return 0, fmt.Errorf("score: %w", err)
-	}
-	if prep[0].NumAntennas() != len(profile.MeanAmp) || prep[0].NumSubcarriers() != len(profile.MeanAmp[0]) {
-		return 0, fmt.Errorf("window shape %dx%d differs from profile %dx%d: %w",
-			prep[0].NumAntennas(), prep[0].NumSubcarriers(),
-			len(profile.MeanAmp), len(profile.MeanAmp[0]), ErrBadInput)
+	sc.rssK = nil
+	if err := checkShape(window, len(profile.MeanAmp), len(profile.MeanAmp[0])); err != nil {
+		return 0, fmt.Errorf("window differs from profile: %w", err)
 	}
 	switch k.cfg.Scheme {
 	case SchemeBaseline:
-		return k.scoreBaseline(profile, prep, sc)
+		return k.scoreBaseline(profile, window, sc)
 	case SchemeSubcarrier:
-		return k.scoreSubcarrier(profile, prep, sc)
+		return k.scoreSubcarrier(profile, window, sc)
 	case SchemeSubcarrierPath:
-		return k.scoreSubcarrierPath(profile, prep, sc)
+		return k.scoreSubcarrierPath(profile, window, sc)
 	default:
 		return 0, fmt.Errorf("unknown scheme: %w", ErrBadInput)
 	}
 }
 
+// checkShape rejects a frame set unless every frame is nAnt×nSub, so no
+// statistic indexes past a short row.
+func checkShape(frames []*csi.Frame, nAnt, nSub int) error {
+	for i, f := range frames {
+		ok := f.NumAntennas() == nAnt && nAnt > 0 && nSub > 0
+		for ant := 0; ok && ant < nAnt; ant++ {
+			ok = len(f.CSI[ant]) == nSub
+		}
+		if !ok {
+			return fmt.Errorf("frame %d shape %dx%d, want %dx%d: %w",
+				i, f.NumAntennas(), f.NumSubcarriers(), nAnt, nSub, ErrBadInput)
+		}
+	}
+	return nil
+}
+
 // WindowStats are the per-window profile statistics a monitoring window
 // contributes: the same mean-amplitude and mean-RSS summaries a calibration
-// profile holds, measured over one sanitized window. The adaptation layer
+// profile holds, measured over one window. The adaptation layer
 // folds them into a LinkProfile via EWMA updates.
 type WindowStats struct {
 	// MeanAmp is the window's mean linear CSI amplitude per
@@ -106,7 +117,7 @@ func (ws *WindowStats) shaped(nAnt, nSub int) {
 }
 
 // windowMeanRSSdBInto writes antenna ant's mean RSS per subcarrier in dB
-// over a window of prepared frames into dst (len = subcarriers) — the one
+// over a window of frames into dst (len = subcarriers) — the one
 // definition of a window's mean RSS, shared by scoring (Δs against the
 // profile), calibration and refresh measurement, so the adaptation layer
 // never EWMA-mixes a fingerprint computed differently from the one scoring
@@ -148,20 +159,20 @@ func windowMeanRSSdBInto(dst, exps []float64, window []*csi.Frame, ant int) {
 }
 
 // meanStatsInto computes the per-subcarrier mean amplitude and mean RSS of
-// already-prepared frames into ws — the single definition of the profile
-// fingerprint, shared by Calibrate (building the static profile) and
-// MeasureWindowInto (measuring a refresh window). rss, when non-nil, holds
-// the windowMeanRSSdBInto rows of exactly these frames (the ones Score just
+// frames into ws — the single definition of the profile fingerprint, shared
+// by Calibrate (building the static profile) and MeasureWindowInto
+// (measuring a refresh window). rss, when non-nil, holds the
+// windowMeanRSSdBInto rows of exactly these frames (the ones Score just
 // computed) and is copied rather than recomputed; work is a row of nSub
 // floats.
-func meanStatsInto(ws *WindowStats, prep []*csi.Frame, rss [][]float64, work []float64) {
-	nAnt := prep[0].NumAntennas()
-	nSub := prep[0].NumSubcarriers()
+func meanStatsInto(ws *WindowStats, frames []*csi.Frame, rss [][]float64, work []float64) {
+	nAnt := frames[0].NumAntennas()
+	nSub := frames[0].NumSubcarriers()
 	ws.shaped(nAnt, nSub)
-	scale := 1 / float64(len(prep))
+	scale := 1 / float64(len(frames))
 	for ant := 0; ant < nAnt; ant++ {
 		amp := ws.MeanAmp[ant]
-		for _, f := range prep {
+		for _, f := range frames {
 			for kk, h := range f.CSI[ant][:nSub] {
 				amp[kk] += math.Hypot(real(h), imag(h))
 			}
@@ -172,7 +183,7 @@ func meanStatsInto(ws *WindowStats, prep []*csi.Frame, rss [][]float64, work []f
 		if rss != nil {
 			copy(ws.MeanRSSdB[ant], rss[ant])
 		} else {
-			windowMeanRSSdBInto(ws.MeanRSSdB[ant], work, prep, ant)
+			windowMeanRSSdBInto(ws.MeanRSSdB[ant], work, frames, ant)
 		}
 	}
 }
@@ -180,15 +191,13 @@ func meanStatsInto(ws *WindowStats, prep []*csi.Frame, rss [][]float64, work []f
 // MeasureWindowInto computes a monitoring window's profile statistics into
 // ws, reusing ws's buffers across calls — the measurement half of a
 // silent-window profile refresh. If sc just scored exactly this window under
-// k (same kernel, same source frames), the frames Score prepared are
-// measured; otherwise the window is prepared into sc first, with
-// bit-identical results. When those frames are scratch-owned (the kernel
-// sanitizes) and Score already computed their mean RSS rows, the rows are
-// copied instead of recomputed; frames the caller owns are always measured
-// afresh. The reuse record is one-shot: any measurement consumes it, so
-// frames recycled into the same slab cannot pass for the window they
-// replaced. The caller must not modify the window's frames between scoring
-// and measuring. A nil scratch is rejected with ErrBadInput.
+// k (same kernel, same source frames) and the scheme left the window's mean
+// RSS rows there, the rows are copied instead of recomputed, bit-identical
+// to a recompute; the amplitudes are always measured. The reuse record is
+// one-shot: any measurement consumes it, so frames recycled into the same
+// slab cannot pass for the window they replaced. The caller must not modify
+// the window's frames between scoring and measuring. A nil scratch is
+// rejected with ErrBadInput.
 func (k *Kernel) MeasureWindowInto(ws *WindowStats, window []*csi.Frame, sc *Scratch) error {
 	if len(window) == 0 {
 		return fmt.Errorf("empty window: %w", ErrBadInput)
@@ -196,56 +205,28 @@ func (k *Kernel) MeasureWindowInto(ws *WindowStats, window []*csi.Frame, sc *Scr
 	if ws == nil || sc == nil {
 		return fmt.Errorf("nil window stats or scratch: %w", ErrBadInput)
 	}
-	prep, rss, err := k.takePrepared(window, sc)
-	if err != nil {
+	rss := k.takeScoredRSS(window, sc)
+	if err := checkShape(window, window[0].NumAntennas(), k.cfg.Grid.Len()); err != nil {
 		return fmt.Errorf("measure: %w", err)
 	}
-	meanStatsInto(ws, prep, rss, sc.medRow(prep[0].NumSubcarriers()))
+	meanStatsInto(ws, window, rss, sc.medRow(k.cfg.Grid.Len()))
 	return nil
 }
 
-// prepareScratch sanitizes window into scratch-owned frames, valid only
-// until the scratch's next use — the scoring hot path, where nothing
-// outlives a call — and records (k, window) as what the scratch now holds.
-// A failed preparation leaves no record.
-func (k *Kernel) prepareScratch(window []*csi.Frame, sc *Scratch) ([]*csi.Frame, error) {
-	sc.prepK, sc.prepRSS = nil, false
-	prep := window
-	if k.cfg.Sanitize {
-		var err error
-		if prep, err = sc.san.Frames(window, k.cfg.Grid.Indices); err != nil {
-			return nil, err
-		}
-	}
-	sc.prepK, sc.prep = k, prep
-	sc.prepFrom = append(sc.prepFrom[:0], window...)
-	return prep, nil
-}
-
-// takePrepared returns window's prepared frames — the ones sc holds if its
-// record says it just prepared exactly this window under k, else freshly
-// prepared ones — and consumes the record either way. On a hit over
-// scratch-owned frames it also returns the mean RSS rows Score left for
-// them, if any; otherwise rss is nil. Frames the caller owns (no
-// sanitization) may have been edited since scoring, and are never paired
-// with rows computed before the edit.
-func (k *Kernel) takePrepared(window []*csi.Frame, sc *Scratch) (prep []*csi.Frame, rss [][]float64, err error) {
-	hit := sc.prepK == k && len(sc.prepFrom) == len(window)
+// takeScoredRSS returns the mean RSS rows Score left in sc if its record
+// says they belong to exactly this window under k, else nil, and consumes
+// the record either way.
+func (k *Kernel) takeScoredRSS(window []*csi.Frame, sc *Scratch) [][]float64 {
+	hit := sc.rssK == k && len(sc.rssFrom) == len(window)
 	for i := 0; hit && i < len(window); i++ {
-		hit = sc.prepFrom[i] == window[i]
+		hit = sc.rssFrom[i] == window[i]
 	}
-	prep = sc.prep
-	switch {
-	case !hit:
-		if prep, err = k.prepareScratch(window, sc); err != nil {
-			return nil, nil, err
-		}
-	case sc.prepRSS && k.cfg.Sanitize:
-		rss = sc.rss
+	clear(sc.rssFrom)
+	sc.rssK, sc.rssFrom = nil, sc.rssFrom[:0]
+	if !hit {
+		return nil
 	}
-	clear(sc.prepFrom)
-	sc.prepK, sc.prep, sc.prepFrom, sc.prepRSS = nil, nil, sc.prepFrom[:0], false
-	return prep, rss, nil
+	return sc.rss
 }
 
 // scoreBaseline: normalized Euclidean distance of mean CSI amplitudes,
@@ -319,8 +300,9 @@ func (k *Kernel) windowWeights(window []*csi.Frame, sc *Scratch) ([][]float64, e
 
 // scoreSubcarrier: Euclidean norm of the Eq. 15 weighted RSS changes,
 // averaged across antennas. The window's mean RSS rows are left in the
-// scratch beside its prepared-frames record, so a refresh measuring the same
-// window copies them instead of recomputing (see MeasureWindowInto).
+// scratch with a record of the kernel and frames they belong to, so a
+// refresh measuring the same window copies them instead of recomputing (see
+// MeasureWindowInto).
 func (k *Kernel) scoreSubcarrier(profile *Profile, window []*csi.Frame, sc *Scratch) (float64, error) {
 	weights, err := k.windowWeights(window, sc)
 	if err != nil {
@@ -346,7 +328,8 @@ func (k *Kernel) scoreSubcarrier(profile *Profile, window []*csi.Frame, sc *Scra
 			total += math.Sqrt(dist / wNorm)
 		}
 	}
-	sc.prepRSS = true
+	sc.rssK = k
+	sc.rssFrom = append(sc.rssFrom[:0], window...)
 	return total / float64(nAnt), nil
 }
 

@@ -49,97 +49,98 @@ func scaleWindow(window []*csi.Frame, g complex128) {
 	}
 }
 
-// TestMeasureWindowReusesScoredFrames pins the one-sanitize-per-window
-// contract of MeasureWindowInto for every scheme. Which path ran is made
-// visible by editing the source frames after scoring: a measurement that
-// reuses the scored preparation still reports the original window, while
-// one that re-prepares reports the edit.
+// markScoredRSS overwrites the mean RSS rows a score left in sc with a
+// marker, so a measurement that copies them instead of recomputing shows.
+func markScoredRSS(sc *Scratch) {
+	for _, row := range sc.rss {
+		for i := range row {
+			row[i] = rssMarker
+		}
+	}
+}
+
+const rssMarker = -12345.0
+
+// TestMeasureWindowReusesScoredFrames pins the reuse record of
+// MeasureWindowInto for every scheme: measuring the window just scored is
+// bit-identical to a fresh measurement, and the mean RSS rows Score left
+// (SchemeSubcarrier only) are copied only when the record names exactly
+// this window under this kernel, and only once. Which path ran is made
+// visible by marking the scratch's rows after scoring.
 func TestMeasureWindowReusesScoredFrames(t *testing.T) {
 	env, grid := testLink(t, true)
 	for _, scheme := range []Scheme{SchemeBaseline, SchemeSubcarrier, SchemeSubcarrierPath} {
-		for _, sanitize := range []bool{true, false} {
-			x := testExtractor(t, env, grid, 11)
-			cfg := DefaultConfig(grid, scheme, env.RX.Offsets())
-			cfg.Sanitize = sanitize
-			profile, err := Calibrate(cfg, x.CaptureN(60, nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			k, err := NewKernel(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			other, err := NewKernel(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			window := x.CaptureN(25, nil)
-			decoy := x.CaptureN(25, nil)
-			want := freshStats(t, k, window)
-			sc := NewScratch()
-			ws := &WindowStats{}
-			score := func(k *Kernel, w []*csi.Frame) {
-				t.Helper()
-				if _, err := k.Score(profile, w, sc); err != nil {
-					t.Fatal(err)
-				}
-			}
-			measure := func() *WindowStats {
-				t.Helper()
-				if err := k.MeasureWindowInto(ws, window, sc); err != nil {
-					t.Fatal(err)
-				}
-				return ws
-			}
-			name := scheme.String()
-			if !sanitize {
-				name += "/raw"
-			}
-
-			// Hit: the scored preparation is measured, not the edited frames.
-			score(k, window)
-			scaleWindow(window, 2)
-			if sanitize && !sameStats(measure(), want) {
-				t.Fatalf("%s: measurement after scoring did not reuse the scored frames", name)
-			}
-			// Without sanitization the prepared frames are the window
-			// itself, so the edit shows either way; this arm only checks
-			// the bookkeeping is harmless.
-			edited := freshStats(t, k, window)
-			if !sanitize && !sameStats(measure(), edited) {
-				t.Fatalf("%s: raw-window measurement differs from a fresh one", name)
-			}
-			// One-shot: the record was consumed, so a second measurement
-			// prepares the (edited) window afresh.
-			if !sameStats(measure(), edited) {
-				t.Fatalf("%s: second measurement reused a consumed preparation", name)
-			}
-			scaleWindow(window, 0.5)
-
-			// A scratch that last scored a different window falls back.
-			score(k, window)
-			score(k, decoy)
-			if !sameStats(measure(), want) {
-				t.Fatalf("%s: measurement after scoring another window differs", name)
-			}
-			// A scratch that last scored this window under another kernel
-			// falls back too: the edit must show.
-			score(other, window)
-			scaleWindow(window, 2)
-			if !sameStats(measure(), edited) {
-				t.Fatalf("%s: measurement reused another kernel's preparation", name)
-			}
-			scaleWindow(window, 0.5)
-			// A failed preparation leaves no record behind.
-			score(k, window)
-			if _, err := k.Score(profile, []*csi.Frame{{}}, sc); err == nil {
-				t.Fatalf("%s: invalid window scored", name)
-			}
-			scaleWindow(window, 2)
-			if !sameStats(measure(), edited) {
-				t.Fatalf("%s: measurement reused frames across a failed preparation", name)
-			}
-			scaleWindow(window, 0.5)
+		x := testExtractor(t, env, grid, 11)
+		cfg := DefaultConfig(grid, scheme, env.RX.Offsets())
+		profile, err := Calibrate(cfg, x.CaptureN(60, nil))
+		if err != nil {
+			t.Fatal(err)
 		}
+		k, err := NewKernel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := NewKernel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		window := x.CaptureN(25, nil)
+		decoy := x.CaptureN(25, nil)
+		want := freshStats(t, k, window)
+		sc := NewScratch()
+		ws := &WindowStats{}
+		score := func(k *Kernel, w []*csi.Frame) {
+			t.Helper()
+			if _, err := k.Score(profile, w, sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// measure reports whether the scored rows were copied; a recompute
+		// must equal the fresh measurement bit for bit.
+		measure := func() bool {
+			t.Helper()
+			markScoredRSS(sc)
+			if err := k.MeasureWindowInto(ws, window, sc); err != nil {
+				t.Fatal(err)
+			}
+			copied := ws.MeanRSSdB[0][0] == rssMarker
+			if !copied && !sameStats(ws, want) {
+				t.Fatalf("%s: measurement differs from a fresh one", scheme)
+			}
+			return copied
+		}
+		check := func(what string, copied, want bool) {
+			t.Helper()
+			if copied != want {
+				t.Fatalf("%s: %s: scored rows copied = %v, want %v", scheme, what, copied, want)
+			}
+		}
+		hasRows := scheme == SchemeSubcarrier
+
+		// Hit: the copy is exactly what a recompute gives.
+		score(k, window)
+		if err := k.MeasureWindowInto(ws, window, sc); err != nil {
+			t.Fatal(err)
+		}
+		if !sameStats(ws, want) {
+			t.Fatalf("%s: measurement after scoring differs from a fresh one", scheme)
+		}
+		score(k, window)
+		check("after scoring this window", measure(), hasRows)
+		// One-shot: the record was consumed.
+		check("second measurement", measure(), false)
+		// A scratch that last scored a different window recomputes.
+		score(k, window)
+		score(k, decoy)
+		check("after scoring another window", measure(), false)
+		// So does one that last scored this window under another kernel.
+		score(other, window)
+		check("after another kernel scored", measure(), false)
+		// A failed score leaves no record behind.
+		score(k, window)
+		if _, err := k.Score(profile, []*csi.Frame{{}}, sc); err == nil {
+			t.Fatalf("%s: invalid window scored", scheme)
+		}
+		check("after a failed score", measure(), false)
 	}
 }

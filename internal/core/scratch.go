@@ -8,7 +8,6 @@ import (
 	"mlink/internal/dsp"
 	"mlink/internal/linalg"
 	"mlink/internal/music"
-	"mlink/internal/sanitize"
 )
 
 // Scratch holds reusable buffers for the detector's per-window hot path, so
@@ -67,21 +66,16 @@ type Scratch struct {
 	winPartials    music.Partials
 	monCov, calCov linalg.Matrix
 
-	// Reusable sanitized-window frames, plus a one-shot record of what they
-	// hold: the kernel that prepared them, the prepared frames and the
-	// source frames they came from. Kernel.MeasureWindowInto reuses them
-	// when the record matches its window, so a refresh measures the frames
-	// Score just prepared instead of sanitizing the window a second time.
-	// Score also leaves the window's mean RSS rows (rss over rssSlab,
-	// [antenna][subcarrier]) when its scheme computes them; prepRSS says
-	// they belong to the prepared frames on record.
-	san      sanitize.Scratch
-	prepK    *Kernel
-	prep     []*csi.Frame
-	prepFrom []*csi.Frame
-	rss      [][]float64
-	rssSlab  []float64
-	prepRSS  bool
+	// The window mean RSS rows Score leaves when its scheme computes them
+	// (rss over rssSlab, [antenna][subcarrier]), plus a one-shot record of
+	// what they belong to: the kernel that scored (nil when there are no
+	// valid rows) and the window's frames. Kernel.MeasureWindowInto copies
+	// the rows when the record matches its window, so a refresh does not
+	// recompute what Score just computed.
+	rss     [][]float64
+	rssSlab []float64
+	rssK    *Kernel
+	rssFrom []*csi.Frame
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use.
@@ -302,14 +296,11 @@ func (k *Kernel) WarmScratch(sc *Scratch, nAnt, windowLen int) {
 	growFloats(&sc.sw.MeanMu, n)
 	growFloats(&sc.sw.StabilityRatio, n)
 	growFloats(&sc.sw.Weights, n)
-	if k.cfg.Sanitize {
-		sc.san.Reserve(windowLen, nAnt, n)
-	}
 	if k.cfg.Scheme == SchemeSubcarrier {
 		slabRows(&sc.rss, &sc.rssSlab, nAnt, n)
-	}
-	if cap(sc.prepFrom) < windowLen {
-		sc.prepFrom = make([]*csi.Frame, 0, windowLen)
+		if cap(sc.rssFrom) < windowLen {
+			sc.rssFrom = make([]*csi.Frame, 0, windowLen)
+		}
 	}
 	if k.cfg.Scheme == SchemeSubcarrierPath && k.plan != nil {
 		growFloats(&sc.wavg, n)

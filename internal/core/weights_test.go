@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,8 +55,8 @@ func naiveWindowWeights(window []*csi.Frame, grid *channel.Grid) ([][]float64, e
 	return out, nil
 }
 
-// weightsFixture returns a sanitized 25-packet window of a three-antenna
-// link case and the kernel that scores it.
+// weightsFixture returns a 25-packet window of a three-antenna link case and
+// the kernel that scores it.
 func weightsFixture(tb testing.TB, linkCase int, seed int64) (*Kernel, []*csi.Frame) {
 	tb.Helper()
 	s, err := scenario.LinkCase(linkCase, seed)
@@ -72,11 +71,7 @@ func weightsFixture(tb testing.TB, linkCase int, seed int64) (*Kernel, []*csi.Fr
 	if err != nil {
 		tb.Fatal(err)
 	}
-	prep, err := k.prepareScratch(x.CaptureN(25, nil), NewScratch())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return k, prep
+	return k, x.CaptureN(25, nil)
 }
 
 // TestWindowWeightsMatchNaive pins the weights stage — prime-factor IDFT
@@ -180,52 +175,39 @@ func TestWindowMeanRSSMatchesMeanOfLogs(t *testing.T) {
 	}
 }
 
-// TestMeasureWindowCopiesScoredRSS pins the reuse rule for the window mean
-// RSS rows Score leaves in the scratch: a refresh measuring the window just
-// scored copies them when the prepared frames are scratch-owned (the kernel
-// sanitizes), and recomputes them over caller-owned frames. The rows are
-// overwritten with a marker after scoring, so which path ran shows in the
-// measurement.
+// TestMeasureWindowCopiesScoredRSS pins the reuse of the window mean RSS
+// rows Score leaves in the scratch: a refresh measuring the window just
+// scored copies them instead of recomputing. The rows are overwritten with
+// a marker after scoring, so which path ran shows in the measurement.
 func TestMeasureWindowCopiesScoredRSS(t *testing.T) {
-	const marker = -12345.0
 	s, err := scenario.LinkCase(2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sanitize := range []bool{true, false} {
-		t.Run(fmt.Sprintf("sanitize=%v", sanitize), func(t *testing.T) {
-			x, err := s.NewExtractor(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := DefaultConfig(s.Grid, SchemeSubcarrier, s.Env.RX.Offsets())
-			cfg.Sanitize = sanitize
-			profile, err := Calibrate(cfg, x.CaptureN(60, nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			k, err := NewKernel(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			window := x.CaptureN(25, nil)
-			sc := NewScratch()
-			if _, err := k.Score(profile, window, sc); err != nil {
-				t.Fatal(err)
-			}
-			for _, row := range sc.rss {
-				for i := range row {
-					row[i] = marker
-				}
-			}
-			var ws WindowStats
-			if err := k.MeasureWindowInto(&ws, window, sc); err != nil {
-				t.Fatal(err)
-			}
-			copied := ws.MeanRSSdB[0][0] == marker
-			if copied != sanitize {
-				t.Fatalf("scored RSS rows copied = %v, want %v", copied, sanitize)
-			}
-		})
+	x, err := s.NewExtractor(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(s.Grid, SchemeSubcarrier, s.Env.RX.Offsets())
+	profile, err := Calibrate(cfg, x.CaptureN(60, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := NewKernel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := x.CaptureN(25, nil)
+	sc := NewScratch()
+	if _, err := k.Score(profile, window, sc); err != nil {
+		t.Fatal(err)
+	}
+	markScoredRSS(sc)
+	var ws WindowStats
+	if err := k.MeasureWindowInto(&ws, window, sc); err != nil {
+		t.Fatal(err)
+	}
+	if ws.MeanRSSdB[0][0] != rssMarker {
+		t.Fatal("the refresh recomputed the mean RSS rows Score left")
 	}
 }

@@ -19,10 +19,13 @@
 // emission order) — and because each link's
 // windows are scored strictly in stream order by its current holder,
 // per-link decision sequences are bit-identical whatever the shard count or
-// migration history. Sources that implement
-// FrameRecycler (such as PooledExtractorSource) get their frames back after
-// each window is scored, so steady-state monitoring allocates neither
-// frames nor windows. Per-link core.Decisions are fused by a pluggable
+// migration history. A window's raw frames go straight to the detector
+// (subcarrier weights, then Δs or the angular stage; no per-window phase
+// sanitization, see internal/core). Sources that implement FrameRecycler
+// (such as PooledExtractorSource) get their frames back after each window
+// is scored, and every holdout frame after calibration — but not the
+// calibration frames, which the link's profile keeps — so steady-state
+// monitoring allocates neither frames nor windows. Per-link core.Decisions are fused by a pluggable
 // FusionPolicy (k-of-n, max-score, quality-weighted k-of-n); Verdict and
 // Metrics (plus their reuse-friendly VerdictInto/MetricsInto/LinksInto
 // variants) read atomically-published per-link snapshots, so monitoring

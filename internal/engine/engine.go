@@ -511,12 +511,8 @@ func (e *Engine) calibrateLink(ctx context.Context, l *link, n int, src Source) 
 			return fmt.Errorf("adaptation: %w", err)
 		}
 	}
-	// Holdout frames are done; calibration frames may be recycled only when
-	// sanitization is on (otherwise the profile retains them directly).
+	// Holdout frames are done; the profile retains the calibration frames.
 	l.recycleFrames(holdout)
-	if l.cfg.Sanitize {
-		l.recycleFrames(cal)
-	}
 	l.det = det
 	l.adapter.Store(adapter)
 	l.meanMu = meanMu
@@ -1250,7 +1246,7 @@ func (e *Engine) tick(done <-chan struct{}, sh *shard, l *link) (tickResult, err
 
 // scoreWindow scores window on l and lets its adapter (nil for a frozen
 // link, and returned) observe the decision through the same scratch, so a
-// refresh measures the frames scoring sanitized; then it publishes the
+// refresh copies the mean RSS rows scoring computed; then it publishes the
 // outcome. sh is the scoring shard during Run (nil for a probe): the time
 // feeds its busy counter and the link's published cost EWMA (α = 1/8), which
 // shows operators where the heavy DSP lives and why links migrate.
@@ -1288,8 +1284,7 @@ func (e *Engine) scoreWindow(sh *shard, l *link, window []*csi.Frame, sc *core.S
 
 // recycleFrames hands a scored window's frames back to a pooling source.
 // Safe after scoring: the detector's profile never retains monitoring
-// frames (the sanitize path copies into scratch-owned buffers, and the raw
-// path only reads).
+// frames (scoring and refresh measurement only read them).
 func (l *link) recycleFrames(frames []*csi.Frame) {
 	if l.recycler == nil {
 		return

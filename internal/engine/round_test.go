@@ -254,21 +254,22 @@ func (g *recalGate) Next() (*csi.Frame, error) {
 }
 
 // holdTail passes a link's first from frames straight through, then holds
-// every later read until started is closed. A hold that outlasts the bound
-// fails the read, and with it the run.
+// every later read until until is closed. A hold that outlasts the bound
+// fails the read, and with it the run, with the error why.
 type holdTail struct {
 	Source
-	from    int
-	read    int
-	started <-chan struct{}
+	from  int
+	read  int
+	until <-chan struct{}
+	why   string
 }
 
 func (h *holdTail) Next() (*csi.Frame, error) {
 	if h.read++; h.read > h.from {
 		select {
-		case <-h.started:
+		case <-h.until:
 		case <-time.After(20 * time.Second):
-			return nil, errors.New("l1 never started recalibrating while this link held its last windows")
+			return nil, errors.New(h.why)
 		}
 	}
 	return h.Source.Next()
@@ -282,7 +283,11 @@ func (h *holdTail) Next() (*csi.Frame, error) {
 // windows until l1 is recalibrating, so those rounds exist however the
 // shards are scheduled. The request rides round 1, which closes once each
 // link has scored one window — before any hold — so the hold can never keep
-// the request itself from being made.
+// the request itself from being made. l1 holds its second window until the
+// request is made: otherwise a shard scheduled alone (GOMAXPROCS=1 or a
+// loaded host) can score all of l1's windows before round 1 closes, so l1
+// retires, and the revived rebuild may land on the shard scoring l0 and l2,
+// whose gated capture then stalls every round.
 func TestRoundRecalFromCallback(t *testing.T) {
 	const (
 		windows = 40
@@ -295,6 +300,7 @@ func TestRoundRecalFromCallback(t *testing.T) {
 		duringRec int // rounds fused while l1 was recalibrating
 	)
 	gate := &recalGate{release: make(chan struct{}), started: make(chan struct{})}
+	madeRequest := make(chan struct{})
 	var e *Engine
 	e = New(Config{
 		Workers:    2,
@@ -316,6 +322,7 @@ func TestRoundRecalFromCallback(t *testing.T) {
 				if err := e.RequestRecalibration("l1", 100); err != nil {
 					t.Errorf("RequestRecalibration: %v", err)
 				}
+				close(madeRequest)
 			}
 		},
 	})
@@ -324,9 +331,11 @@ func TestRoundRecalFromCallback(t *testing.T) {
 	// calibration frames (roundFleet), then 25 per window.
 	roundFleet(t, e, 3, 45, func(i int, src Source) Source {
 		if i != 1 {
-			return &holdTail{Source: src, from: 2*60 + (windows-tail)*25, started: gate.started}
+			return &holdTail{Source: src, from: 2*60 + (windows-tail)*25, until: gate.started,
+				why: "l1 never started recalibrating while this link held its last windows"}
 		}
-		gate.Source = src
+		gate.Source = &holdTail{Source: src, from: 2*60 + 25, until: madeRequest,
+			why: "round 1 never requested l1's recalibration"}
 		return gate
 	})
 	gate.l = e.byID["l1"]

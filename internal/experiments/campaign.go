@@ -124,8 +124,8 @@ func newBackground(s *scenario.Scenario, people int, rng *rand.Rand) (*scenario.
 func (c *Campaign) runSession(s *scenario.Scenario, cfg CampaignConfig, caseID int, session int64, locations []geom.Point) error {
 	rng := rand.New(rand.NewSource(cfg.Seed*101 + int64(caseID)*13 + session))
 	// One frame pool and scoring scratch serve the whole session: every
-	// captured window is scored, then recycled (the detectors sanitize, so
-	// profiles never retain pooled frames).
+	// captured monitoring window is scored, then recycled. The calibration
+	// frames are not: the profiles keep them.
 	pool := csi.NewFramePool(len(s.Env.RX.Elements), s.Grid.Len())
 	sc := core.NewScratch()
 
@@ -149,7 +149,6 @@ func (c *Campaign) runSession(s *scenario.Scenario, cfg CampaignConfig, caseID i
 	if err != nil {
 		return err
 	}
-	recycleWindow(pool, cal)
 
 	for li, loc := range locations {
 		// Each location is measured in its own drifted sub-session.

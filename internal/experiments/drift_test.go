@@ -46,9 +46,10 @@ func TestDriftAdaptationBoundsFalsePositives(t *testing.T) {
 	}
 }
 
-// TestDriftCFOWalkHarmless documents why the CFO preset exists: phase
-// sanitization makes the detectors immune to oscillator drift, so the CFO
-// arm behaves exactly like the no-drift control — any false positives come
+// TestDriftCFOWalkHarmless documents why the CFO preset exists: a phase
+// common to all antennas cancels in the scored statistics, so the detectors
+// are immune to oscillator drift and the CFO arm behaves exactly like the
+// no-drift control — any false positives come
 // from the receiver's own stochastic gain process (the OU AGC drift), which
 // adaptation in turn bounds.
 func TestDriftCFOWalkHarmless(t *testing.T) {

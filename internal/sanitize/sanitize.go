@@ -8,6 +8,12 @@
 // The same fitted line is subtracted from every antenna: the offsets are
 // common-mode across RX chains (shared clock), so a common correction
 // preserves the inter-antenna phase differences MUSIC needs.
+//
+// The detector does not sanitize: a phase common to all antennas cancels in
+// every statistic it scores (internal/core's package doc says why). This
+// package serves the figures that plot phases or angles themselves — the
+// Fig. 5b pseudospectrum and the Fig. 10 angle errors — and the stage
+// replay of the repository benchmark (perfbench).
 package sanitize
 
 import "mlink/internal/csi"

@@ -29,8 +29,9 @@ const (
 	DriftGainWalk
 	// DriftCFOWalk models temperature-driven oscillator drift: a slowly
 	// accumulating common phase plus a sampling-time-offset ramp (the
-	// shared crystal skews both). Phase sanitization makes the detectors
-	// largely immune — the preset exists to prove that, not to break them.
+	// shared crystal skews both). The detectors score only statistics a
+	// phase common to all antennas cancels in, so they are largely immune —
+	// the preset exists to prove that, not to break them.
 	DriftCFOWalk
 	// DriftFurnitureMove is a step change: at StepAtPacket an obstacle
 	// appears near the link, permanently altering the multipath profile —
