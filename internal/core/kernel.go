@@ -91,8 +91,8 @@ func checkShape(frames []*csi.Frame, nAnt, nSub int) error {
 
 // WindowStats are the per-window profile statistics a monitoring window
 // contributes: the same mean-amplitude and mean-RSS summaries a calibration
-// profile holds, measured over one window. The adaptation layer
-// folds them into a LinkProfile via EWMA updates.
+// profile holds, measured over one window. The adaptation layer folds them
+// into a LinkProfile via EWMA updates.
 type WindowStats struct {
 	// MeanAmp is the window's mean linear CSI amplitude per
 	// [antenna][subcarrier].
@@ -194,10 +194,11 @@ func meanStatsInto(ws *WindowStats, frames []*csi.Frame, rss [][]float64, work [
 // k (same kernel, same source frames) and the scheme left the window's mean
 // RSS rows there, the rows are copied instead of recomputed, bit-identical
 // to a recompute; the amplitudes are always measured. The reuse record is
-// one-shot: any measurement consumes it, so frames recycled into the same
-// slab cannot pass for the window they replaced. The caller must not modify
-// the window's frames between scoring and measuring. A nil scratch is
-// rejected with ErrBadInput.
+// one-shot: any measurement consumes it, and so does the next Score, so
+// pooled frames refilled with a later window cannot pass for the window
+// they held when scored. The caller must not modify the window's frames
+// between scoring and measuring. A nil scratch is rejected with
+// ErrBadInput.
 func (k *Kernel) MeasureWindowInto(ws *WindowStats, window []*csi.Frame, sc *Scratch) error {
 	if len(window) == 0 {
 		return fmt.Errorf("empty window: %w", ErrBadInput)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -142,5 +143,41 @@ func TestMeasureWindowReusesScoredFrames(t *testing.T) {
 			t.Fatalf("%s: invalid window scored", scheme)
 		}
 		check("after a failed score", measure(), false)
+	}
+}
+
+// TestMalformedFramesRejected pins the shape check that guards every
+// statistic: a window or calibration set holding one frame with a short row
+// or an extra antenna is rejected with ErrBadInput, never indexed past.
+func TestMalformedFramesRejected(t *testing.T) {
+	env, grid := testLink(t, true)
+	breakages := map[string]func(f *csi.Frame){
+		"short row":     func(f *csi.Frame) { f.CSI[1] = f.CSI[1][:len(f.CSI[1])-1] },
+		"extra antenna": func(f *csi.Frame) { f.CSI = append(f.CSI, f.CSI[0]) },
+	}
+	for _, scheme := range []Scheme{SchemeBaseline, SchemeSubcarrier, SchemeSubcarrierPath} {
+		x := testExtractor(t, env, grid, 3)
+		cfg := DefaultConfig(grid, scheme, env.RX.Offsets())
+		profile, err := Calibrate(cfg, x.CaptureN(60, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := NewKernel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, breakFrame := range breakages {
+			window := x.CaptureN(25, nil)
+			breakFrame(window[7])
+			if _, err := k.Score(profile, window, NewScratch()); !errors.Is(err, ErrBadInput) {
+				t.Errorf("%s, %s: Score err = %v", scheme, name, err)
+			}
+			if err := k.MeasureWindowInto(&WindowStats{}, window, NewScratch()); !errors.Is(err, ErrBadInput) {
+				t.Errorf("%s, %s: MeasureWindowInto err = %v", scheme, name, err)
+			}
+			if _, err := Calibrate(cfg, window); !errors.Is(err, ErrBadInput) {
+				t.Errorf("%s, %s: Calibrate err = %v", scheme, name, err)
+			}
+		}
 	}
 }

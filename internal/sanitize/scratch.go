@@ -7,45 +7,17 @@ import (
 	"mlink/internal/dsp"
 )
 
-// Scratch holds reusable buffers for repeated sanitization, so a long-lived
-// scoring worker can sanitize monitoring windows without cloning frames on
-// every call. The returned frames are owned by the scratch and are only
-// valid until its next Frames call. Not safe for concurrent use.
+// Scratch holds reusable buffers for repeated sanitization, so a caller
+// sanitizing window after window (such as perfbench's stage replay) does
+// not clone frames on every call. The returned frames are owned by the
+// scratch and are only valid until its next Frames call. Not safe for
+// concurrent use.
 type Scratch struct {
 	xs   []float64
 	ph   []float64
 	mean []float64
 	rot  []complex128
 	out  []*csi.Frame
-}
-
-// Reserve pre-sizes the scratch for sanitizing windows of `frames` frames of
-// nAnt×nSub CSI, so the first real window on a fresh scratch allocates
-// nothing. Existing warmed buffers are kept.
-func (sc *Scratch) Reserve(frames, nAnt, nSub int) {
-	if frames <= 0 || nAnt <= 0 || nSub <= 0 {
-		return
-	}
-	if cap(sc.out) < frames {
-		next := make([]*csi.Frame, frames)
-		copy(next, sc.out[:cap(sc.out)])
-		sc.out = next
-	}
-	for i, f := range sc.out[:frames] {
-		if f == nil || len(f.CSI) != nAnt || len(f.CSI[0]) != nSub {
-			f = &csi.Frame{CSI: make([][]complex128, nAnt), RSSI: make([]float64, 0, nAnt)}
-			for ant := range f.CSI {
-				f.CSI[ant] = make([]complex128, nSub)
-			}
-			sc.out[i] = f
-		}
-	}
-	growFloats(&sc.xs, nSub)
-	growFloats(&sc.ph, nSub)
-	growFloats(&sc.mean, nSub)
-	if cap(sc.rot) < nSub {
-		sc.rot = make([]complex128, nSub)
-	}
 }
 
 // Frames sanitizes a batch like the package-level Frames, but into frame
