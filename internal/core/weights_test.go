@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"mlink/internal/channel"
 	"mlink/internal/csi"
 	"mlink/internal/dsp"
+	"mlink/internal/sanitize"
 	"mlink/internal/scenario"
 )
 
@@ -177,37 +179,51 @@ func TestWindowMeanRSSMatchesMeanOfLogs(t *testing.T) {
 
 // TestMeasureWindowCopiesScoredRSS pins the reuse of the window mean RSS
 // rows Score leaves in the scratch: a refresh measuring the window just
-// scored copies them instead of recomputing. The rows are overwritten with
-// a marker after scoring, so which path ran shows in the measurement.
+// scored copies them instead of recomputing, whether the caller hands over
+// raw frames or frames it sanitized itself (the kernel no longer sanitizes,
+// so both are caller-owned). The rows are overwritten with a marker after
+// scoring, so which path ran shows in the measurement.
 func TestMeasureWindowCopiesScoredRSS(t *testing.T) {
 	s, err := scenario.LinkCase(2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := s.NewExtractor(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(s.Grid, SchemeSubcarrier, s.Env.RX.Offsets())
-	profile, err := Calibrate(cfg, x.CaptureN(60, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := NewKernel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	window := x.CaptureN(25, nil)
-	sc := NewScratch()
-	if _, err := k.Score(profile, window, sc); err != nil {
-		t.Fatal(err)
-	}
-	markScoredRSS(sc)
-	var ws WindowStats
-	if err := k.MeasureWindowInto(&ws, window, sc); err != nil {
-		t.Fatal(err)
-	}
-	if ws.MeanRSSdB[0][0] != rssMarker {
-		t.Fatal("the refresh recomputed the mean RSS rows Score left")
+	for _, sanitized := range []bool{true, false} {
+		t.Run(fmt.Sprintf("sanitize=%v", sanitized), func(t *testing.T) {
+			x, err := s.NewExtractor(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cal, window := x.CaptureN(60, nil), x.CaptureN(25, nil)
+			if sanitized {
+				if cal, err = sanitize.Frames(cal, s.Grid.Indices); err != nil {
+					t.Fatal(err)
+				}
+				if window, err = sanitize.Frames(window, s.Grid.Indices); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg := DefaultConfig(s.Grid, SchemeSubcarrier, s.Env.RX.Offsets())
+			profile, err := Calibrate(cfg, cal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, err := NewKernel(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := NewScratch()
+			if _, err := k.Score(profile, window, sc); err != nil {
+				t.Fatal(err)
+			}
+			markScoredRSS(sc)
+			var ws WindowStats
+			if err := k.MeasureWindowInto(&ws, window, sc); err != nil {
+				t.Fatal(err)
+			}
+			if ws.MeanRSSdB[0][0] != rssMarker {
+				t.Fatal("the refresh recomputed the mean RSS rows Score left")
+			}
+		})
 	}
 }
