@@ -441,9 +441,6 @@ func NewAdapter(pol Policy, det *core.Detector, calNullScores []float64) (*Adapt
 	return a, nil
 }
 
-// Policy returns the normalized policy in effect.
-func (a *Adapter) Policy() Policy { return a.pol }
-
 // Health returns the latest health snapshot. Safe to call from any
 // goroutine, concurrently with Observe; it never blocks the observer.
 func (a *Adapter) Health() Health {

@@ -13,6 +13,7 @@ import (
 // harness builds a calibrated detector over the classroom link.
 type harness struct {
 	x    *csi.Extractor
+	cfg  core.Config
 	det  *core.Detector
 	null []float64
 	sc   *core.Scratch
@@ -44,7 +45,7 @@ func newHarness(t testing.TB, seed int64) *harness {
 	if _, err := det.CalibrateThreshold(null, 0.95, 1.3); err != nil {
 		t.Fatal(err)
 	}
-	return &harness{x: x, det: det, null: null, sc: core.NewScratch()}
+	return &harness{x: x, cfg: cfg, det: det, null: null, sc: core.NewScratch()}
 }
 
 func (h *harness) observe(t testing.TB, a *Adapter) Health {
@@ -81,8 +82,8 @@ func TestAdapterRefreshesOnSilentWindows(t *testing.T) {
 	if health.State == StateQuarantined {
 		t.Fatalf("quiet link quarantined: %+v", health)
 	}
-	if a.Policy().SilentFraction != 0.9 {
-		t.Fatalf("default silent fraction = %v", a.Policy().SilentFraction)
+	if a.pol.SilentFraction != 0.9 {
+		t.Fatalf("default silent fraction = %v", a.pol.SilentFraction)
 	}
 }
 

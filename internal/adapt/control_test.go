@@ -151,8 +151,7 @@ func TestAdapterPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := h.det.Kernel().Config()
-	b, det2, err := Restore(pol, cfg, blob)
+	b, det2, err := Restore(pol, h.cfg, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +197,10 @@ func TestAdapterPersistRoundTrip(t *testing.T) {
 	}
 
 	// Corrupt snapshots must be rejected, not misread.
-	if _, _, err := Restore(pol, cfg, blob[:len(blob)-3]); err == nil {
+	if _, _, err := Restore(pol, h.cfg, blob[:len(blob)-3]); err == nil {
 		t.Fatal("truncated snapshot restored")
 	}
-	if _, _, err := Restore(pol, cfg, append([]byte{0}, blob...)); err == nil {
+	if _, _, err := Restore(pol, h.cfg, append([]byte{0}, blob...)); err == nil {
 		t.Fatal("garbage snapshot restored")
 	}
 }

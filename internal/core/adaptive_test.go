@@ -139,8 +139,8 @@ func TestLinkProfileValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lp.Alpha() != DefaultProfileAlpha {
-		t.Fatalf("default alpha = %v", lp.Alpha())
+	if lp.alpha != DefaultProfileAlpha {
+		t.Fatalf("default alpha = %v", lp.alpha)
 	}
 }
 

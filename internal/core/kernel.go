@@ -41,9 +41,6 @@ func NewKernel(cfg Config) (*Kernel, error) {
 	return k, nil
 }
 
-// Config returns the kernel's configuration.
-func (k *Kernel) Config() Config { return k.cfg }
-
 // Score computes the scheme's distance statistic for a window of M frames
 // against the given profile (§IV-C monitoring stage), through the caller's
 // scratch (a nil one is rejected with ErrBadInput).

@@ -53,9 +53,6 @@ func NewLinkProfile(p *Profile, alpha float64) (*LinkProfile, error) {
 	return &LinkProfile{orig: p, cur: p, alpha: alpha}, nil
 }
 
-// Alpha returns the EWMA weight of one refresh.
-func (lp *LinkProfile) Alpha() float64 { return lp.alpha }
-
 // Original returns the immutable calibration-time profile.
 func (lp *LinkProfile) Original() *Profile { return lp.orig }
 

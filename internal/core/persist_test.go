@@ -104,8 +104,8 @@ func TestLinkProfileBinaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Alpha() != lp.Alpha() || back.Refreshes() != lp.Refreshes() {
-		t.Fatalf("alpha/refreshes: got (%v,%d) want (%v,%d)", back.Alpha(), back.Refreshes(), lp.Alpha(), lp.Refreshes())
+	if back.alpha != lp.alpha || back.Refreshes() != lp.Refreshes() {
+		t.Fatalf("alpha/refreshes: got (%v,%d) want (%v,%d)", back.alpha, back.Refreshes(), lp.alpha, lp.Refreshes())
 	}
 	if !reflect.DeepEqual(back.Current().MeanRSSdB, lp.Current().MeanRSSdB) ||
 		!reflect.DeepEqual(back.Original().MeanRSSdB, lp.Original().MeanRSSdB) {

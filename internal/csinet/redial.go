@@ -115,15 +115,6 @@ func (r *Redialer) LastActivity() time.Time {
 	return time.Time{}
 }
 
-// Hello returns the most recent connection's announced metadata and
-// whether a connection has ever been established.
-func (r *Redialer) Hello() (Hello, bool) {
-	if c := r.c.Load(); c != nil {
-		return c.Hello(), true
-	}
-	return Hello{}, false
-}
-
 // Close tears down the current connection, if any.
 func (r *Redialer) Close() error {
 	if c := r.c.Swap(nil); c != nil {

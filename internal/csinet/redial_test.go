@@ -122,8 +122,8 @@ func TestRedialerReconnectsAcrossRestart(t *testing.T) {
 	if err := r.Connect(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if h, ok := r.Hello(); !ok || h.NumAntennas != 3 {
-		t.Fatalf("hello after connect = %+v, %v", h, ok)
+	if c := r.c.Load(); c == nil || c.Hello().NumAntennas != 3 {
+		t.Fatalf("hello after connect = %+v", c)
 	}
 	for i := 0; i < 3; i++ {
 		f, err := r.Next()

@@ -268,9 +268,6 @@ func New(cfg Config) *Engine {
 	return &Engine{cfg: cfg, byID: make(map[string]*link)}
 }
 
-// WindowSize reports the effective monitoring window in packets.
-func (e *Engine) WindowSize() int { return e.cfg.WindowSize }
-
 // SetAdaptation installs (or, with nil, removes) the adaptation policy.
 // It affects links calibrated afterwards — call it before Calibrate, or
 // Recalibrate existing links to pick it up. Rejected while Run is active.

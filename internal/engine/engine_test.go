@@ -339,7 +339,7 @@ func TestEngineStreamsFromCSINet(t *testing.T) {
 		}
 		defer client.Close()
 		cfg := core.DefaultConfig(s.Grid, core.SchemeSubcarrier, s.Env.RX.Offsets())
-		if err := e.AddLink(id, cfg, ClientSource(client)); err != nil {
+		if err := e.AddLink(id, cfg, SourceFunc(client.Recv)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,9 +3,7 @@ package engine
 import (
 	"io"
 
-	"mlink/internal/body"
 	"mlink/internal/csi"
-	"mlink/internal/csinet"
 )
 
 // Source is a link's frame stream. Next returns io.EOF to end the stream
@@ -27,55 +25,6 @@ func (f SourceFunc) Next() (*csi.Frame, error) { return f() }
 // that pairing.
 type FrameRecycler interface {
 	Recycle(*csi.Frame)
-}
-
-// ExtractorSource streams simulated captures from a csi.Extractor with a
-// fixed set of bodies present (nil = empty room). The extractor must not be
-// shared with another goroutine while the engine owns the source.
-func ExtractorSource(x *csi.Extractor, bodies []body.Body) Source {
-	return SourceFunc(func() (*csi.Frame, error) {
-		return x.Capture(bodies), nil
-	})
-}
-
-// pooledExtractorSource is ExtractorSource with a frame pool: captures write
-// into recycled frames via the allocation-free CaptureInto path, and the
-// engine returns scored frames through Recycle.
-type pooledExtractorSource struct {
-	x      *csi.Extractor
-	bodies []body.Body
-	pool   *csi.FramePool
-}
-
-// PooledExtractorSource streams simulated captures through a frame pool —
-// the allocation-free capture path for long-running fleets. The engine
-// recycles each frame after its window is scored (see FrameRecycler);
-// callers that hold frames beyond the OnDecision callback must Clone them.
-func PooledExtractorSource(x *csi.Extractor, bodies []body.Body) Source {
-	return &pooledExtractorSource{
-		x:      x,
-		bodies: bodies,
-		pool:   csi.NewFramePool(len(x.Env.RX.Elements), x.Grid.Len()),
-	}
-}
-
-// Next implements Source.
-func (s *pooledExtractorSource) Next() (*csi.Frame, error) {
-	f := s.pool.Get()
-	if err := s.x.CaptureInto(f, s.bodies); err != nil {
-		s.pool.Put(f)
-		return nil, err
-	}
-	return f, nil
-}
-
-// Recycle implements FrameRecycler.
-func (s *pooledExtractorSource) Recycle(f *csi.Frame) { s.pool.Put(f) }
-
-// ClientSource streams frames received from a csinet server — the
-// distributed deployment where receiver daemons export CSI over TCP.
-func ClientSource(c *csinet.Client) Source {
-	return SourceFunc(c.Recv)
 }
 
 // ReplaySource replays pre-recorded frames, optionally looping forever —

@@ -424,16 +424,6 @@ func (j *Journal) fail(err error) {
 	j.broken.Store(true)
 }
 
-// Sync drains and fsyncs now, off-cadence — a checkpoint barrier. Returns
-// the journal's sticky error, if any.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	j.drainLocked()
-	err := j.failed
-	j.mu.Unlock()
-	return err
-}
-
 // Err reports the journal's sticky failure (nil while healthy). Once set,
 // the journal has stopped writing: the on-disk state is the last
 // successfully synced prefix, exactly what a crash at that moment would

@@ -162,7 +162,7 @@ func TestStoreErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := e.AddLink("l", core.DefaultConfig(s.Grid, core.SchemeSubcarrier, s.Env.RX.Offsets()),
-		engine.ExtractorSource(x, nil)); err != nil {
+		engine.SourceFunc(func() (*csi.Frame, error) { return x.Capture(nil), nil })); err != nil {
 		t.Fatal(err)
 	}
 	store := Store{Dir: dir}

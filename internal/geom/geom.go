@@ -111,12 +111,6 @@ func (s Segment) Intersect(o Segment) (Point, bool) {
 	return s.PointAt(t), true
 }
 
-// Contains reports whether p lies on the segment within tolerance tol
-// (distance to the segment ≤ tol).
-func (s Segment) Contains(p Point, tol float64) bool {
-	return s.DistToPoint(p) <= tol
-}
-
 // Polyline is a connected sequence of points — a multi-bounce propagation
 // path is a polyline from transmitter via bounce points to receiver.
 type Polyline []Point

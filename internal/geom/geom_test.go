@@ -169,10 +169,10 @@ func TestIntersect(t *testing.T) {
 
 func TestContains(t *testing.T) {
 	s := Segment{Point{0, 0}, Point{10, 0}}
-	if !s.Contains(Point{5, 0.001}, 0.01) {
+	if s.DistToPoint(Point{5, 0.001}) > 0.01 {
 		t.Fatal("near point not contained")
 	}
-	if s.Contains(Point{5, 1}, 0.01) {
+	if s.DistToPoint(Point{5, 1}) <= 0.01 {
 		t.Fatal("far point contained")
 	}
 }

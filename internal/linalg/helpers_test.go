@@ -2,11 +2,12 @@ package linalg
 
 import (
 	"fmt"
+	"math"
 	"math/cmplx"
 )
 
-// Matrix constructors and products the eigensolver tests use as fixtures;
-// production code only needs the in-place forms.
+// Matrix constructors, products and vector norms the eigensolver tests use as
+// fixtures and checks; production code only needs the in-place forms.
 
 // matrixFromRows builds a matrix from row slices. All rows must have equal
 // length.
@@ -83,4 +84,26 @@ func (m *Matrix) conjTranspose() *Matrix {
 		}
 	}
 	return out
+}
+
+// dot returns the Hermitian inner product conj(v)·w.
+func (v Vector) dot(w Vector) (complex128, error) {
+	if len(v) != len(w) {
+		return 0, fmt.Errorf("dot %d and %d: %w", len(v), len(w), ErrDimensionMismatch)
+	}
+	var sum complex128
+	for i := range v {
+		sum += cmplx.Conj(v[i]) * w[i]
+	}
+	return sum, nil
+}
+
+// norm returns the Euclidean norm of v.
+func (v Vector) norm() float64 {
+	var sum float64
+	for _, x := range v {
+		re, im := real(x), imag(x)
+		sum += re*re + im*im
+	}
+	return math.Sqrt(sum)
 }

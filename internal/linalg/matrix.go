@@ -30,13 +30,6 @@ func (m *Matrix) At(i, j int) complex128 { return m.data[i*m.cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v complex128) { m.data[i*m.cols+j] = v }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.rows, m.cols)
-	copy(out.data, m.data)
-	return out
-}
-
 // Reuse reshapes m to a zeroed rows×cols matrix in place, growing the
 // backing storage only when needed. The zero value of Matrix is valid to
 // Reuse, so scratch holders can embed a Matrix by value and let the first
@@ -77,30 +70,6 @@ func (m *Matrix) SetIdentity() {
 	}
 }
 
-// Add returns m + b.
-func (m *Matrix) Add(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("add %dx%d and %dx%d: %w", m.rows, m.cols, b.rows, b.cols, ErrDimensionMismatch)
-	}
-	out := NewMatrix(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = m.data[i] + b.data[i]
-	}
-	return out, nil
-}
-
-// Sub returns m - b.
-func (m *Matrix) Sub(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("sub %dx%d and %dx%d: %w", m.rows, m.cols, b.rows, b.cols, ErrDimensionMismatch)
-	}
-	out := NewMatrix(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = m.data[i] - b.data[i]
-	}
-	return out, nil
-}
-
 // Scale returns s * m.
 func (m *Matrix) Scale(s complex128) *Matrix {
 	out := NewMatrix(m.rows, m.cols)
@@ -108,18 +77,6 @@ func (m *Matrix) Scale(s complex128) *Matrix {
 		out.data[i] = s * m.data[i]
 	}
 	return out
-}
-
-// Trace returns the sum of diagonal elements. The matrix must be square.
-func (m *Matrix) Trace() (complex128, error) {
-	if m.rows != m.cols {
-		return 0, fmt.Errorf("trace of %dx%d: %w", m.rows, m.cols, ErrDimensionMismatch)
-	}
-	var sum complex128
-	for i := 0; i < m.rows; i++ {
-		sum += m.At(i, i)
-	}
-	return sum, nil
 }
 
 // FrobeniusNorm returns the Frobenius norm of m.

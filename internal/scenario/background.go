@@ -121,6 +121,3 @@ func (b *Background) Step() []body.Body {
 	}
 	return out
 }
-
-// Len returns the number of background people.
-func (b *Background) Len() int { return len(b.positions) }

@@ -239,9 +239,6 @@ func (s *Scenario) NewDriftStream(preset DriftPreset, seedOffset int64) (*DriftS
 // empty room). Call between engine phases, never concurrently with Next.
 func (d *DriftStream) SetBodies(bodies []body.Body) { d.bodies = bodies }
 
-// Packets returns how many frames the stream has emitted.
-func (d *DriftStream) Packets() int { return d.n }
-
 // AppliedGainDB reports the gain offset the NEXT frame will receive — how
 // far the baseline has walked (and, for the ambient preset, stepped) so far.
 func (d *DriftStream) AppliedGainDB() float64 {

@@ -231,6 +231,3 @@ func (s *Scenario) AngularArc(nPoints int, radius, minDeg, maxDeg float64) []geo
 	}
 	return out
 }
-
-// Broadside returns the receive array's facing direction.
-func (s *Scenario) Broadside() float64 { return s.rxBrdside }

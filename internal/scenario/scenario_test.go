@@ -270,8 +270,8 @@ func TestBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bg.Len() != 3 {
-		t.Fatalf("bg len = %d", bg.Len())
+	if len(bg.positions) != 3 {
+		t.Fatalf("bg len = %d", len(bg.positions))
 	}
 	for step := 0; step < 500; step++ {
 		bodies := bg.Step()

@@ -258,3 +258,16 @@ func TestServerTraceLog(t *testing.T) {
 		t.Fatal("tracing middleware logged nothing")
 	}
 }
+
+// TestStatusWriterUnwrap pins that http.ResponseController reaches the
+// wrapped writer's Flush through the trace middleware, as SSE needs.
+func TestStatusWriterUnwrap(t *testing.T) {
+	rec := httptest.NewRecorder()
+	sw := &statusWriter{ResponseWriter: rec, code: http.StatusOK}
+	if sw.Unwrap() != rec {
+		t.Fatal("Unwrap does not return the wrapped writer")
+	}
+	if err := http.NewResponseController(sw).Flush(); err != nil || !rec.Flushed {
+		t.Fatalf("flush through the middleware writer: err=%v flushed=%v", err, rec.Flushed)
+	}
+}

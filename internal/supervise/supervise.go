@@ -209,9 +209,6 @@ func New(link string, pol Policy, src Source, rec Recycler) *Supervisor {
 	}
 }
 
-// Policy returns the normalized policy in effect.
-func (s *Supervisor) Policy() Policy { return s.pol }
-
 // Start launches the producer and watcher goroutines for one run. The run
 // ends when ctx is cancelled (Wait then joins both goroutines) or when a
 // non-reconnectable source ends. Returns ErrStillRunning if a previous

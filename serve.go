@@ -6,13 +6,11 @@ import (
 	"net/http"
 	"time"
 
-	"mlink/internal/campus"
 	"mlink/internal/serve"
 )
 
-// Serving-plane types, re-exported from the internal serve and campus
-// packages so facade users can stream verdicts and aggregate sites without
-// reaching into internal packages.
+// Serving-plane types, re-exported from the internal serve package so facade
+// users can stream verdicts without reaching into internal packages.
 type (
 	// VerdictSubscription is one watcher's handle on the engine's verdict
 	// stream: Next blocks for the newest frame, TryNext polls, Close
@@ -23,16 +21,6 @@ type (
 	// Bytes is the complete SSE frame, JSON the bare verdict document.
 	// Release it after use so the hub can recycle the buffer.
 	VerdictFrame = serve.Frame
-	// StreamOptions tunes the per-subscriber ring depth and shed threshold.
-	StreamOptions = serve.HubOptions
-	// Campus mounts many engines — one site each — under a single view:
-	// per-site verdict routing, a cross-site rollup, batch profile
-	// persistence and cross-site ambient correlation.
-	Campus = campus.Aggregator
-	// CampusConfig parameterizes a Campus.
-	CampusConfig = campus.Config
-	// CampusOverview is the rollup one Campus.Observe pass produces.
-	CampusOverview = campus.Overview
 )
 
 // Re-exported streaming errors.
@@ -44,9 +32,6 @@ var (
 	// shutdown.
 	ErrStreamClosed = serve.ErrClosed
 )
-
-// NewCampus builds an empty campus aggregator; mount engines with Add.
-func NewCampus(cfg CampusConfig) *Campus { return campus.New(cfg) }
 
 // streamHub lazily builds and starts the engine's broadcast hub: one
 // encoder goroutine serializes each fused round exactly once and fans the

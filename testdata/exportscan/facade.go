@@ -1,0 +1,16 @@
+// Package fixture is the export guard's test module: its facade calls A.Same
+// directly and Impl.Run only through the Runner interface, and re-exports
+// pair.Exported by alias.
+package fixture
+
+import "fixture/internal/pair"
+
+// Exported is re-exported by alias, so its methods are library API.
+type Exported = pair.Exported
+
+// Use is the module's only non-test caller.
+func Use() {
+	pair.A{}.Same()
+	var r pair.Runner = pair.Impl{}
+	r.Run()
+}
