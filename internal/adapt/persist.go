@@ -122,10 +122,11 @@ func (a *Adapter) AppendBinary(dst []byte) ([]byte, error) {
 // window and health — as an absolute (not incremental) journal delta. A
 // restart replays the latest full snapshot and then the latest delta after
 // it; the result is bit-identical to the adapter at the delta's emission
-// (see ApplyDelta). Unlike AppendBinary it omits the calibration original
-// (with its retained frames), so a per-window emission costs kilobytes, not
-// the ~100 KB of a full record. Observer-side, allocation-free like the
-// rest of the Observe path.
+// (see ApplyDelta). Unlike AppendBinary it omits the calibration original:
+// on a 3 × 30 subcarrier link a delta is about 2.1 KB against a full
+// record's 3.6 KB, and on a path link with a 0.05° grid the full record
+// adds about 90 KB of static spectrum and path weights that no delta
+// repeats. Observer-side, allocation-free like the rest of the Observe path.
 func (a *Adapter) AppendDelta(dst []byte) []byte {
 	dst = binio.AppendU32(dst, deltaMagic)
 	dst = binio.AppendU16(dst, deltaVersion)

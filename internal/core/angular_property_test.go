@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -13,11 +12,12 @@ import (
 
 // naivePathScore recomputes the SchemeSubcarrierPath decision statistic
 // through the retained allocating reference path — naive music.Covariance
-// over every calibration frame, the trigonometric bartlett,
+// over every calibration frame (cal, the frames the profile was calibrated
+// on), the trigonometric bartlett,
 // toDB, weightedSpectrumDistance — mirroring scoreSubcarrierPath step for
 // step without any of its caches (steering plan, spectral partials, fused
 // dB distance). The property tests pin the production path to this.
-func naivePathScore(t *testing.T, k *Kernel, profile *Profile, window []*csi.Frame) float64 {
+func naivePathScore(t *testing.T, k *Kernel, profile *Profile, cal, window []*csi.Frame) float64 {
 	t.Helper()
 	perAnt, err := k.windowWeights(window, NewScratch())
 	if err != nil {
@@ -39,7 +39,7 @@ func naivePathScore(t *testing.T, k *Kernel, profile *Profile, window []*csi.Fra
 	if err != nil {
 		t.Fatalf("naive monitor spectrum: %v", err)
 	}
-	calCov, err := music.Covariance(profile.Frames, w)
+	calCov, err := music.Covariance(cal, w)
 	if err != nil {
 		t.Fatalf("naive calibration covariance: %v", err)
 	}
@@ -54,8 +54,8 @@ func naivePathScore(t *testing.T, k *Kernel, profile *Profile, window []*csi.Fra
 	return score
 }
 
-// driftFrames pulls n frames off a drift stream without recycling (the
-// calibration profile retains its frames).
+// driftFrames pulls n frames off a drift stream without recycling, so a
+// test may keep its calibration frames for a reference computation.
 func driftFrames(t *testing.T, d *scenario.DriftStream, n int) []*csi.Frame {
 	t.Helper()
 	out := make([]*csi.Frame, n)
@@ -95,7 +95,8 @@ func TestPathScoreCachedMatchesNaive(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := DefaultConfig(s.Grid, SchemeSubcarrierPath, s.Env.RX.Offsets())
-			profile, err := Calibrate(cfg, driftFrames(t, d, 60))
+			cal := driftFrames(t, d, 60)
+			profile, err := Calibrate(cfg, cal)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +114,7 @@ func TestPathScoreCachedMatchesNaive(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/seed=%d: cached score: %v", name, stage, seed, err)
 				}
-				want := naivePathScore(t, k, p, window)
+				want := naivePathScore(t, k, p, cal, window)
 				if math.Abs(got-want) > 1e-6*math.Max(1, math.Abs(want)) {
 					t.Fatalf("%s/%s/seed=%d: cached %v vs naive %v (diff %v)",
 						name, stage, seed, got, want, math.Abs(got-want))
@@ -121,8 +122,8 @@ func TestPathScoreCachedMatchesNaive(t *testing.T) {
 			}
 			check("calibrated", profile, driftFrames(t, d, 25))
 
-			// Refresh folds a silent window into the EWMA profile; Frames are
-			// untouched, so the partials ride along by reference.
+			// Refresh folds a silent window into the EWMA profile; the
+			// calibration partials ride along by reference.
 			lp, err := NewLinkProfile(profile, 0.1)
 			if err != nil {
 				t.Fatal(err)
@@ -207,9 +208,11 @@ func TestScoreScratchIndependentAcrossSchemes(t *testing.T) {
 }
 
 // TestPathProfilePersistenceRebuildsPartials round-trips a path profile and
-// a link profile through the binary format: partials are never serialized,
-// so decode must re-derive them from the decoded frames, and scores through
-// the restored profiles must be bit-identical (frames round-trip exactly).
+// a link profile through the binary format. A current record carries the
+// partials bit for bit; a version 1 record carries the calibration frames,
+// and decoding rebuilds the partials from them. Either way the partials
+// equal those of the test's own calibration frames, and scores through the
+// restored profiles are bit-identical.
 func TestPathProfilePersistenceRebuildsPartials(t *testing.T) {
 	s, err := scenario.LinkCase(2, 9)
 	if err != nil {
@@ -220,7 +223,8 @@ func TestPathProfilePersistenceRebuildsPartials(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(s.Grid, SchemeSubcarrierPath, s.Env.RX.Offsets())
-	profile, err := Calibrate(cfg, driftFrames(t, d, 60))
+	cal := driftFrames(t, d, 60)
+	profile, err := Calibrate(cfg, cal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,34 +237,36 @@ func TestPathProfilePersistenceRebuildsPartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh, err := music.NewPartials(cal)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	blob, err := profile.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := UnmarshalProfile(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Partials == nil {
-		t.Fatal("UnmarshalProfile left Partials nil for a spectrum-bearing profile")
-	}
-	fresh, err := music.NewPartials(decoded.Frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(decoded.Partials, fresh) {
-		t.Fatal("rebuilt partials differ from the partials of the profile's frames")
-	}
-	if err := det.SetProfile(decoded); err != nil {
-		t.Fatal(err)
-	}
-	got, err := det.ScoreScratch(window, NewScratch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("restored-profile score %v != original %v", got, want)
+	for tag, blob := range map[string][]byte{"v2": blob, "v1": appendProfileV1(nil, profile, cal)} {
+		decoded, err := UnmarshalProfile(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		if decoded.Partials == nil {
+			t.Fatalf("%s: UnmarshalProfile left Partials nil for a spectrum-bearing profile", tag)
+		}
+		if !samePartials(decoded.Partials, fresh) {
+			t.Fatalf("%s: decoded partials differ from the partials of the calibration frames", tag)
+		}
+		if err := det.SetProfile(decoded); err != nil {
+			t.Fatal(err)
+		}
+		got, err := det.ScoreScratch(window, NewScratch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: restored-profile score %v != original %v", tag, got, want)
+		}
 	}
 
 	lp, err := NewLinkProfile(profile, 0.2)

@@ -107,24 +107,19 @@ type Profile struct {
 	StaticSpectrum *music.Spectrum
 	// PathWeights is the Eq. 17 weight vector aligned with StaticSpectrum.
 	PathWeights []float64
-	// Frames are the calibration frames as passed to Calibrate, retained
-	// (not copied) because the monitoring stage re-weights calibration data
-	// with monitor-derived subcarrier weights (§IV-C). Profiles persisted
-	// by earlier builds hold phase-sanitized frames; every statistic
-	// scoring reads is invariant to that phase, so they score the same.
-	Frames []*csi.Frame
-	// Partials are the per-subcarrier covariance partials of Frames — a
-	// derived cache that lets scoring re-weight the calibration covariance
-	// at O(nSub·nAnt²) per window instead of touching every frame. Rebuilt
-	// wherever Frames are (re)established (Calibrate, persistence restore);
-	// never serialized. Nil is legal (hand-assembled profiles): scoring
-	// derives them transiently.
+	// Partials are the per-subcarrier covariance partials of the
+	// calibration frames, the profile's only record of those packets: the
+	// monitoring stage re-weights the calibration covariance with each
+	// window's subcarrier weights (§IV-C), and the partials give that
+	// covariance at O(nSub·nAnt²) without the frames. Set for
+	// SchemeSubcarrierPath only (the other schemes read the fingerprints
+	// alone) and serialized with the profile.
 	Partials *music.Partials
 }
 
-// Calibrate builds the static profile from no-presence frames. The profile
-// keeps the frames themselves, so the caller must not modify or recycle
-// them afterwards.
+// Calibrate builds the static profile from no-presence frames. It keeps
+// nothing of the frames, so the caller may recycle them as soon as it
+// returns.
 func Calibrate(cfg Config, frames []*csi.Frame) (*Profile, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -140,7 +135,6 @@ func Calibrate(cfg Config, frames []*csi.Frame) (*Profile, error) {
 	p := &Profile{
 		MeanAmp:   ws.MeanAmp,
 		MeanRSSdB: ws.MeanRSSdB,
-		Frames:    frames,
 	}
 
 	if cfg.Scheme == SchemeSubcarrierPath {
@@ -193,11 +187,11 @@ func NewDetector(cfg Config, profile *Profile) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if profile == nil || len(profile.Frames) == 0 {
+	if profile == nil || len(profile.MeanAmp) == 0 {
 		return nil, fmt.Errorf("detector needs a calibration profile: %w", ErrBadInput)
 	}
-	if cfg.Scheme == SchemeSubcarrierPath && (profile.StaticSpectrum == nil || len(profile.PathWeights) == 0) {
-		return nil, fmt.Errorf("profile lacks static spectrum for path weighting: %w", ErrBadInput)
+	if cfg.Scheme == SchemeSubcarrierPath && (profile.StaticSpectrum == nil || len(profile.PathWeights) == 0 || profile.Partials == nil) {
+		return nil, fmt.Errorf("profile lacks static spectrum or partials for path weighting: %w", ErrBadInput)
 	}
 	return &Detector{kernel: kernel, profile: profile}, nil
 }

@@ -15,11 +15,17 @@
 // including the angular SchemeSubcarrierPath: the Kernel carries its array
 // geometry's shared music.Plan (steering table, built once per process and
 // used by Calibrate too), the Profile carries music.Partials of its
-// calibration frames (rebuilt wherever Frames are established — Calibrate,
-// persistence restore — and carried by reference through refresh/adopt,
-// since those never change Frames), and the Scratch holds the window
-// covariances, fully rewritten each window so scores are bit-identical
-// across scratches and shard migrations.
+// calibration frames (built by Calibrate, serialized with the profile, and
+// carried by reference through refresh/adopt), and the Scratch holds the
+// window covariances, fully rewritten each window so scores are
+// bit-identical across scratches and shard migrations.
+//
+// A Profile keeps nothing of its calibration frames: the fingerprints and,
+// for the path scheme, the partials and static spectrum are all scoring
+// reads, so a caller may recycle the frames once Calibrate returns. A
+// persisted profile therefore holds the partials, not the frames. Version 1
+// records, written by earlier builds, held the frames; readProfile still
+// decodes them, rebuilding the partials from the frames and dropping them.
 //
 // Scoring reads the caller's frames as they are: Calibrate, Kernel.Score
 // and MeasureWindowInto apply no phase sanitization. Removing a phase that
@@ -28,8 +34,9 @@
 // per-subcarrier power, amplitude and spatial covariance unchanged, so Δs,
 // the baseline's amplitudes and the Bartlett/MUSIC spectra do not depend
 // on it; the multipath factor μ (Eq. 11) is computed on the raw row, as
-// LinkMeanMu always did. Profiles persisted by earlier builds hold
-// sanitized calibration frames and score the same within rounding.
+// LinkMeanMu always did. Version 1 records written while calibration still
+// sanitized hold sanitized calibration frames and score the same within
+// rounding.
 //
 // One definition of a link's mean multipath factor: LinkMeanMu, which the
 // engine publishes per link and the facade's AssessLink reports.

@@ -8,10 +8,12 @@ import (
 	"mlink/internal/scenario"
 )
 
-// fuzzProfileSeeds builds real serialized profiles — a calibrated Profile
-// blob and a LinkProfile blob with refresh history — so the fuzzer starts
-// from the structures it must not be panicked by.
-func fuzzProfileSeeds(f *testing.F) (profile, linkProfile []byte) {
+// fuzzProfileSeeds builds real serialized profiles — a calibrated
+// subcarrier Profile blob, a LinkProfile blob with refresh history, a
+// path-scheme Profile blob carrying partials and a version 1 path record
+// carrying the calibration frames — so the fuzzer starts from the
+// structures it must not be panicked by.
+func fuzzProfileSeeds(f *testing.F) (profile, linkProfile, pathProfile, v1 []byte) {
 	f.Helper()
 	s, err := scenario.Classroom(31)
 	if err != nil {
@@ -22,7 +24,8 @@ func fuzzProfileSeeds(f *testing.F) (profile, linkProfile []byte) {
 		f.Fatal(err)
 	}
 	cfg := DefaultConfig(s.Grid, SchemeSubcarrier, s.Env.RX.Offsets())
-	p, err := Calibrate(cfg, x.CaptureN(60, nil))
+	cal := x.CaptureN(60, nil)
+	p, err := Calibrate(cfg, cal)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -49,7 +52,15 @@ func fuzzProfileSeeds(f *testing.F) (profile, linkProfile []byte) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	return profile, linkProfile
+	pp, err := Calibrate(DefaultConfig(s.Grid, SchemeSubcarrierPath, s.Env.RX.Offsets()), cal)
+	if err != nil {
+		f.Fatal(err)
+	}
+	pathProfile, err = pp.AppendBinary(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return profile, linkProfile, pathProfile, appendProfileV1(nil, pp, cal[:4])
 }
 
 // FuzzProfileRecord throws truncated, bit-flipped and length-inflated
@@ -57,11 +68,15 @@ func fuzzProfileSeeds(f *testing.F) (profile, linkProfile []byte) {
 // return typed errors (ErrBadInput-wrapping or binio.ErrShort) and never
 // panic, and an accepted blob must re-serialize.
 func FuzzProfileRecord(f *testing.F) {
-	profile, linkProfile := fuzzProfileSeeds(f)
+	profile, linkProfile, pathProfile, v1 := fuzzProfileSeeds(f)
 	f.Add(profile)
 	f.Add(linkProfile)
+	f.Add(pathProfile)
+	f.Add(v1)
 	f.Add(profile[:len(profile)/2])
 	f.Add(linkProfile[:len(linkProfile)-7])
+	f.Add(pathProfile[:len(pathProfile)-7])
+	f.Add(v1[:len(v1)-7])
 	flipped := append([]byte(nil), linkProfile...)
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)

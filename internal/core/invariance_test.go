@@ -5,9 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"mlink/internal/body"
 	"mlink/internal/csi"
-	"mlink/internal/geom"
 	"mlink/internal/linalg"
 	"mlink/internal/music"
 	"mlink/internal/sanitize"
@@ -127,34 +125,20 @@ func TestSanitizeInvariance(t *testing.T) {
 }
 
 // TestSanitizedProfileStillScores pins that profiles persisted by earlier
-// builds, which calibrated on phase-sanitized frames, keep scoring raw
-// windows: for every scheme and link case 1–5, such a profile taken
-// through AppendBinary/UnmarshalProfile scores empty and occupied raw
-// windows within 1e-6 relative of a profile calibrated on the raw frames.
-// The fingerprints and covariances agree to invarianceTol; the path
-// scheme's MUSIC weights and the dB distances amplify that a little.
+// builds, which calibrated on phase-sanitized frames and stored those frames
+// in version 1 records, keep scoring raw windows: for every scheme and link
+// case 1–5, such a record decodes (the partials rebuilt from its frames) to
+// a profile that scores empty and occupied raw windows within 1e-6 relative
+// of a profile calibrated on the raw frames. The fingerprints and
+// covariances agree to invarianceTol; the path scheme's MUSIC weights and
+// the dB distances amplify that a little.
 func TestSanitizedProfileStillScores(t *testing.T) {
 	const tol = 1e-6
 	for c := 1; c <= 5; c++ {
-		s, err := scenario.LinkCase(c, int64(c))
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, err := s.NewExtractor(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cal := x.CaptureN(100, nil)
+		s, cal, windows := recordCase(t, c)
 		clean, err := sanitize.Frames(cal, s.Grid.Indices)
 		if err != nil {
 			t.Fatal(err)
-		}
-		mid := s.LinkMidpoint()
-		windows := [][]*csi.Frame{
-			x.CaptureN(25, nil),
-			x.CaptureN(25, nil),
-			x.CaptureN(25, []body.Body{body.Default(mid)}),
-			x.CaptureN(25, []body.Body{body.Default(geom.Point{X: mid.X + 1, Y: mid.Y + 1})}),
 		}
 		for _, scheme := range []Scheme{SchemeBaseline, SchemeSubcarrier, SchemeSubcarrierPath} {
 			cfg := DefaultConfig(s.Grid, scheme, s.Env.RX.Offsets())
@@ -166,11 +150,7 @@ func TestSanitizedProfileStillScores(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blob, err := old.AppendBinary(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if old, err = UnmarshalProfile(blob); err != nil {
+			if old, err = UnmarshalProfile(appendProfileV1(nil, old, clean)); err != nil {
 				t.Fatal(err)
 			}
 			k, err := NewKernel(cfg)

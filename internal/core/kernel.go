@@ -359,15 +359,10 @@ func (k *Kernel) scoreSubcarrierPath(profile *Profile, window []*csi.Frame, sc *
 	if err := music.CovarianceInto(&sc.monCov, window, w, &sc.winPartials); err != nil {
 		return 0, fmt.Errorf("monitor covariance: %w", err)
 	}
-	parts := profile.Partials
-	if parts == nil {
-		// A profile assembled outside Calibrate carries no cached partials;
-		// derive them transiently (one allocation, not steady state).
-		if parts, err = music.NewPartials(profile.Frames); err != nil {
-			return 0, fmt.Errorf("calibration covariance: %w", err)
-		}
+	if profile.Partials == nil {
+		return 0, fmt.Errorf("profile lacks calibration partials: %w", ErrBadInput)
 	}
-	if err := parts.CovarianceInto(&sc.calCov, w); err != nil {
+	if err := profile.Partials.CovarianceInto(&sc.calCov, w); err != nil {
 		return 0, fmt.Errorf("calibration covariance: %w", err)
 	}
 	score, err := k.plan.BartlettDistanceDB(&sc.monCov, &sc.calCov, profile.PathWeights)

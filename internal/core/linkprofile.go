@@ -15,13 +15,11 @@ import (
 //
 // Refresh is copy-on-write: every update allocates fresh mean rows and
 // returns a brand-new *Profile, so scorers holding an older snapshot are
-// never raced. Spectrum-derived fields (StaticSpectrum, PathWeights,
-// Frames, Partials) are carried over by reference — the EWMA scheme adapts
-// the amplitude fingerprints only; a walked angular profile is what
-// quarantine and recalibration are for. Partials ride along safely because
-// they are a pure function of Frames, which a refresh never changes; a
-// recalibration builds a whole new Profile (with fresh partials) through
-// Calibrate.
+// never raced. The calibration-derived fields (StaticSpectrum, PathWeights,
+// Partials) are carried over by reference — the EWMA scheme adapts the
+// amplitude fingerprints only; a walked angular profile is what quarantine
+// and recalibration are for. A recalibration builds a whole new Profile
+// (with fresh partials) through Calibrate.
 type LinkProfile struct {
 	orig  *Profile
 	cur   *Profile
@@ -53,6 +51,19 @@ func NewLinkProfile(p *Profile, alpha float64) (*LinkProfile, error) {
 	return &LinkProfile{orig: p, cur: p, alpha: alpha}, nil
 }
 
+// withFingerprints returns a new profile holding the given fingerprints and
+// p's calibration-derived fields (spectrum, path weights, partials), shared
+// by reference.
+func (p *Profile) withFingerprints(meanAmp, meanRSSdB [][]float64) *Profile {
+	return &Profile{
+		MeanAmp:        meanAmp,
+		MeanRSSdB:      meanRSSdB,
+		StaticSpectrum: p.StaticSpectrum,
+		PathWeights:    p.PathWeights,
+		Partials:       p.Partials,
+	}
+}
+
 // Original returns the immutable calibration-time profile.
 func (lp *LinkProfile) Original() *Profile { return lp.orig }
 
@@ -80,14 +91,7 @@ func (lp *LinkProfile) Refresh(ws *WindowStats) (*Profile, error) {
 	}
 	nAnt := len(lp.cur.MeanAmp)
 	nSub := len(lp.cur.MeanAmp[0])
-	next := &Profile{
-		MeanAmp:        zeros2(nAnt, nSub),
-		MeanRSSdB:      zeros2(nAnt, nSub),
-		StaticSpectrum: lp.cur.StaticSpectrum,
-		PathWeights:    lp.cur.PathWeights,
-		Frames:         lp.cur.Frames,
-		Partials:       lp.cur.Partials,
-	}
+	next := lp.cur.withFingerprints(zeros2(nAnt, nSub), zeros2(nAnt, nSub))
 	a := lp.alpha
 	for ant := 0; ant < nAnt; ant++ {
 		for k := 0; k < nSub; k++ {
@@ -122,14 +126,7 @@ func (lp *LinkProfile) Adopt(ws *WindowStats) (*Profile, error) {
 	}
 	nAnt := len(lp.cur.MeanAmp)
 	nSub := len(lp.cur.MeanAmp[0])
-	next := &Profile{
-		MeanAmp:        zeros2(nAnt, nSub),
-		MeanRSSdB:      zeros2(nAnt, nSub),
-		StaticSpectrum: lp.cur.StaticSpectrum,
-		PathWeights:    lp.cur.PathWeights,
-		Frames:         lp.cur.Frames,
-		Partials:       lp.cur.Partials,
-	}
+	next := lp.cur.withFingerprints(zeros2(nAnt, nSub), zeros2(nAnt, nSub))
 	for ant := 0; ant < nAnt; ant++ {
 		for k := 0; k < nSub; k++ {
 			v, r := ws.MeanAmp[ant][k], ws.MeanRSSdB[ant][k]

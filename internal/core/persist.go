@@ -13,8 +13,11 @@ import (
 // version so a daemon restarted onto a newer build can reject (rather than
 // misread) profiles persisted by an older one.
 const (
-	// profileVersion tags the Profile wire layout.
-	profileVersion uint16 = 1
+	// profileVersion tags the Profile wire layout. Version 2 stores the
+	// calibration covariance partials where version 1 stored the
+	// calibration frames; readProfile still decodes version 1.
+	profileVersion   uint16 = 2
+	profileVersionV1 uint16 = 1
 	// linkProfileVersion tags the LinkProfile (orig + adapted) layout.
 	linkProfileVersion uint16 = 1
 )
@@ -30,24 +33,8 @@ const (
 // wrong magic, or a version this build does not understand.
 var ErrBadSnapshot = fmt.Errorf("core: bad profile snapshot (%w)", ErrBadInput)
 
-// appendFrame serializes one CSI frame (shape, metadata, RSSI, IQ values).
-func appendFrame(dst []byte, f *csi.Frame) []byte {
-	dst = binio.AppendU32(dst, f.Seq)
-	dst = binio.AppendU64(dst, f.TimestampMicros)
-	dst = binio.AppendU16(dst, uint16(f.NumAntennas()))
-	dst = binio.AppendU16(dst, uint16(f.NumSubcarriers()))
-	for _, r := range f.RSSI {
-		dst = binio.AppendF64(dst, r)
-	}
-	for _, row := range f.CSI {
-		for _, v := range row {
-			dst = binio.AppendF64(dst, real(v))
-			dst = binio.AppendF64(dst, imag(v))
-		}
-	}
-	return dst
-}
-
+// readFrame decodes one CSI frame of a version 1 profile (shape, metadata,
+// RSSI, IQ values).
 func readFrame(r *binio.Reader) (*csi.Frame, error) {
 	seq := r.U32()
 	ts := r.U64()
@@ -121,32 +108,33 @@ func readGrid2(r *binio.Reader) ([][]float64, error) {
 }
 
 // AppendBinary serializes the profile — fingerprints, static spectrum, path
-// weights and the retained calibration frames, i.e. everything scoring
-// touches — onto dst and returns the extended slice.
+// weights and the calibration partials, i.e. everything scoring touches —
+// onto dst and returns the extended slice.
 func (p *Profile) AppendBinary(dst []byte) ([]byte, error) {
 	if p == nil || len(p.MeanAmp) == 0 || len(p.MeanRSSdB) == 0 {
 		return nil, fmt.Errorf("serialize empty profile: %w", ErrBadInput)
 	}
-	dst = binio.AppendU32(dst, profileMagic)
-	dst = binio.AppendU16(dst, profileVersion)
-	dst = appendGrid2(dst, p.MeanAmp)
-	dst = appendGrid2(dst, p.MeanRSSdB)
-	if p.StaticSpectrum != nil {
-		dst = binio.AppendBool(dst, true)
-		dst = binio.AppendF64s(dst, p.StaticSpectrum.AnglesDeg)
-		dst = binio.AppendF64s(dst, p.StaticSpectrum.Power)
-	} else {
-		dst = binio.AppendBool(dst, false)
-	}
-	dst = binio.AppendF64s(dst, p.PathWeights)
-	dst = binio.AppendU32(dst, uint32(len(p.Frames)))
-	for _, f := range p.Frames {
-		if err := f.Validate(); err != nil {
-			return nil, fmt.Errorf("serialize profile frame: %w", err)
-		}
-		dst = appendFrame(dst, f)
+	dst = p.appendHead(dst, profileVersion)
+	dst = binio.AppendBool(dst, p.Partials != nil)
+	if p.Partials != nil {
+		dst = p.Partials.AppendBinary(dst)
 	}
 	return dst, nil
+}
+
+// appendHead serializes the part of a profile record that every version
+// shares: magic, version, fingerprints, static spectrum and path weights.
+func (p *Profile) appendHead(dst []byte, version uint16) []byte {
+	dst = binio.AppendU32(dst, profileMagic)
+	dst = binio.AppendU16(dst, version)
+	dst = appendGrid2(dst, p.MeanAmp)
+	dst = appendGrid2(dst, p.MeanRSSdB)
+	dst = binio.AppendBool(dst, p.StaticSpectrum != nil)
+	if p.StaticSpectrum != nil {
+		dst = binio.AppendF64s(dst, p.StaticSpectrum.AnglesDeg)
+		dst = binio.AppendF64s(dst, p.StaticSpectrum.Power)
+	}
+	return binio.AppendF64s(dst, p.PathWeights)
 }
 
 // readProfile decodes one Profile from the reader's current position.
@@ -154,7 +142,8 @@ func readProfile(r *binio.Reader) (*Profile, error) {
 	if m := r.U32(); r.Err() == nil && m != profileMagic {
 		return nil, fmt.Errorf("profile magic %#x: %w", m, ErrBadSnapshot)
 	}
-	if v := r.U16(); r.Err() == nil && v != profileVersion {
+	v := r.U16()
+	if r.Err() == nil && v != profileVersion && v != profileVersionV1 {
 		return nil, fmt.Errorf("profile version %d (want %d): %w", v, profileVersion, ErrBadSnapshot)
 	}
 	p := &Profile{}
@@ -169,6 +158,30 @@ func readProfile(r *binio.Reader) (*Profile, error) {
 		p.StaticSpectrum = &music.Spectrum{AnglesDeg: r.F64s(), Power: r.F64s()}
 	}
 	p.PathWeights = r.F64s()
+	if v == profileVersionV1 {
+		p.Partials, err = readV1Partials(r, p.StaticSpectrum != nil)
+	} else if r.Bool() {
+		p.Partials, err = music.ReadPartials(r)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("calibration partials: %w: %w", ErrBadSnapshot, err)
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if p.Partials != nil {
+		if nAnt, nSub := p.Partials.Shape(); nAnt != len(p.MeanAmp) || nSub != len(p.MeanAmp[0]) {
+			return nil, fmt.Errorf("partials %dx%d differ from fingerprint %dx%d: %w",
+				nAnt, nSub, len(p.MeanAmp), len(p.MeanAmp[0]), ErrBadSnapshot)
+		}
+	}
+	return p, nil
+}
+
+// readV1Partials reads the calibration frame list of a version 1 profile
+// and, for a spectrum-bearing (path scheme) profile, returns the frames'
+// partials, as Calibrate stores them; the frames themselves are dropped.
+func readV1Partials(r *binio.Reader, spectral bool) (*music.Partials, error) {
 	nFrames := int(r.U32())
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -178,28 +191,18 @@ func readProfile(r *binio.Reader) (*Profile, error) {
 	if uint64(nFrames)*16 > uint64(len(r.Rest())) {
 		return nil, fmt.Errorf("%d frames in %d bytes: %w", nFrames, len(r.Rest()), ErrBadSnapshot)
 	}
-	p.Frames = make([]*csi.Frame, 0, nFrames)
+	frames := make([]*csi.Frame, 0, nFrames)
 	for i := 0; i < nFrames; i++ {
 		f, err := readFrame(r)
 		if err != nil {
 			return nil, fmt.Errorf("frame %d: %w", i, err)
 		}
-		p.Frames = append(p.Frames, f)
+		frames = append(frames, f)
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
+	if !spectral || len(frames) == 0 {
+		return nil, nil
 	}
-	// Partials are a derived cache, not wire state: rebuild them from the
-	// decoded frames so a restored path-weighted profile scores through the
-	// same O(nSub·nAnt²) combine as a freshly calibrated one. The wire
-	// format is unchanged.
-	if p.StaticSpectrum != nil && len(p.Frames) > 0 {
-		var err error
-		if p.Partials, err = music.NewPartials(p.Frames); err != nil {
-			return nil, fmt.Errorf("rebuild spectral partials: %w", err)
-		}
-	}
-	return p, nil
+	return music.NewPartials(frames)
 }
 
 // UnmarshalProfile decodes a Profile serialized by AppendBinary. The whole
@@ -217,7 +220,7 @@ func UnmarshalProfile(b []byte) (*Profile, error) {
 }
 
 // AppendBinary serializes the link profile: EWMA alpha, refresh count, the
-// immutable calibration original (in full, spectrum and frames included) and
+// immutable calibration original (in full, spectrum and partials included) and
 // the adapted fingerprints. ShiftDB needs no field of its own — it is
 // re-derived from the two fingerprints on restore, so it can never disagree
 // with them.
@@ -230,8 +233,8 @@ func (lp *LinkProfile) AppendBinary(dst []byte) ([]byte, error) {
 	if dst, err = lp.orig.AppendBinary(dst); err != nil {
 		return nil, fmt.Errorf("link profile original: %w", err)
 	}
-	// The adapted profile shares spectrum/path-weights/frames/partials with
-	// the original by construction (Refresh and Adopt carry them over by
+	// The adapted profile shares spectrum/path-weights/partials with the
+	// original by construction (Refresh and Adopt carry them over by
 	// reference), so only its fingerprints are stored.
 	dst = appendGrid2(dst, lp.cur.MeanAmp)
 	dst = appendGrid2(dst, lp.cur.MeanRSSdB)
@@ -276,14 +279,7 @@ func readLinkProfile(r *binio.Reader) (*LinkProfile, error) {
 			len(curRSS), len(curRSS[0]), len(curAmp), len(curAmp[0]), ErrBadSnapshot)
 	}
 	if refreshes > 0 {
-		lp.cur = &Profile{
-			MeanAmp:        curAmp,
-			MeanRSSdB:      curRSS,
-			StaticSpectrum: orig.StaticSpectrum,
-			PathWeights:    orig.PathWeights,
-			Frames:         orig.Frames,
-			Partials:       orig.Partials,
-		}
+		lp.cur = orig.withFingerprints(curAmp, curRSS)
 	}
 	lp.refreshes = refreshes
 	return lp, nil
@@ -356,14 +352,7 @@ func (lp *LinkProfile) RestoreAdapted(st AdaptedState) error {
 	if st.Refreshes == 0 {
 		lp.cur = lp.orig
 	} else {
-		lp.cur = &Profile{
-			MeanAmp:        st.MeanAmp,
-			MeanRSSdB:      st.MeanRSSdB,
-			StaticSpectrum: lp.orig.StaticSpectrum,
-			PathWeights:    lp.orig.PathWeights,
-			Frames:         lp.orig.Frames,
-			Partials:       lp.orig.Partials,
-		}
+		lp.cur = lp.orig.withFingerprints(st.MeanAmp, st.MeanRSSdB)
 	}
 	lp.refreshes = st.Refreshes
 	return nil

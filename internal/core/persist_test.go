@@ -1,13 +1,82 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"reflect"
 	"testing"
 
+	"mlink/internal/binio"
+	"mlink/internal/body"
+	"mlink/internal/csi"
+	"mlink/internal/geom"
+	"mlink/internal/music"
 	"mlink/internal/scenario"
 )
+
+// appendFrame serializes one CSI frame (shape, metadata, RSSI, IQ values)
+// in the layout readFrame decodes.
+func appendFrame(dst []byte, f *csi.Frame) []byte {
+	dst = binio.AppendU32(dst, f.Seq)
+	dst = binio.AppendU64(dst, f.TimestampMicros)
+	dst = binio.AppendU16(dst, uint16(f.NumAntennas()))
+	dst = binio.AppendU16(dst, uint16(f.NumSubcarriers()))
+	for _, r := range f.RSSI {
+		dst = binio.AppendF64(dst, r)
+	}
+	for _, row := range f.CSI {
+		for _, v := range row {
+			dst = binio.AppendF64(dst, real(v))
+			dst = binio.AppendF64(dst, imag(v))
+		}
+	}
+	return dst
+}
+
+// appendProfileV1 writes the version 1 profile record earlier builds
+// persisted: p's fingerprints, spectrum and path weights, then the
+// calibration frames themselves.
+func appendProfileV1(dst []byte, p *Profile, frames []*csi.Frame) []byte {
+	dst = p.appendHead(dst, profileVersionV1)
+	dst = binio.AppendU32(dst, uint32(len(frames)))
+	for _, f := range frames {
+		dst = appendFrame(dst, f)
+	}
+	return dst
+}
+
+// samePartials compares two partials bit for bit through their wire form
+// (dimensions, frame count and every sum's bit pattern).
+func samePartials(a, b *music.Partials) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return bytes.Equal(a.AppendBinary(nil), b.AppendBinary(nil))
+}
+
+// recordCase captures link case c's calibration frames and four monitoring
+// windows: two empty, one with a person on the link midpoint, one off it.
+func recordCase(t *testing.T, c int) (*scenario.Scenario, []*csi.Frame, [][]*csi.Frame) {
+	t.Helper()
+	s, err := scenario.LinkCase(c, int64(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := s.NewExtractor(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := x.CaptureN(100, nil)
+	mid := s.LinkMidpoint()
+	windows := [][]*csi.Frame{
+		x.CaptureN(25, nil),
+		x.CaptureN(25, nil),
+		x.CaptureN(25, []body.Body{body.Default(mid)}),
+		x.CaptureN(25, []body.Body{body.Default(geom.Point{X: mid.X + 1, Y: mid.Y + 1})}),
+	}
+	return s, cal, windows
+}
 
 // calibrateCase builds a real profile (with spectrum and path weights) over
 // a link case.
@@ -51,13 +120,11 @@ func TestProfileBinaryRoundTrip(t *testing.T) {
 		if profile.StaticSpectrum != nil && !reflect.DeepEqual(profile.StaticSpectrum, back.StaticSpectrum) {
 			t.Fatalf("%v: spectrum did not round-trip", scheme)
 		}
-		if len(back.Frames) != len(profile.Frames) {
-			t.Fatalf("%v: %d frames, want %d", scheme, len(back.Frames), len(profile.Frames))
+		if (profile.Partials != nil) != (scheme == SchemeSubcarrierPath) {
+			t.Fatalf("%v: Calibrate stored partials %v", scheme, profile.Partials != nil)
 		}
-		for i, f := range profile.Frames {
-			if !reflect.DeepEqual(f.CSI, back.Frames[i].CSI) || !reflect.DeepEqual(f.RSSI, back.Frames[i].RSSI) {
-				t.Fatalf("%v: frame %d did not round-trip", scheme, i)
-			}
+		if !samePartials(profile.Partials, back.Partials) {
+			t.Fatalf("%v: partials did not round-trip bit for bit", scheme)
 		}
 
 		// Truncations and garbage must fail loudly.
@@ -75,8 +142,7 @@ func TestProfileBinaryRoundTrip(t *testing.T) {
 }
 
 func TestLinkProfileBinaryRoundTrip(t *testing.T) {
-	cfg, profile := calibrateCase(t, SchemeSubcarrier)
-	_ = cfg
+	_, profile := calibrateCase(t, SchemeSubcarrierPath)
 	lp, err := NewLinkProfile(profile, 0.25)
 	if err != nil {
 		t.Fatal(err)
@@ -117,10 +183,14 @@ func TestLinkProfileBinaryRoundTrip(t *testing.T) {
 	if lp.ShiftDB() == 0 {
 		t.Fatal("test walked nothing — ShiftDB should be non-zero")
 	}
-	// The restored current profile must carry the original's aux data by
-	// reference, exactly as Refresh maintains it.
-	if back.Current().Frames == nil {
-		t.Fatal("restored current profile lost the calibration frames")
+	// The restored current profile must carry the original's partials by
+	// reference, exactly as Refresh maintains it, and they must be the
+	// calibrated ones bit for bit.
+	if cur := back.Current().Partials; cur == nil || cur != back.Original().Partials {
+		t.Fatal("restored current profile does not share the original's partials")
+	}
+	if !samePartials(back.Original().Partials, profile.Partials) {
+		t.Fatal("link profile partials did not round-trip bit for bit")
 	}
 }
 
@@ -188,7 +258,7 @@ func TestDriftMonitorReset(t *testing.T) {
 }
 
 func TestLinkProfileAdopt(t *testing.T) {
-	_, profile := calibrateCase(t, SchemeSubcarrier)
+	_, profile := calibrateCase(t, SchemeSubcarrierPath)
 	lp, err := NewLinkProfile(profile, 0.1)
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +278,8 @@ func TestLinkProfileAdopt(t *testing.T) {
 	if next.MeanAmp[0][0] != 42 || next.MeanRSSdB[0][0] != -10 {
 		t.Fatalf("adopt kept EWMA memory: %v / %v", next.MeanAmp[0][0], next.MeanRSSdB[0][0])
 	}
-	if len(next.Frames) != len(profile.Frames) || len(next.Frames) == 0 || next.Frames[0] != profile.Frames[0] {
-		t.Fatal("adopt dropped the aux fields")
+	if next.Partials == nil || next.Partials != profile.Partials || next.StaticSpectrum != profile.StaticSpectrum {
+		t.Fatal("adopt dropped the calibration-derived fields")
 	}
 	if lp.Refreshes() != 1 {
 		t.Fatalf("adopt counted %d refreshes", lp.Refreshes())
@@ -217,5 +287,142 @@ func TestLinkProfileAdopt(t *testing.T) {
 	ws.MeanAmp[0][0] = math.NaN()
 	if _, err := lp.Adopt(ws); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("NaN adopt err = %v", err)
+	}
+}
+
+// TestProfileRecordsScoreAsCalibrated pins both record versions to the
+// profile they were written from, for every scheme and link cases 1–5: a
+// version 1 record of the calibration frames decodes to a profile that
+// scores empty and occupied windows bit-identically to the freshly
+// calibrated one, and so does a current record, whose partials come back
+// bit for bit.
+func TestProfileRecordsScoreAsCalibrated(t *testing.T) {
+	for c := 1; c <= 5; c++ {
+		s, cal, windows := recordCase(t, c)
+		for _, scheme := range []Scheme{SchemeBaseline, SchemeSubcarrier, SchemeSubcarrierPath} {
+			cfg := DefaultConfig(s.Grid, scheme, s.Env.RX.Offsets())
+			fresh, err := Calibrate(cfg, cal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v2, err := fresh.AppendBinary(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, err := NewKernel(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := NewScratch()
+			for tag, blob := range map[string][]byte{"v1": appendProfileV1(nil, fresh, cal), "v2": v2} {
+				back, err := UnmarshalProfile(blob)
+				if err != nil {
+					t.Fatalf("case %d %s %s: %v", c, scheme, tag, err)
+				}
+				if !samePartials(back.Partials, fresh.Partials) {
+					t.Fatalf("case %d %s %s: partials differ from the calibrated ones", c, scheme, tag)
+				}
+				for i, w := range windows {
+					want, err := k.Score(fresh, w, sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := k.Score(back, w, sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("case %d %s %s window %d: decoded-profile score %v, calibrated %v",
+							c, scheme, tag, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestProfileRecordSize bounds a full profile record as the engine journals
+// it after a 150-packet calibration: the partials replace the frames, so a
+// 3 × 30 subcarrier link's record is its two fingerprints (about 1.5 KB)
+// and a path link's on the 0.05° grid is dominated by its 3601-angle
+// spectrum and path weights (about 91 KB).
+func TestProfileRecordSize(t *testing.T) {
+	s, err := scenario.LinkCase(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := s.NewExtractor(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := x.CaptureN(150, nil)
+	if nAnt, nSub := cal[0].NumAntennas(), cal[0].NumSubcarriers(); nAnt != 3 || nSub != 30 {
+		t.Fatalf("link case 1 is %d × %d, want 3 × 30", nAnt, nSub)
+	}
+	sub := DefaultConfig(s.Grid, SchemeSubcarrier, s.Env.RX.Offsets())
+	path := DefaultConfig(s.Grid, SchemeSubcarrierPath, s.Env.RX.Offsets())
+	path.SpectrumStepDeg = 0.05
+	for _, tc := range []struct {
+		cfg   Config
+		limit int
+	}{{sub, 2_000}, {path, 100_000}} {
+		p, err := Calibrate(tc.cfg, cal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := p.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s profile record: %d bytes", tc.cfg.Scheme, len(blob))
+		if len(blob) > tc.limit {
+			t.Errorf("%s profile record is %d bytes, want ≤ %d", tc.cfg.Scheme, len(blob), tc.limit)
+		}
+	}
+}
+
+// TestProfileRecordRejectsBadPartials corrupts the partials of a current
+// path-scheme record: a zero dimension or frame count, a sums count that
+// does not match the dimensions, a count beyond the buffer and partials
+// shaped unlike the fingerprints must all fail as ErrBadSnapshot, and every
+// truncation as ErrBadSnapshot or binio.ErrShort.
+func TestProfileRecordRejectsBadPartials(t *testing.T) {
+	_, profile := calibrateCase(t, SchemeSubcarrierPath)
+	blob, err := profile.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The partials close the record: nAnt u16, nSub u16, frames u32, sums
+	// count u32, then the sums.
+	off := len(blob) - len(profile.Partials.AppendBinary(nil))
+	nAnt, nSub := profile.Partials.Shape()
+	tri := nAnt * (nAnt + 1) / 2
+	type field struct {
+		at    int
+		bytes []byte
+	}
+	u16 := func(v uint16) []byte { return binio.AppendU16(nil, v) }
+	u32 := func(v uint32) []byte { return binio.AppendU32(nil, v) }
+	for name, edits := range map[string][]field{
+		"zero antennas":      {{off, u16(0)}},
+		"zero subcarriers":   {{off + 2, u16(0)}},
+		"zero frames":        {{off + 4, u32(0)}},
+		"sums count +1":      {{off + 8, u32(uint32(tri*nSub + 1))}},
+		"sums count -1":      {{off + 8, u32(uint32(tri*nSub - 1))}},
+		"beyond buffer":      {{off + 2, u16(0xFFFF)}, {off + 8, u32(uint32(tri * 0xFFFF))}},
+		"unlike fingerprint": {{off + 2, u16(uint16(nSub - 1))}, {off + 8, u32(uint32(tri * (nSub - 1)))}},
+	} {
+		bad := append([]byte(nil), blob...)
+		for _, e := range edits {
+			copy(bad[e.at:], e.bytes)
+		}
+		if _, err := UnmarshalProfile(bad); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: err = %v, want ErrBadSnapshot", name, err)
+		}
+	}
+	for n := off - 1; n < len(blob); n++ {
+		if _, err := UnmarshalProfile(blob[:n]); !errors.Is(err, ErrBadSnapshot) && !errors.Is(err, binio.ErrShort) {
+			t.Fatalf("truncated to %d of %d bytes: err = %v", n, len(blob), err)
+		}
 	}
 }

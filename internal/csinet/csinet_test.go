@@ -362,10 +362,23 @@ func TestNewServerNilFactory(t *testing.T) {
 	}
 }
 
+// TestServerPacing checks that the server spaces frames by its Interval.
+// The clock is the server's own: the source stamps each frame as the server
+// takes it, the first right after the ticker starts and each later one
+// after a tick, so the fifth comes ≥ 40 ms after the first however late the
+// test goroutine runs. A clock in the test goroutine, started at Dial's
+// return or at the first frame's receipt, starts no earlier than that
+// goroutine is scheduled, by which time frames already sent sit in the
+// socket buffer, and loses the tick gaps they spanned.
 func TestServerPacing(t *testing.T) {
+	taken := make(chan time.Time, 16)
 	srv, err := NewServer("127.0.0.1:0", defaultHello(), func() Source {
 		n := uint32(0)
 		return SourceFunc(func() (*csi.Frame, error) {
+			select {
+			case taken <- time.Now():
+			default:
+			}
 			f := sampleFrame(n)
 			n++
 			return f, nil
@@ -385,12 +398,16 @@ func TestServerPacing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	start := time.Now()
 	if _, err := client.RecvN(5); err != nil {
 		t.Fatal(err)
 	}
-	// 5 frames at 10 ms pacing need ≥ ~40 ms (first frame unpaced).
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
+	// The fifth frame was taken before it was sent, so its stamp is queued.
+	var stamps [5]time.Time
+	for i := range stamps {
+		stamps[i] = <-taken
+	}
+	// 5 frames at 10 ms pacing span four ticks, ≥ ~40 ms.
+	if elapsed := stamps[4].Sub(stamps[0]); elapsed < 30*time.Millisecond {
 		t.Fatalf("pacing too fast: %v", elapsed)
 	}
 }

@@ -22,10 +22,10 @@
 // migration history. A window's raw frames go straight to the detector
 // (subcarrier weights, then Δs or the angular stage; no per-window phase
 // sanitization, see internal/core). Sources that implement FrameRecycler
-// get their frames back after each window is scored, and every holdout
-// frame after calibration — but not the calibration frames, which the
-// link's profile keeps — so steady-state monitoring allocates neither
-// frames nor windows. Per-link core.Decisions are fused by a pluggable
+// get their frames back after each window is scored, and every calibration
+// and holdout frame after calibration (the profile keeps only the
+// calibration covariance partials), so steady-state monitoring allocates
+// neither frames nor windows. Per-link core.Decisions are fused by a pluggable
 // FusionPolicy (k-of-n, max-score, quality-weighted k-of-n); Verdict and
 // Metrics (plus their reuse-friendly VerdictInto/MetricsInto/LinksInto
 // variants) read atomically-published per-link snapshots, so monitoring

@@ -508,7 +508,8 @@ func (e *Engine) calibrateLink(ctx context.Context, l *link, n int, src Source) 
 			return fmt.Errorf("adaptation: %w", err)
 		}
 	}
-	// Holdout frames are done; the profile retains the calibration frames.
+	// The profile keeps nothing of either capture.
+	l.recycleFrames(cal)
 	l.recycleFrames(holdout)
 	l.det = det
 	l.adapter.Store(adapter)

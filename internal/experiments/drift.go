@@ -137,11 +137,11 @@ func RunDriftAdaptation(cfg DriftExperimentConfig) (*DriftResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("calibration capture: %w", err)
 	}
-	// The profile keeps the calibration frames, so they are not recycled.
 	profile, err := core.Calibrate(detCfg, cal)
 	if err != nil {
 		return nil, err
 	}
+	recycle(cal)
 	frozen, err := core.NewDetector(detCfg, profile)
 	if err != nil {
 		return nil, err

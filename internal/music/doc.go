@@ -21,7 +21,9 @@
 // covariance from frames; Partials caches a fixed frame set's
 // per-subcarrier snapshot outer products so a weighted covariance becomes a
 // per-subcarrier combine (CovarianceInto) instead of a sweep over every
-// frame; NormalizeInPlace avoids a spectrum copy. The per-angle
+// frame, and owns its wire form (AppendBinary, ReadPartials), which
+// persisted calibration profiles embed; NormalizeInPlace avoids a spectrum
+// copy. The per-angle
 // trigonometric reference spectra the Plan kernels are pinned to live in
 // the package tests.
 package music

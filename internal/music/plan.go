@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 
+	"mlink/internal/binio"
 	"mlink/internal/csi"
 	"mlink/internal/dsp"
 	"mlink/internal/geom"
@@ -448,6 +449,55 @@ func (p *Partials) CovarianceInto(dst *linalg.Matrix, weights []float64) error {
 		}
 	}
 	return nil
+}
+
+// Shape reports the antenna and subcarrier counts of the accumulated frames.
+func (p *Partials) Shape() (nAnt, nSub int) { return p.nAnt, p.nSub }
+
+// AppendBinary appends the partials' wire form to dst: nAnt and nSub (u16),
+// the frame count (u32), then the nAnt(nAnt+1)/2·nSub upper-triangle sums as
+// a u32 count followed by (real, imag) float64 pairs. Bit patterns
+// round-trip exactly, so restored partials combine to the same covariance.
+func (p *Partials) AppendBinary(dst []byte) []byte {
+	dst = binio.AppendU16(dst, uint16(p.nAnt))
+	dst = binio.AppendU16(dst, uint16(p.nSub))
+	dst = binio.AppendU32(dst, uint32(p.frames))
+	dst = binio.AppendU32(dst, uint32(len(p.sums)))
+	for _, v := range p.sums {
+		dst = binio.AppendF64(dst, real(v))
+		dst = binio.AppendF64(dst, imag(v))
+	}
+	return dst
+}
+
+// ReadPartials decodes an AppendBinary blob from the reader's current
+// position. Hostile input fails with ErrBadInput or binio.ErrShort: a zero
+// dimension or frame count, a sums count that does not match the
+// dimensions, and a count beyond the remaining bytes are all rejected before
+// anything is allocated.
+func ReadPartials(r *binio.Reader) (*Partials, error) {
+	nAnt, nSub := int(r.U16()), int(r.U16())
+	frames := uint64(r.U32())
+	n := uint64(r.U32())
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if nAnt == 0 || nSub == 0 || frames == 0 {
+		return nil, fmt.Errorf("partials %dx%d over %d frames: %w", nAnt, nSub, frames, ErrBadInput)
+	}
+	if want := uint64(nAnt) * uint64(nAnt+1) / 2 * uint64(nSub); n != want {
+		return nil, fmt.Errorf("%d sums for %dx%d partials, want %d: %w", n, nAnt, nSub, want, ErrBadInput)
+	}
+	if need := 16 * n; uint64(len(r.Rest())) < need {
+		return nil, fmt.Errorf("%d sums need %d bytes, have %d: %w", n, need, len(r.Rest()), ErrBadInput)
+	}
+	p := &Partials{nAnt: nAnt, nSub: nSub, frames: int(frames), sums: make([]complex128, n)}
+	for i := range p.sums {
+		re := r.F64()
+		im := r.F64()
+		p.sums[i] = complex(re, im)
+	}
+	return p, r.Err()
 }
 
 // CovarianceInto is Covariance writing into a caller-owned matrix, using

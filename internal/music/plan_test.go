@@ -3,9 +3,11 @@ package music
 import (
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
+	"mlink/internal/binio"
 	"mlink/internal/linalg"
 )
 
@@ -176,6 +178,35 @@ func TestPartialsCovarianceMatchesNaive(t *testing.T) {
 	var dst linalg.Matrix
 	if err := parts.CovarianceInto(&dst, zero); !errors.Is(err, ErrBadInput) {
 		t.Errorf("zero weights: err=%v, want ErrBadInput", err)
+	}
+}
+
+// TestPartialsBinaryRoundTrip pins the partials' wire form: a round trip
+// restores every field bit for bit, so the weight-combine is unchanged.
+// internal/core's profile-record tests cover hostile input.
+func TestPartialsBinaryRoundTrip(t *testing.T) {
+	frames := syntheticFrames(t, []float64{-20, 35}, []float64{1, 0.6}, 12, 15, 3)
+	parts, err := NewPartials(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := parts.AppendBinary(nil)
+	r := binio.NewReader(blob)
+	back, err := ReadPartials(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, parts) {
+		t.Fatal("partials did not round-trip")
+	}
+	for i, v := range parts.sums {
+		w := back.sums[i]
+		if math.Float64bits(real(v)) != math.Float64bits(real(w)) || math.Float64bits(imag(v)) != math.Float64bits(imag(w)) {
+			t.Fatalf("sum %d: %v != %v bit for bit", i, w, v)
+		}
 	}
 }
 
