@@ -37,23 +37,18 @@ type (
 	EngineMetrics = engine.Metrics
 	// LinkMetrics is one link's slice of the metrics block.
 	LinkMetrics = engine.LinkMetrics
-	// AdaptationPolicy parameterizes per-link online adaptation (the zero
-	// value selects the documented defaults).
-	AdaptationPolicy = adapt.Policy
 	// LinkHealth is a link's adaptation status snapshot.
 	LinkHealth = adapt.Health
 	// HealthState classifies a link's adaptation health.
 	HealthState = adapt.State
 	// DriftPreset parameterizes a first-class environment-drift scenario.
 	DriftPreset = scenario.DriftPreset
-	// FleetConfig parameterizes the cross-link drift coordinator.
-	FleetConfig = fleet.Config
 	// FleetState classifies the site's cross-link drift evidence.
 	FleetState = fleet.State
 	// FleetReport is one coordination tick's classification and counters.
 	FleetReport = fleet.Report
 	// JournalConfig parameterizes crash-safe online persistence
-	// (EnableJournal): fsync cadence and compaction threshold.
+	// (EnableJournal): the fsync cadence.
 	JournalConfig = fleet.JournalConfig
 	// SupervisionPolicy parameterizes per-link source supervision
 	// (EnableSupervision): ring size, staleness and down thresholds,
@@ -113,7 +108,8 @@ var (
 	AmbientSiteDrift = scenario.AmbientDrift
 )
 
-// EngineConfig parameterizes a multi-link Engine.
+// EngineConfig parameterizes a multi-link Engine. Online adaptation is
+// turned on with EnableAdaptation.
 type EngineConfig struct {
 	// Workers bounds the calibration and scoring pools (0 = GOMAXPROCS).
 	Workers int
@@ -121,10 +117,6 @@ type EngineConfig struct {
 	WindowSize int
 	// Fusion is the site-verdict policy (nil = KOfN{K: 1}).
 	Fusion FusionPolicy
-	// Adaptation enables per-link online adaptation for every link
-	// calibrated after it is set (nil = frozen profiles, the pre-PR 3
-	// behaviour). EnableAdaptation is the ergonomic setter.
-	Adaptation *AdaptationPolicy
 	// OnDecision, when non-nil, observes every scored window. It is called
 	// from scoring workers and must be safe for concurrent use.
 	OnDecision func(linkID string, d Decision)
@@ -169,7 +161,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 		Workers:    cfg.Workers,
 		WindowSize: cfg.WindowSize,
 		Fusion:     cfg.Fusion,
-		Adaptation: cfg.Adaptation,
 		OnDecision: cfg.OnDecision,
 		OnRound: func(v *SiteVerdict) {
 			if userCb != nil {
@@ -191,13 +182,9 @@ func NewEngine(cfg EngineConfig) *Engine {
 // step-change) and drives per-link suppression, baseline relocks and
 // staggered online recalibrations through the engine. Requires adaptation
 // (EnableAdaptation) for the per-link controls to have anything to act on;
-// call before Run. With no argument the default fleet configuration is used.
-func (e *Engine) EnableFleet(config ...FleetConfig) error {
-	cfg := FleetConfig{}
-	if len(config) > 0 {
-		cfg = config[0]
-	}
-	e.coord.Store(fleet.New(cfg, e.eng))
+// call before Run.
+func (e *Engine) EnableFleet() error {
+	e.coord.Store(fleet.New(e.eng))
 	return nil
 }
 
@@ -308,14 +295,10 @@ func (e *Engine) CalibrateMissing(n int) error {
 
 // EnableAdaptation turns on per-link online adaptation (profile refresh,
 // threshold re-derivation, drift quarantine) for links calibrated from here
-// on. Call it before Calibrate; with no argument the default policy is
-// used. Rejected while the engine is running.
-func (e *Engine) EnableAdaptation(policy ...AdaptationPolicy) error {
-	p := AdaptationPolicy{}
-	if len(policy) > 0 {
-		p = policy[0]
-	}
-	if err := e.eng.SetAdaptation(&p); err != nil {
+// on, at the one operating point internal/adapt fixes. Call it before
+// Calibrate. Rejected while the engine is running.
+func (e *Engine) EnableAdaptation() error {
+	if err := e.eng.SetAdaptation(&adapt.Policy{}); err != nil {
 		return fmt.Errorf("mlink: %w", err)
 	}
 	return nil

@@ -13,11 +13,10 @@ import (
 func TestEngineFacadeSupervisedChaos(t *testing.T) {
 	eng := NewEngine(EngineConfig{Workers: 1, WindowSize: 25, Fusion: KOfN{K: 1}})
 	if err := eng.EnableSupervision(SupervisionPolicy{
-		StaleAfter:     50 * time.Millisecond,
-		DownAfter:      150 * time.Millisecond,
-		BackoffMin:     2 * time.Millisecond,
-		BackoffMax:     20 * time.Millisecond,
-		HoldLiveFrames: 10,
+		StaleAfter: 50 * time.Millisecond,
+		DownAfter:  150 * time.Millisecond,
+		BackoffMin: 2 * time.Millisecond,
+		BackoffMax: 20 * time.Millisecond,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +29,7 @@ func TestEngineFacadeSupervisedChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaosSrc, err := eng.AddChaosLink("flaky", sysA, ChaosConfig{StallAfter: 1, StallFor: time.Hour})
+	chaosSrc, err := eng.AddChaosLink("flaky", sysA, ChaosConfig{StallEvery: 1, StallFor: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func run() error {
 			}
 		},
 	})
-	coord = fleet.New(fleet.Config{}, eng)
+	coord = fleet.New(eng)
 
 	streams := make([]*scenario.DriftStream, 0, 3)
 	var personBody body.Body

@@ -10,9 +10,6 @@ import (
 	"mlink/internal/csi"
 )
 
-// ErrBadPolicy reports an invalid adaptation policy.
-var ErrBadPolicy = errors.New("adapt: bad policy")
-
 // State is a link's adaptation health classification.
 type State int
 
@@ -172,89 +169,45 @@ func (h Health) Weight() float64 {
 	return w
 }
 
-// Policy parameterizes per-link adaptation. The zero value selects the
-// defaults noted per field.
-type Policy struct {
-	// Alpha is the EWMA weight of one silent window in the profile refresh
-	// (0 = core.DefaultProfileAlpha).
-	Alpha float64
-	// SilentFraction gates profile refresh: a window refreshes the profile
-	// only when its score ≤ SilentFraction × threshold, i.e. it is
-	// confidently empty, not merely below threshold (default 0.9).
-	SilentFraction float64
-	// TrackBand enables the sustained-tracking refresh that bootstraps a
-	// walked baseline: a window whose score is within TrackBand × σ₀ of the
-	// rolling score mean is consistent with the recent past — a gradual
-	// baseline walk, not an arrival — and refreshes the profile even above
-	// the threshold. A person stepping onto the link is a step change:
-	// outside the band at first, then driving the drift monitor critical
-	// (which suspends tracking refreshes) before the rolling mean can
-	// absorb them. 0 selects 4 (an on-link person registers tens of σ₀, so
-	// the band keeps an order-of-magnitude margin); negative disables
-	// tracking refreshes.
-	TrackBand float64
-	// RederiveEvery re-derives the threshold after this many profile
-	// refreshes (default 8; ≤0 keeps the default, use a huge value to pin
-	// the threshold).
-	RederiveEvery int
-	// NullWindow is the rolling null-score buffer length the threshold is
-	// re-derived from (default 32).
-	NullWindow int
-	// Quantile and Margin parameterize the online threshold re-derivation,
-	// exactly as in core.Detector.CalibrateThreshold (defaults
-	// core.ThresholdQuantile and core.DefaultThresholdMargin).
-	Quantile, Margin float64
-	// MinThresholdFactor floors the re-derived threshold at this fraction
-	// of the calibration-time threshold, so a quiet stretch cannot
-	// collapse the threshold into the noise (default 0.8). The rolling
-	// null window spans seconds while receiver gain wanders on a
-	// multi-second time constant, so the rolling q95 systematically
-	// under-samples the stationary null spread — the floor, anchored to
-	// the calibration estimate, is what keeps that bias from ratcheting
-	// the threshold down until ordinary gain wander alarms.
-	MinThresholdFactor float64
-	// Drift parameterizes the windowed score-statistics drift test. The
-	// monitor's reference is rebased onto the rolling null distribution at
-	// every threshold re-derivation, so its critical bound means "walked
-	// away from even the adapted baseline".
-	Drift core.DriftConfig
-}
+// Policy selects per-link adaptation. It has no fields: every link adapts
+// at the one operating point the constants below fix, and a *Policy handed
+// to the engine or the facade is the switch that turns adaptation on. The
+// online threshold re-derivation uses core.ThresholdQuantile and
+// core.DefaultThresholdMargin, exactly as core.Detector.CalibrateThreshold
+// does, and a refresh folds a window in with core.DefaultProfileAlpha.
+type Policy struct{}
 
-// withDefaults fills zero fields.
-func (p Policy) withDefaults() Policy {
-	if p.SilentFraction <= 0 {
-		p.SilentFraction = 0.9
-	}
-	if p.TrackBand == 0 {
-		p.TrackBand = 4
-	}
-	if p.RederiveEvery <= 0 {
-		p.RederiveEvery = 8
-	}
-	if p.NullWindow <= 0 {
-		p.NullWindow = 32
-	}
-	if p.Quantile <= 0 || p.Quantile > 1 {
-		p.Quantile = core.ThresholdQuantile
-	}
-	if p.Margin <= 0 {
-		p.Margin = core.DefaultThresholdMargin
-	}
-	if p.MinThresholdFactor <= 0 {
-		p.MinThresholdFactor = 0.8
-	}
-	return p
-}
-
-func (p Policy) validate() error {
-	if p.SilentFraction > 1 {
-		return fmt.Errorf("silent fraction %v > 1 would refresh on detections: %w", p.SilentFraction, ErrBadPolicy)
-	}
-	if p.Alpha < 0 || p.Alpha > 1 {
-		return fmt.Errorf("alpha %v out of [0,1]: %w", p.Alpha, ErrBadPolicy)
-	}
-	return nil
-}
+const (
+	// silentFraction gates profile refresh: a window refreshes the profile
+	// only when its score ≤ 0.9 × threshold, i.e. it is confidently empty,
+	// not merely below threshold.
+	silentFraction = 0.9
+	// trackBand sizes the sustained-tracking refresh that bootstraps a
+	// walked baseline: a window whose score is within 4 σ₀ of the rolling
+	// score mean is consistent with the recent past — a gradual baseline
+	// walk, not an arrival — and refreshes the profile even above the
+	// threshold. A person stepping onto the link is a step change: outside
+	// the band at first, then driving the drift monitor critical (which
+	// suspends tracking refreshes) before the rolling mean can absorb them.
+	// An on-link person registers tens of σ₀, so 4 keeps an
+	// order-of-magnitude margin.
+	trackBand = 4
+	// rederiveEvery re-derives the threshold after every 8 profile
+	// refreshes, by when a quarter of the null window is new.
+	rederiveEvery = 8
+	// nullWindow is the rolling null-score buffer the threshold is
+	// re-derived from: 32 windows, about 16 s of monitoring at the paper's
+	// operating point.
+	nullWindow = 32
+	// minThresholdFactor floors the re-derived threshold at 0.8 of the
+	// calibration-time threshold, so a quiet stretch cannot collapse the
+	// threshold into the noise. The rolling null window spans seconds while
+	// receiver gain wanders on a multi-second time constant, so the rolling
+	// q95 systematically under-samples the stationary null spread — the
+	// floor, anchored to the calibration estimate, is what keeps that bias
+	// from ratcheting the threshold down until ordinary gain wander alarms.
+	minThresholdFactor = 0.8
+)
 
 // Adapter runs the adaptation policy for one link: it owns the link's
 // mutable profile state and drift monitor, and pushes refreshed profiles
@@ -267,8 +220,6 @@ func (p Policy) validate() error {
 // Health may be read from any goroutine at any time: snapshots are published
 // through an atomic seqlock, so readers never block the observer.
 type Adapter struct {
-	pol Policy
-
 	det           *core.Detector
 	lp            *core.LinkProfile
 	mon           *core.DriftMonitor
@@ -402,33 +353,28 @@ func (p *healthPub) load() Health {
 // the calibration-stage null sample (the same scores the threshold was
 // derived from); it seeds both the rolling null buffer and the drift
 // monitor's reference statistics.
-func NewAdapter(pol Policy, det *core.Detector, calNullScores []float64) (*Adapter, error) {
+func NewAdapter(_ Policy, det *core.Detector, calNullScores []float64) (*Adapter, error) {
 	if det == nil {
-		return nil, fmt.Errorf("adapter needs a detector: %w", ErrBadPolicy)
+		return nil, fmt.Errorf("adapter needs a detector: %w", core.ErrBadInput)
 	}
-	if err := pol.validate(); err != nil {
-		return nil, err
-	}
-	pol = pol.withDefaults()
 	if err := core.ValidateNullScores(calNullScores); err != nil {
 		return nil, fmt.Errorf("adapter null seed: %w", err)
 	}
-	lp, err := core.NewLinkProfile(det.Profile(), pol.Alpha)
+	lp, err := core.NewLinkProfile(det.Profile(), core.DefaultProfileAlpha)
 	if err != nil {
 		return nil, fmt.Errorf("adapter: %w", err)
 	}
-	mon, err := core.NewDriftMonitor(pol.Drift, calNullScores)
+	mon, err := core.NewDriftMonitor(calNullScores)
 	if err != nil {
 		return nil, fmt.Errorf("adapter: %w", err)
 	}
-	nulls := make([]float64, 0, pol.NullWindow)
+	nulls := make([]float64, 0, nullWindow)
 	tail := calNullScores
-	if len(tail) > pol.NullWindow {
-		tail = tail[len(tail)-pol.NullWindow:]
+	if len(tail) > nullWindow {
+		tail = tail[len(tail)-nullWindow:]
 	}
 	nulls = append(nulls, tail...)
 	a := &Adapter{
-		pol:     pol,
 		det:     det,
 		lp:      lp,
 		mon:     mon,
@@ -507,11 +453,11 @@ func (a *Adapter) ObserveScored(window []*csi.Frame, dec core.Decision, sc *core
 	// statistically indistinguishable from the receiver's own gain
 	// excursions; that residual ambiguity is inherent to a single link.)
 	suppressed := a.suppress.Load()
-	silent := !dec.Present && dec.Threshold > 0 && dec.Score <= a.pol.SilentFraction*dec.Threshold
-	tracking := !silent && a.pol.TrackBand > 0 &&
+	silent := !dec.Present && dec.Threshold > 0 && dec.Score <= silentFraction*dec.Threshold
+	tracking := !silent &&
 		(stats.State == core.DriftHealthy || stats.State == core.DriftWarning) &&
 		!stats.JumpExceeded &&
-		math.Abs(dec.Score-stats.RecentMean) <= a.pol.TrackBand*stats.RefStd
+		math.Abs(dec.Score-stats.RecentMean) <= trackBand*stats.RefStd
 	if (silent || tracking) && !suppressed {
 		if err := a.refresh(window, sc, dec.Score); err != nil {
 			return a.health, err
@@ -563,11 +509,11 @@ func (a *Adapter) refresh(window []*csi.Frame, sc *core.Scratch, score float64) 
 	a.nulls = append(a.nulls, score)
 
 	a.sinceRederive++
-	if a.sinceRederive < a.pol.RederiveEvery {
+	if a.sinceRederive < rederiveEvery {
 		return nil
 	}
 	a.sinceRederive = 0
-	t, err := core.DeriveThreshold(a.nulls, a.pol.Quantile, a.pol.Margin)
+	t, err := core.DeriveThreshold(a.nulls, core.ThresholdQuantile, core.DefaultThresholdMargin)
 	if err != nil {
 		// A degenerate rolling sample (e.g. a stuck replay) pins the
 		// current threshold rather than poisoning it.
@@ -576,7 +522,7 @@ func (a *Adapter) refresh(window []*csi.Frame, sc *core.Scratch, score float64) 
 		}
 		return fmt.Errorf("adapt threshold: %w", err)
 	}
-	if floor := a.pol.MinThresholdFactor * a.baseThr; t < floor {
+	if floor := minThresholdFactor * a.baseThr; t < floor {
 		t = floor
 	}
 	a.det.SetThreshold(t)

@@ -82,15 +82,11 @@ func TestAdapterRefreshesOnSilentWindows(t *testing.T) {
 	if health.State == StateQuarantined {
 		t.Fatalf("quiet link quarantined: %+v", health)
 	}
-	if a.pol.SilentFraction != 0.9 {
-		t.Fatalf("default silent fraction = %v", a.pol.SilentFraction)
-	}
 }
 
 func TestAdapterRederivesThreshold(t *testing.T) {
 	h := newHarness(t, 53)
-	pol := Policy{RederiveEvery: 4}
-	a, err := NewAdapter(pol, h.det, h.null)
+	a, err := NewAdapter(Policy{}, h.det, h.null)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +101,7 @@ func TestAdapterRederivesThreshold(t *testing.T) {
 		t.Fatalf("threshold collapsed to %v", h.det.Threshold())
 	}
 	// The floor: the online threshold can never fall below
-	// MinThresholdFactor × the calibration threshold.
+	// minThresholdFactor × the calibration threshold.
 	if h.det.Threshold() < 0.5*health.Threshold/2 {
 		t.Fatalf("threshold %v below floor", h.det.Threshold())
 	}
@@ -113,14 +109,8 @@ func TestAdapterRederivesThreshold(t *testing.T) {
 
 func TestAdapterValidation(t *testing.T) {
 	h := newHarness(t, 57)
-	if _, err := NewAdapter(Policy{}, nil, h.null); !errors.Is(err, ErrBadPolicy) {
+	if _, err := NewAdapter(Policy{}, nil, h.null); !errors.Is(err, core.ErrBadInput) {
 		t.Fatalf("nil detector err = %v", err)
-	}
-	if _, err := NewAdapter(Policy{SilentFraction: 1.5}, h.det, h.null); !errors.Is(err, ErrBadPolicy) {
-		t.Fatalf("silent fraction >1 err = %v", err)
-	}
-	if _, err := NewAdapter(Policy{Alpha: 2}, h.det, h.null); !errors.Is(err, ErrBadPolicy) {
-		t.Fatalf("alpha >1 err = %v", err)
 	}
 	if _, err := NewAdapter(Policy{}, h.det, []float64{1}); !errors.Is(err, core.ErrBadInput) {
 		t.Fatalf("tiny null seed err = %v", err)

@@ -138,8 +138,7 @@ func TestAdapterRelockClearsQuarantine(t *testing.T) {
 // must score and adapt identically to the original from that point on.
 func TestAdapterPersistRoundTrip(t *testing.T) {
 	h := newHarness(t, 65)
-	pol := Policy{RederiveEvery: 4}
-	a, err := NewAdapter(pol, h.det, h.null)
+	a, err := NewAdapter(Policy{}, h.det, h.null)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestAdapterPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, det2, err := Restore(pol, h.cfg, blob)
+	b, det2, err := Restore(h.cfg, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +196,10 @@ func TestAdapterPersistRoundTrip(t *testing.T) {
 	}
 
 	// Corrupt snapshots must be rejected, not misread.
-	if _, _, err := Restore(pol, h.cfg, blob[:len(blob)-3]); err == nil {
+	if _, _, err := Restore(h.cfg, blob[:len(blob)-3]); err == nil {
 		t.Fatal("truncated snapshot restored")
 	}
-	if _, _, err := Restore(pol, h.cfg, append([]byte{0}, blob...)); err == nil {
+	if _, _, err := Restore(h.cfg, append([]byte{0}, blob...)); err == nil {
 		t.Fatal("garbage snapshot restored")
 	}
 }

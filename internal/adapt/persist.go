@@ -20,8 +20,7 @@ const (
 )
 
 // ErrBadSnapshot reports an adapter snapshot that cannot be decoded. It
-// wraps core.ErrBadInput (bad data), deliberately NOT ErrBadPolicy — a
-// corrupt file and a misconfigured policy call for different remediations.
+// wraps core.ErrBadInput (bad data).
 var ErrBadSnapshot = fmt.Errorf("adapt: bad adapter snapshot (%w)", core.ErrBadInput)
 
 // appendDriftState serializes a drift-monitor state. readDriftState is its
@@ -165,7 +164,7 @@ func (a *Adapter) ApplyDelta(blob []byte) error {
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("delta: %w", err)
 	}
-	monitor, err := core.RestoreDriftMonitor(a.pol.Drift, mon)
+	monitor, err := core.RestoreDriftMonitor(mon)
 	if err != nil {
 		return fmt.Errorf("delta drift monitor: %w", err)
 	}
@@ -177,8 +176,8 @@ func (a *Adapter) ApplyDelta(blob []byte) error {
 	}
 	a.det.SetThreshold(threshold)
 	a.baseThr = baseThr
-	if len(nulls) > a.pol.NullWindow {
-		nulls = nulls[len(nulls)-a.pol.NullWindow:]
+	if len(nulls) > nullWindow {
+		nulls = nulls[len(nulls)-nullWindow:]
 	}
 	a.nulls = append(a.nulls[:0], nulls...)
 	a.sinceRederive = sinceRederive
@@ -194,15 +193,10 @@ func (a *Adapter) ApplyDelta(blob []byte) error {
 
 // Restore rebuilds an adapter — and the detector it drives — from a snapshot
 // produced by AppendBinary. cfg must be the link's scoring configuration
-// (the profile's shape and scheme requirements are validated against it) and
-// pol the adaptation policy to resume under; the persisted rolling windows
-// are re-fitted into the policy's buffer lengths, keeping the newest samples
-// when a buffer shrank.
-func Restore(pol Policy, cfg core.Config, blob []byte) (*Adapter, *core.Detector, error) {
-	if err := pol.validate(); err != nil {
-		return nil, nil, err
-	}
-	pol = pol.withDefaults()
+// (the profile's shape and scheme requirements are validated against it).
+// The persisted rolling null scores are re-fitted into the null window,
+// keeping the newest.
+func Restore(cfg core.Config, blob []byte) (*Adapter, *core.Detector, error) {
 	r := binio.NewReader(blob)
 	if m := r.U32(); r.Err() == nil && m != adapterMagic {
 		return nil, nil, fmt.Errorf("magic %#x: %w", m, ErrBadSnapshot)
@@ -237,22 +231,21 @@ func Restore(pol Policy, cfg core.Config, blob []byte) (*Adapter, *core.Detector
 		return nil, nil, fmt.Errorf("restore detector: %w", err)
 	}
 	det.SetThreshold(threshold)
-	monitor, err := core.RestoreDriftMonitor(pol.Drift, mon)
+	monitor, err := core.RestoreDriftMonitor(mon)
 	if err != nil {
 		return nil, nil, fmt.Errorf("restore drift monitor: %w", err)
 	}
 
-	if len(nulls) > pol.NullWindow {
-		nulls = nulls[len(nulls)-pol.NullWindow:]
+	if len(nulls) > nullWindow {
+		nulls = nulls[len(nulls)-nullWindow:]
 	}
-	ring := make([]float64, 0, pol.NullWindow)
+	ring := make([]float64, 0, nullWindow)
 	ring = append(ring, nulls...)
 
 	h.ProfileShiftDB = lp.ShiftDB()
 	h.Refreshes = lp.Refreshes()
 	h.Threshold = threshold
 	a := &Adapter{
-		pol:           pol,
 		det:           det,
 		lp:            lp,
 		mon:           monitor,

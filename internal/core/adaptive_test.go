@@ -180,7 +180,7 @@ func TestMeasureWindowMatchesCalibrate(t *testing.T) {
 
 func TestDriftMonitorWalkVsStep(t *testing.T) {
 	ref := []float64{0.50, 0.55, 0.45, 0.52, 0.48, 0.51}
-	mon, err := NewDriftMonitor(DriftConfig{Window: 10}, ref)
+	mon, err := NewDriftMonitor(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestDriftMonitorWalkVsStep(t *testing.T) {
 	}
 
 	// A step: one big jump, sustained → critical (quarantine).
-	mon2, err := NewDriftMonitor(DriftConfig{Window: 10}, ref)
+	mon2, err := NewDriftMonitor(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +234,11 @@ func TestDriftMonitorWalkVsStep(t *testing.T) {
 
 func TestDriftMonitorRebase(t *testing.T) {
 	ref := []float64{0.50, 0.55, 0.45, 0.52, 0.48, 0.51}
-	mon, err := NewDriftMonitor(DriftConfig{Window: 8}, ref)
+	mon, err := NewDriftMonitor(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < driftMinSamples; i++ {
 		mon.Observe(1.0)
 	}
 	before := mon.Snapshot()
@@ -257,27 +257,33 @@ func TestDriftMonitorRebase(t *testing.T) {
 }
 
 func TestDriftMonitorErrors(t *testing.T) {
-	if _, err := NewDriftMonitor(DriftConfig{}, []float64{1}); !errors.Is(err, ErrBadInput) {
+	if _, err := NewDriftMonitor([]float64{1}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("short ref err = %v", err)
 	}
-	if _, err := NewDriftMonitor(DriftConfig{}, []float64{1, math.NaN()}); !errors.Is(err, ErrBadInput) {
+	if _, err := NewDriftMonitor([]float64{1, math.NaN()}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("NaN ref err = %v", err)
 	}
-	mon, err := NewDriftMonitor(DriftConfig{Window: 4, MinSamples: 2}, []float64{0.5, 0.6})
+	mon, err := NewDriftMonitor([]float64{0.5, 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Non-finite scores are counted but never poison the statistics.
+	// Non-finite scores are counted but never poison the statistics: the
+	// monitor classifies once it holds driftMinSamples finite scores.
 	mon.Observe(0.55)
 	mon.Observe(math.NaN())
 	mon.Observe(math.Inf(1))
-	mon.Observe(0.5)
+	for i := 1; i < driftMinSamples; i++ {
+		mon.Observe(0.5)
+	}
 	st := mon.Snapshot()
+	if st.State == DriftUnknown {
+		t.Fatalf("monitor unclassified after %d finite scores", driftMinSamples)
+	}
 	if math.IsNaN(st.Z) || math.IsInf(st.Z, 0) {
 		t.Fatalf("non-finite z after NaN scores: %v", st.Z)
 	}
-	if st.Observed != 4 {
-		t.Fatalf("observed = %d, want 4", st.Observed)
+	if want := uint64(driftMinSamples + 2); st.Observed != want {
+		t.Fatalf("observed = %d, want %d", st.Observed, want)
 	}
 }
 

@@ -42,62 +42,33 @@ func (s DriftState) String() string {
 	}
 }
 
-// DriftConfig parameterizes the windowed score-statistics test.
-type DriftConfig struct {
-	// Window is the rolling score window length (default 20 windows —
-	// 10 s of monitoring at the paper's operating point).
-	Window int
-	// WarnZ and CriticalZ bound the standardized shift of the rolling mean,
-	// measured in units of the reference deviation σ₀ (defaults 3 and 8).
+// The drift test's operating point.
+const (
+	// driftWindow is the rolling score window length: 20 windows, 10 s of
+	// monitoring at the paper's operating point.
+	driftWindow = 20
+	// driftMinSamples is how many scores must be observed before the
+	// monitor leaves DriftUnknown: half a window.
+	driftMinSamples = driftWindow / 2
+	// driftWarnZ and driftCriticalZ bound the standardized shift of the
+	// rolling mean, measured in units of the reference deviation σ₀.
 	// Monitoring scores are autocorrelated, so these are effect sizes, not
 	// √n-scaled test statistics — textbook 2σ bounds would trip on every
 	// AGC wiggle.
-	WarnZ, CriticalZ float64
-	// CriticalPersist is how many consecutive over-critical windows are
-	// required before the state becomes DriftCritical (default 3) — a
-	// single outlier window, or the transient before the first threshold
-	// rebase, must not quarantine a link.
-	CriticalPersist int
-	// JumpZ separates step changes from walks: DriftCritical additionally
-	// requires that some consecutive-window score increment within the
-	// rolling window exceeded JumpZ × σ₀ (default 6). A person or moved
-	// cabinet arrives as a jump; a thermal gain walk creeps in sub-σ
-	// increments and classifies as DriftWarning no matter how far it has
-	// walked — warning keeps adaptation tracking, critical quarantines.
-	JumpZ float64
-	// MinSamples is how many scores must be observed before the monitor
-	// leaves DriftUnknown (default Window/2).
-	MinSamples int
-}
-
-// withDefaults fills zero fields.
-func (c DriftConfig) withDefaults() DriftConfig {
-	if c.Window <= 0 {
-		c.Window = 20
-	}
-	if c.WarnZ <= 0 {
-		c.WarnZ = 3
-	}
-	if c.CriticalZ <= 0 {
-		c.CriticalZ = 8
-	}
-	if c.CriticalZ < c.WarnZ {
-		c.CriticalZ = c.WarnZ
-	}
-	if c.CriticalPersist <= 0 {
-		c.CriticalPersist = 3
-	}
-	if c.JumpZ <= 0 {
-		c.JumpZ = 6
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = c.Window / 2
-		if c.MinSamples < 2 {
-			c.MinSamples = 2
-		}
-	}
-	return c
-}
+	driftWarnZ, driftCriticalZ = 3, 8
+	// driftCriticalPersist is how many consecutive over-critical windows
+	// are required before the state becomes DriftCritical: a single outlier
+	// window, or the transient before the first threshold rebase, must not
+	// quarantine a link.
+	driftCriticalPersist = 3
+	// driftJumpZ separates step changes from walks: DriftCritical
+	// additionally requires that some consecutive-window score increment
+	// within the rolling window exceeded 6 σ₀. A person or moved cabinet
+	// arrives as a jump; a thermal gain walk creeps in sub-σ increments and
+	// classifies as DriftWarning no matter how far it has walked — warning
+	// keeps adaptation tracking, critical quarantines.
+	driftJumpZ = 6
+)
 
 // DriftStats is one snapshot of the monitor.
 type DriftStats struct {
@@ -122,7 +93,7 @@ type DriftStats struct {
 	// MaxJumpZ is the largest consecutive-window score increment in the
 	// rolling window, in σ₀ units — the step-vs-walk discriminator.
 	MaxJumpZ float64
-	// JumpExceeded reports MaxJumpZ ≥ the configured JumpZ bound: a
+	// JumpExceeded reports MaxJumpZ ≥ the jump bound (6 σ₀): a
 	// step-like arrival is in the recent history, so the adaptation layer
 	// must not treat the current level as a trackable walk.
 	JumpExceeded bool
@@ -133,7 +104,7 @@ type DriftStats struct {
 // DriftMonitor implements the windowed score-statistics test that flags a
 // walked empty-room baseline (§IV-C threshold assumptions + RASID §5.2):
 // a reference null sample fixes (μ₀, σ₀); during monitoring the mean of the
-// last Window scores is standardized against that reference, and sustained
+// last driftWindow scores is standardized against that reference, and sustained
 // shifts past the warn / critical bounds classify the link as drifting /
 // needing recalibration. The adaptation layer Rebases the reference
 // whenever it re-derives the threshold, so for an adapted link "critical"
@@ -142,7 +113,6 @@ type DriftStats struct {
 // The monitor is not safe for concurrent use; callers (the adapt package)
 // serialize Observe externally.
 type DriftMonitor struct {
-	cfg      DriftConfig
 	refMean  float64
 	refStd   float64
 	ring     []float64
@@ -188,18 +158,16 @@ func refStats(refScores []float64) (mean, std float64, err error) {
 
 // NewDriftMonitor builds a monitor referenced to the calibration-stage null
 // scores (the same sample CalibrateThreshold consumes).
-func NewDriftMonitor(cfg DriftConfig, refScores []float64) (*DriftMonitor, error) {
-	cfg = cfg.withDefaults()
+func NewDriftMonitor(refScores []float64) (*DriftMonitor, error) {
 	mean, std, err := refStats(refScores)
 	if err != nil {
 		return nil, err
 	}
 	return &DriftMonitor{
-		cfg:     cfg,
 		refMean: mean,
 		refStd:  std,
-		ring:    make([]float64, cfg.Window),
-		jumps:   make([]float64, cfg.Window),
+		ring:    make([]float64, driftWindow),
+		jumps:   make([]float64, driftWindow),
 		last:    DriftStats{RefMean: mean, RefStd: std},
 	}, nil
 }
@@ -241,7 +209,7 @@ func (m *DriftMonitor) Observe(score float64) {
 
 	st := DriftStats{RefMean: m.refMean, RefStd: m.refStd, Observed: m.seen}
 	n := m.count()
-	if n < m.cfg.MinSamples {
+	if n < driftMinSamples {
 		st.State = DriftUnknown
 		m.last = st
 		return
@@ -256,7 +224,7 @@ func (m *DriftMonitor) Observe(score float64) {
 		}
 	}
 	st.MaxJumpZ = maxJump / m.refStd
-	st.JumpExceeded = st.MaxJumpZ >= m.cfg.JumpZ
+	st.JumpExceeded = st.MaxJumpZ >= driftJumpZ
 	recent := n
 	if recent > 5 {
 		recent = 5
@@ -273,21 +241,21 @@ func (m *DriftMonitor) Observe(score float64) {
 	// arrival jump slides out of the ring. A jump-free sustained shift is a
 	// walk: warning, never critical, however far it has walked — warning
 	// keeps the adaptation layer tracking it.
-	if math.Abs(st.ScoreZ) >= m.cfg.CriticalZ {
+	if math.Abs(st.ScoreZ) >= driftCriticalZ {
 		m.overCrit++
 	} else {
 		m.overCrit = 0
 	}
-	if m.overCrit >= m.cfg.CriticalPersist && st.JumpExceeded {
+	if m.overCrit >= driftCriticalPersist && st.JumpExceeded {
 		m.latched = true
 	}
-	if m.latched && math.Abs(st.ScoreZ) < m.cfg.WarnZ {
+	if m.latched && math.Abs(st.ScoreZ) < driftWarnZ {
 		m.latched = false
 	}
 	switch {
 	case m.latched:
 		st.State = DriftCritical
-	case math.Abs(st.Z) >= m.cfg.WarnZ:
+	case math.Abs(st.Z) >= driftWarnZ:
 		st.State = DriftWarning
 	default:
 		st.State = DriftHealthy

@@ -405,10 +405,9 @@ func (m *DriftMonitor) StateInto(st *DriftMonitorState) {
 	}
 }
 
-// RestoreDriftMonitor rebuilds a monitor from persisted state under the given
-// config. A window shorter than the persisted sample keeps the newest scores.
-func RestoreDriftMonitor(cfg DriftConfig, st DriftMonitorState) (*DriftMonitor, error) {
-	cfg = cfg.withDefaults()
+// RestoreDriftMonitor rebuilds a monitor from persisted state. A persisted
+// sample longer than the window keeps its newest scores.
+func RestoreDriftMonitor(st DriftMonitorState) (*DriftMonitor, error) {
 	if len(st.Jumps) != len(st.Scores) {
 		return nil, fmt.Errorf("drift state with %d jumps for %d scores: %w", len(st.Jumps), len(st.Scores), ErrBadInput)
 	}
@@ -416,11 +415,10 @@ func RestoreDriftMonitor(cfg DriftConfig, st DriftMonitorState) (*DriftMonitor, 
 		return nil, fmt.Errorf("drift state reference (μ₀=%v, σ₀=%v): %w", st.RefMean, st.RefStd, ErrBadInput)
 	}
 	m := &DriftMonitor{
-		cfg:      cfg,
 		refMean:  st.RefMean,
 		refStd:   st.RefStd,
-		ring:     make([]float64, cfg.Window),
-		jumps:    make([]float64, cfg.Window),
+		ring:     make([]float64, driftWindow),
+		jumps:    make([]float64, driftWindow),
 		prev:     st.Prev,
 		havePrev: st.HavePrev,
 		seen:     st.Seen,
@@ -429,17 +427,17 @@ func RestoreDriftMonitor(cfg DriftConfig, st DriftMonitorState) (*DriftMonitor, 
 		last:     DriftStats{RefMean: st.RefMean, RefStd: st.RefStd, Observed: st.Seen},
 	}
 	scores, jumps := st.Scores, st.Jumps
-	if len(scores) > cfg.Window {
-		scores = scores[len(scores)-cfg.Window:]
-		jumps = jumps[len(jumps)-cfg.Window:]
+	if len(scores) > driftWindow {
+		scores = scores[len(scores)-driftWindow:]
+		jumps = jumps[len(jumps)-driftWindow:]
 	}
 	for i, s := range scores {
 		m.ring[i] = s
 		m.jumps[i] = jumps[i]
 		m.sum += s
 	}
-	m.next = len(scores) % cfg.Window
-	m.full = len(scores) == cfg.Window
+	m.next = len(scores) % driftWindow
+	m.full = len(scores) == driftWindow
 	return m, nil
 }
 

@@ -195,20 +195,22 @@ func TestLinkProfileBinaryRoundTrip(t *testing.T) {
 }
 
 func TestDriftMonitorStateRoundTrip(t *testing.T) {
-	cfg := DriftConfig{Window: 8}
 	ref := []float64{1, 1.1, 0.9, 1.05, 0.95, 1.2, 0.8, 1}
-	m, err := NewDriftMonitor(cfg, ref)
+	m, err := NewDriftMonitor(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// More scores than the window holds, so the ring has wrapped.
 	scores := []float64{1, 1.2, 0.9, 1.4, 1.1, 0.95, 1.3, 1, 1.15, 1.05, 0.9}
-	for _, s := range scores {
-		m.Observe(s)
+	for range 3 {
+		for _, s := range scores {
+			m.Observe(s)
+		}
 	}
 
 	var st DriftMonitorState
 	m.StateInto(&st)
-	back, err := RestoreDriftMonitor(cfg, st)
+	back, err := RestoreDriftMonitor(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,21 +225,25 @@ func TestDriftMonitorStateRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, err := RestoreDriftMonitor(cfg, DriftMonitorState{RefStd: -1}); !errors.Is(err, ErrBadInput) {
+	if _, err := RestoreDriftMonitor(DriftMonitorState{RefStd: -1}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("negative σ₀ err = %v", err)
 	}
-	if _, err := RestoreDriftMonitor(cfg, DriftMonitorState{RefMean: 1, RefStd: 1, Scores: []float64{1}, Jumps: nil}); !errors.Is(err, ErrBadInput) {
+	if _, err := RestoreDriftMonitor(DriftMonitorState{RefMean: 1, RefStd: 1, Scores: []float64{1}, Jumps: nil}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("mismatched rings err = %v", err)
 	}
 }
 
 func TestDriftMonitorReset(t *testing.T) {
-	m, err := NewDriftMonitor(DriftConfig{Window: 6, CriticalPersist: 2}, []float64{1, 1.1, 0.9, 1.05})
+	m, err := NewDriftMonitor([]float64{1, 1.1, 0.9, 1.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Latch critical: a big jump plus a sustained excursion.
-	for _, s := range []float64{1, 1, 50, 51, 50, 52} {
+	// Latch critical: a big jump plus an excursion sustained for
+	// driftCriticalPersist classified windows.
+	for range driftMinSamples - 1 {
+		m.Observe(1)
+	}
+	for _, s := range []float64{50, 51, 50, 52} {
 		m.Observe(s)
 	}
 	if m.Snapshot().State != DriftCritical {
@@ -249,8 +255,8 @@ func TestDriftMonitorReset(t *testing.T) {
 	}
 	// The reference survives a reset; the ring is empty so a few quiet
 	// scores bring the monitor back healthy with no memory of the latch.
-	for _, s := range []float64{1, 1.05, 0.95, 1.1} {
-		m.Observe(s)
+	for i := range driftMinSamples {
+		m.Observe([]float64{1, 1.05, 0.95, 1.1}[i%4])
 	}
 	if st := m.Snapshot(); st.State != DriftHealthy || st.JumpExceeded {
 		t.Fatalf("post-reset state = %+v", st)

@@ -20,8 +20,9 @@
 // nothing per frame; transport failures surface as the typed ErrLinkDown.
 // Redialer wraps a Client with address-keeping reconnect support (the
 // supervise.Reconnector contract), so a monitoring engine can redial a
-// restarted collector without tearing the link down. On the serve side,
-// Server.WriteTimeout bounds how long a wedged client that stops reading
-// can back up a stream goroutine: the write deadline trips, the client is
+// restarted collector without tearing the link down. On the serve side, a
+// per-message write deadline (DefaultWriteTimeout, 30 s, unless a deployment
+// sets Server.WriteTimeout) bounds how long a wedged client that stops
+// reading can back up a stream goroutine: the deadline trips, the client is
 // dropped, and every other client keeps streaming.
 package csinet

@@ -123,7 +123,7 @@ func (e *Engine) ImportLink(linkID string, record []byte) error {
 		if err := r.Done(); err != nil {
 			return fmt.Errorf("link %s: %w (%w)", linkID, ErrBadRecord, err)
 		}
-		adapter, det, err := adapt.Restore(*e.cfg.Adaptation, l.cfg, blob)
+		adapter, det, err := adapt.Restore(l.cfg, blob)
 		if err != nil {
 			return fmt.Errorf("link %s: %w", linkID, err)
 		}

@@ -79,10 +79,62 @@ func roundFleet(t *testing.T, e *Engine, links int, seed int64, wrap func(i int,
 	}
 }
 
+// windowGate lets a source deliver one window's frames per release once it
+// is armed, so a link can have at most one window ready per round. While
+// it waits for a release it reports activity, as a network source's
+// heartbeats do, so the supervisor keeps the idle link Live.
+type windowGate struct {
+	src    Source
+	size   int
+	armed  bool          // set before Run; read by the producer after
+	credit chan struct{} // one token per releasable frame
+	stop   chan struct{}
+	once   sync.Once
+}
+
+func newWindowGate(src Source, size int) *windowGate {
+	return &windowGate{src: src, size: size,
+		credit: make(chan struct{}, 2*size), stop: make(chan struct{})}
+}
+
+func (g *windowGate) Next() (*csi.Frame, error) {
+	if g.armed {
+		select {
+		case <-g.credit:
+		case <-g.stop:
+			return nil, context.Canceled
+		}
+	}
+	return g.src.Next()
+}
+
+// release lets one more window through. It reports false, releasing
+// nothing more, when the link still holds two unread windows: rounds closed
+// without it.
+func (g *windowGate) release() bool {
+	for range g.size {
+		select {
+		case g.credit <- struct{}{}:
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+func (g *windowGate) LastActivity() time.Time { return time.Now() }
+
+func (g *windowGate) Interrupt() { g.once.Do(func() { close(g.stop) }) }
+
 // TestRoundSkipsStalledLink stalls one supervised link on a single shard.
 // Once its supervisor reports it Down, every round holds each live link
 // exactly once and never the stalled one: the stall delays rounds by at
-// most StaleAfter, after which they close on the live links alone.
+// most StaleAfter, after which they close on the live links alone. Each
+// live link is gated to one window per round — released when the previous
+// round closes — so no link can get ahead of its siblings however the host
+// schedules the shard and the ingest producers: at one CPU the shard holds
+// the processor while any link has a window, and a producer whose ring ran
+// dry would otherwise wait for the shard to be preempted.
 func TestRoundSkipsStalledLink(t *testing.T) {
 	const want = 30
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -93,6 +145,7 @@ func TestRoundSkipsStalledLink(t *testing.T) {
 		down     bool     // l0 was reported Down
 		watching bool     // the open round began after l0 went Down
 		checked  int
+		gates    []*windowGate
 	)
 	e := New(Config{
 		Workers:    1,
@@ -107,6 +160,11 @@ func TestRoundSkipsStalledLink(t *testing.T) {
 			defer mu.Unlock()
 			held := cur
 			cur = nil
+			for i, g := range gates {
+				if !g.release() {
+					t.Errorf("round %d closed while l%d held two unscored windows", v.Round, i+1)
+				}
+			}
 			if checked >= want {
 				return
 			}
@@ -122,11 +180,7 @@ func TestRoundSkipsStalledLink(t *testing.T) {
 			watching = down
 		},
 	})
-	// A deep ring keeps the live links' replay producers ahead of the shard
-	// even when the host deschedules them for a while, so no live link
-	// starves and each round takes exactly one window from every one.
 	pol := supervise.Policy{
-		RingSize:   1024,
 		StaleAfter: 100 * time.Millisecond,
 		DownAfter:  300 * time.Millisecond,
 		OnTransition: func(id string, _, to adapt.Lifecycle, _ error) {
@@ -143,11 +197,17 @@ func TestRoundSkipsStalledLink(t *testing.T) {
 	var stalled *scenario.ChaosSource
 	roundFleet(t, e, 4, 43, func(i int, src Source) Source {
 		if i != 0 {
-			return src
+			g := newWindowGate(src, 25)
+			gates = append(gates, g)
+			return g
 		}
 		stalled = scenario.NewChaosSource(src, scenario.ChaosConfig{})
 		return stalled
 	})
+	for _, g := range gates {
+		g.armed = true
+		g.release()
+	}
 	stalled.Stall()
 	if err := e.Run(ctx, 0); err != nil {
 		t.Fatal(err)

@@ -19,13 +19,12 @@ import (
 // soakPolicy is the fast-clock supervision policy the soak tests run under.
 func soakPolicy() supervise.Policy {
 	return supervise.Policy{
-		RingSize:       64,
-		StaleAfter:     60 * time.Millisecond,
-		DownAfter:      200 * time.Millisecond,
-		BackoffMin:     2 * time.Millisecond,
-		BackoffMax:     20 * time.Millisecond,
-		HoldLiveFrames: 10,
-		Seed:           7,
+		RingSize:   64,
+		StaleAfter: 60 * time.Millisecond,
+		DownAfter:  200 * time.Millisecond,
+		BackoffMin: 2 * time.Millisecond,
+		BackoffMax: 20 * time.Millisecond,
+		Seed:       7,
 	}
 }
 
@@ -246,7 +245,7 @@ func TestSoakStalledSource(t *testing.T) {
 		t.Skip("soak test")
 	}
 	// A hard stall long enough to walk the whole Live→Stale→Down ladder.
-	clean, impaired := runSoak(t, scenario.ChaosConfig{StallAfter: 1, StallFor: time.Hour}, 2*time.Second, true)
+	clean, impaired := runSoak(t, scenario.ChaosConfig{StallEvery: 1, StallFor: time.Hour}, 2*time.Second, true)
 	checkSiblingRate(t, clean, impaired)
 }
 

@@ -11,54 +11,37 @@ import (
 	"mlink/internal/scenario"
 )
 
-// DriftExperimentConfig sizes the frozen-vs-adaptive drift comparison.
+// DriftExperimentConfig sizes the frozen-vs-adaptive drift comparison. The
+// link is the Fig. 6 case 2 (the 4 m classroom link) under the subcarrier
+// scheme, calibrated on the paper's N = 150 packets and scored in M = 25
+// packet windows with the adaptation package's policy; after the empty run,
+// a person stands on the link for 4 windows, checking that adaptation did
+// not trade away sensitivity.
 type DriftExperimentConfig struct {
-	// Case is the Fig. 6 link case (default 2, the 4 m classroom link).
-	Case int
-	// Scheme is the detection variant (default SchemeSubcarrier).
-	Scheme core.Scheme
 	// Preset is the drift mechanism (default GainWalk(12)).
 	Preset scenario.DriftPreset
-	// CalibrationPackets is N (default 150).
-	CalibrationPackets int
 	// MonitorMultiple sets the empty-room monitoring length as a multiple
 	// of the calibration length (default 10 — the acceptance horizon).
 	MonitorMultiple int
-	// WindowPackets is M (default 25).
-	WindowPackets int
-	// OccupiedTailWindows appends windows with a person on the link after
-	// the empty run, checking adaptation did not trade away sensitivity
-	// (default 4).
-	OccupiedTailWindows int
-	// Policy is the adaptation policy (zero value = package defaults).
-	Policy adapt.Policy
 	// Seed drives the simulation.
 	Seed int64
 }
 
+// The drift experiment's fixed link and operating point.
+const (
+	driftCase               = 2
+	driftScheme             = core.SchemeSubcarrier
+	driftCalibrationPackets = 150
+	driftWindowPackets      = 25
+	driftTailWindows        = 4
+)
+
 func (c DriftExperimentConfig) withDefaults() DriftExperimentConfig {
-	if c.Case <= 0 {
-		c.Case = 2
-	}
-	if c.Scheme == 0 {
-		c.Scheme = core.SchemeSubcarrier
-	}
 	if c.Preset.Kind == 0 {
 		c.Preset = scenario.GainWalk(12)
 	}
-	if c.CalibrationPackets <= 0 {
-		c.CalibrationPackets = 150
-	}
 	if c.MonitorMultiple <= 0 {
 		c.MonitorMultiple = 10
-	}
-	if c.WindowPackets <= 0 {
-		c.WindowPackets = 25
-	}
-	if c.OccupiedTailWindows < 0 {
-		c.OccupiedTailWindows = 0
-	} else if c.OccupiedTailWindows == 0 {
-		c.OccupiedTailWindows = 4
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -107,7 +90,7 @@ type DriftResult struct {
 // as it would on a live link.
 func RunDriftAdaptation(cfg DriftExperimentConfig) (*DriftResult, error) {
 	cfg = cfg.withDefaults()
-	s, err := scenario.LinkCase(cfg.Case, cfg.Seed)
+	s, err := scenario.LinkCase(driftCase, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -132,8 +115,8 @@ func RunDriftAdaptation(cfg DriftExperimentConfig) (*DriftResult, error) {
 		}
 	}
 
-	detCfg := core.DefaultConfig(s.Grid, cfg.Scheme, s.Env.RX.Offsets())
-	cal, err := pull(cfg.CalibrationPackets)
+	detCfg := core.DefaultConfig(s.Grid, driftScheme, s.Env.RX.Offsets())
+	cal, err := pull(driftCalibrationPackets)
 	if err != nil {
 		return nil, fmt.Errorf("calibration capture: %w", err)
 	}
@@ -150,11 +133,11 @@ func RunDriftAdaptation(cfg DriftExperimentConfig) (*DriftResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	holdout, err := pull(cfg.CalibrationPackets)
+	holdout, err := pull(driftCalibrationPackets)
 	if err != nil {
 		return nil, fmt.Errorf("holdout capture: %w", err)
 	}
-	null, err := frozen.SelfScores(holdout, cfg.WindowPackets, cfg.WindowPackets)
+	null, err := frozen.SelfScores(holdout, driftWindowPackets, driftWindowPackets)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +148,7 @@ func RunDriftAdaptation(cfg DriftExperimentConfig) (*DriftResult, error) {
 	if _, err := adaptive.CalibrateThreshold(null, core.ThresholdQuantile, core.DefaultThresholdMargin); err != nil {
 		return nil, err
 	}
-	adapter, err := adapt.NewAdapter(cfg.Policy, adaptive, null)
+	adapter, err := adapt.NewAdapter(adapt.Policy{}, adaptive, null)
 	if err != nil {
 		return nil, err
 	}
@@ -176,9 +159,9 @@ func RunDriftAdaptation(cfg DriftExperimentConfig) (*DriftResult, error) {
 		Adaptive: DriftArm{Name: "adaptive"},
 	}
 	sc := core.NewScratch()
-	windows := cfg.MonitorMultiple * cfg.CalibrationPackets / cfg.WindowPackets
+	windows := cfg.MonitorMultiple * driftCalibrationPackets / driftWindowPackets
 	for w := 0; w < windows; w++ {
-		window, err := pull(cfg.WindowPackets)
+		window, err := pull(driftWindowPackets)
 		if err != nil {
 			return nil, fmt.Errorf("monitor window %d: %w", w, err)
 		}
@@ -209,8 +192,8 @@ func RunDriftAdaptation(cfg DriftExperimentConfig) (*DriftResult, error) {
 	// Occupied tail: the person steps onto the link after the long drift.
 	mid := s.LinkMidpoint()
 	stream.SetBodies([]body.Body{body.Default(mid)})
-	for w := 0; w < cfg.OccupiedTailWindows; w++ {
-		window, err := pull(cfg.WindowPackets)
+	for w := 0; w < driftTailWindows; w++ {
+		window, err := pull(driftWindowPackets)
 		if err != nil {
 			return nil, fmt.Errorf("tail window %d: %w", w, err)
 		}
@@ -254,8 +237,8 @@ func RunDriftAdaptation(cfg DriftExperimentConfig) (*DriftResult, error) {
 func (r *DriftResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Drift adaptation — %s on case %d (%s), %d×%d-packet calibration horizon\n",
-		r.Config.Preset.Kind, r.Config.Case, r.Config.Scheme,
-		r.Config.MonitorMultiple, r.Config.CalibrationPackets)
+		r.Config.Preset.Kind, driftCase, driftScheme,
+		r.Config.MonitorMultiple, driftCalibrationPackets)
 	if r.FinalDriftDB != 0 {
 		fmt.Fprintf(&b, "  accumulated gain walk at end of run: %.2f dB\n", r.FinalDriftDB)
 	}

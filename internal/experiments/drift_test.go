@@ -23,7 +23,7 @@ func TestDriftAdaptationBoundsFalsePositives(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("seed %d:\n%s", seed, r.Render())
-		if r.Frozen.Windows < 10*r.Config.CalibrationPackets/r.Config.WindowPackets {
+		if r.Frozen.Windows < 10*driftCalibrationPackets/driftWindowPackets {
 			t.Fatalf("monitoring run too short: %d windows", r.Frozen.Windows)
 		}
 		if r.Adaptive.FPR > 0.05 {
@@ -87,10 +87,9 @@ func TestDriftCFOWalkHarmless(t *testing.T) {
 // needing recalibration instead of silently false-alarming forever.
 func TestDriftFurnitureMoveQuarantines(t *testing.T) {
 	cfg := DriftExperimentConfig{
-		Preset:              scenario.FurnitureMove(600), // mid-run step
-		MonitorMultiple:     6,
-		OccupiedTailWindows: -1, // none: the room stays empty throughout
-		Seed:                2,
+		Preset:          scenario.FurnitureMove(600), // mid-run step
+		MonitorMultiple: 6,
+		Seed:            2,
 	}
 	r, err := RunDriftAdaptation(cfg)
 	if err != nil {

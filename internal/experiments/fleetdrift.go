@@ -14,89 +14,62 @@ import (
 )
 
 // FleetDriftConfig sizes the frozen vs per-link vs fleet drift comparison.
+// The site, its drift and its detectors are fixed by the constants below;
+// every link adapts under the adaptation package's policy, and the fleet arm
+// runs the coordinator as the fleet package fixes it.
 type FleetDriftConfig struct {
-	// Links is the site size (default 5, cycling the Fig. 6 link cases).
-	Links int
-	// Scheme is the detection variant (default SchemeSubcarrier).
-	Scheme core.Scheme
-	// Preset is the correlated site-wide drift (zero value: AmbientDrift —
-	// a 2 dB/min walk with a 6 dB AGC re-lock step one third into the run —
-	// applied identically to every link).
-	Preset scenario.DriftPreset
-	// Fusion is the site fusion policy (nil = KOfN{K: 1}, so any alarming
-	// link trips the site — the sharpest view of both failure modes: a
-	// frozen or quarantined fleet alarms constantly, and a single-link
-	// person is never masked by fleet-level weighting).
-	Fusion engine.FusionPolicy
-	// CalibrationPackets is N (default 300). The site-level false-alarm
-	// budget is tighter than a single link's — with 1-of-n fusion every
-	// link's tail contributes — so the fleet experiment doubles the
-	// paper's 150-packet calibration to get a 12-window (rather than
-	// 6-window) null sample behind each threshold.
-	CalibrationPackets int
-	// ThresholdMargin inflates each link's calibrated threshold (default
-	// 3.0). The single-link experiments use the paper's 1.3, but a 5-link
-	// 1-of-n site multiplies every link's false-alarm tail by the fleet
-	// size while the calibration holdout (a few seconds) under-samples the
-	// receiver's multi-second gain wander; the wider margin buys the
-	// headroom, and an on-link person still scores several times past it.
-	ThresholdMargin float64
 	// MonitorMultiple sets the empty monitoring length as a multiple of the
 	// calibration length (default 10 — the acceptance horizon).
 	MonitorMultiple int
-	// WindowPackets is M (default 25).
-	WindowPackets int
-	// PersonLink is the 1-based link a person steps onto after the empty
-	// run (default 1); PersonWindows is for how many windows (default 6).
-	PersonLink, PersonWindows int
-	// Policy is the per-link adaptation policy (zero value = defaults).
-	Policy adapt.Policy
-	// Fleet is the coordinator configuration (zero value = defaults).
-	Fleet fleet.Config
 	// Seed drives the simulation.
 	Seed int64
 }
 
+// The fleet drift experiment's site and operating point.
+const (
+	// fleetLinks is the site size: 5 links, cycling the Fig. 6 link cases.
+	fleetLinks = 5
+	// fleetScheme is the subcarrier scheme, the one the single-link drift
+	// experiment runs.
+	fleetScheme = core.SchemeSubcarrier
+	// fleetCalibrationPackets is N = 300. The site-level false-alarm
+	// budget is tighter than a single link's — with 1-of-n fusion every
+	// link's tail contributes — so the fleet experiment doubles the paper's
+	// 150-packet calibration to get a 12-window (rather than 6-window) null
+	// sample behind each threshold.
+	fleetCalibrationPackets = 300
+	// fleetThresholdMargin inflates each link's calibrated threshold 3×.
+	// The single-link experiments use the paper's 1.3, but a 5-link 1-of-n
+	// site multiplies every link's false-alarm tail by the fleet size while
+	// the calibration holdout (a few seconds) under-samples the receiver's
+	// multi-second gain wander; the wider margin buys the headroom, and an
+	// on-link person still scores several times past it.
+	fleetThresholdMargin = 3.0
+	// fleetWindowPackets is M = 25.
+	fleetWindowPackets = 25
+	// fleetPersonWindows is how long a person stands on the first link
+	// after the empty run: 6 windows, 3 s at the paper's operating point.
+	fleetPersonWindows = 6
+)
+
+// fleetPreset is the correlated site-wide drift, applied identically to
+// every link: a 2 dB/min walk with a 6 dB AGC re-lock step a third into the
+// monitoring run — late enough that every adaptive arm has settled, early
+// enough that two thirds of the horizon exercises the recovery. 6 dB is a
+// typical AGC re-lock quantum — far past every link's jump discriminator, so
+// per-link adaptation latches critical exactly as designed.
+func fleetPreset(monitorMultiple int) scenario.DriftPreset {
+	windows := monitorMultiple * fleetCalibrationPackets / fleetWindowPackets
+	stepAt := 2*fleetCalibrationPackets + (windows/3)*fleetWindowPackets
+	return scenario.AmbientDrift(2, 6, stepAt)
+}
+
 func (c FleetDriftConfig) withDefaults() FleetDriftConfig {
-	if c.Links <= 0 {
-		c.Links = 5
-	}
-	if c.Scheme == 0 {
-		c.Scheme = core.SchemeSubcarrier
-	}
-	if c.CalibrationPackets <= 0 {
-		c.CalibrationPackets = 300
-	}
-	if c.ThresholdMargin <= 0 {
-		c.ThresholdMargin = 3.0
-	}
 	if c.MonitorMultiple <= 0 {
 		c.MonitorMultiple = 10
 	}
-	if c.WindowPackets <= 0 {
-		c.WindowPackets = 25
-	}
-	if c.PersonLink <= 0 {
-		c.PersonLink = 1
-	}
-	if c.PersonWindows <= 0 {
-		c.PersonWindows = 6
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Preset.Kind == 0 {
-		// The step lands a third into the monitoring run: late enough that
-		// every adaptive arm has settled, early enough that two thirds of
-		// the horizon exercises the recovery. 6 dB is a typical AGC
-		// re-lock quantum — far past every link's jump discriminator, so
-		// per-link adaptation latches critical exactly as designed.
-		windows := c.MonitorMultiple * c.CalibrationPackets / c.WindowPackets
-		stepAt := 2*c.CalibrationPackets + (windows/3)*c.WindowPackets
-		c.Preset = scenario.AmbientDrift(2, 6, stepAt)
-	}
-	if c.Fusion == nil {
-		c.Fusion = engine.KOfN{K: 1}
 	}
 	return c
 }
@@ -183,11 +156,15 @@ func runFleetArm(cfg FleetDriftConfig, mode fleetArmMode) (FleetArm, error) {
 			*alarms++
 		}
 	}
+	// The site fuses 1-of-n, so any alarming link trips it — the sharpest
+	// view of both failure modes: a frozen or quarantined fleet alarms
+	// constantly, and a single-link person is never masked by fleet-level
+	// weighting.
 	engCfg := engine.Config{
 		Workers:         1,
-		WindowSize:      cfg.WindowPackets,
-		ThresholdMargin: cfg.ThresholdMargin,
-		Fusion:          cfg.Fusion,
+		WindowSize:      fleetWindowPackets,
+		ThresholdMargin: fleetThresholdMargin,
+		Fusion:          engine.KOfN{K: 1},
 		OnDecision:      onDecision,
 		OnRound: func(v *engine.SiteVerdict) {
 			if coord != nil {
@@ -196,45 +173,45 @@ func runFleetArm(cfg FleetDriftConfig, mode fleetArmMode) (FleetArm, error) {
 		},
 	}
 	if mode != armFrozen {
-		pol := cfg.Policy
-		engCfg.Adaptation = &pol
+		engCfg.Adaptation = &adapt.Policy{}
 	}
 	eng = engine.New(engCfg)
 	if mode == armFleet {
-		coord = fleet.New(cfg.Fleet, eng)
+		coord = fleet.New(eng)
 	}
 
-	streams := make([]*scenario.DriftStream, 0, cfg.Links)
+	preset := fleetPreset(cfg.MonitorMultiple)
+	streams := make([]*scenario.DriftStream, 0, fleetLinks)
 	var personMid body.Body
-	for i := 0; i < cfg.Links; i++ {
+	for i := 0; i < fleetLinks; i++ {
 		caseN := i%scenario.NumLinkCases + 1
 		s, err := scenario.LinkCase(caseN, cfg.Seed+int64(i))
 		if err != nil {
 			return arm, err
 		}
-		stream, err := s.NewDriftStream(cfg.Preset, 1)
+		stream, err := s.NewDriftStream(preset, 1)
 		if err != nil {
 			return arm, err
 		}
 		id := fmt.Sprintf("case%d-%d", caseN, i+1)
-		detCfg := core.DefaultConfig(s.Grid, cfg.Scheme, s.Env.RX.Offsets())
+		detCfg := core.DefaultConfig(s.Grid, fleetScheme, s.Env.RX.Offsets())
 		if err := eng.AddLink(id, detCfg, stream); err != nil {
 			return arm, err
 		}
 		streams = append(streams, stream)
-		if i == cfg.PersonLink-1 {
+		if i == 0 {
 			personMid = body.Default(s.LinkMidpoint())
 		}
 	}
 
 	ctx := context.Background()
-	if err := eng.Calibrate(ctx, cfg.CalibrationPackets); err != nil {
+	if err := eng.Calibrate(ctx, fleetCalibrationPackets); err != nil {
 		return arm, err
 	}
 
 	// Empty monitoring run: the ambient event lands mid-run.
 	ticks, alarms = &arm.EmptyTicks, &arm.EmptyAlarms
-	emptyWindows := cfg.MonitorMultiple * cfg.CalibrationPackets / cfg.WindowPackets
+	emptyWindows := cfg.MonitorMultiple * fleetCalibrationPackets / fleetWindowPackets
 	if err := eng.Run(ctx, emptyWindows); err != nil {
 		return arm, err
 	}
@@ -256,9 +233,9 @@ func runFleetArm(cfg FleetDriftConfig, mode fleetArmMode) (FleetArm, error) {
 	// Occupied tail: a person parks on one link. The site must still
 	// detect them, and the fleet must classify the perturbation as
 	// localized — never as a reason to recalibrate.
-	streams[cfg.PersonLink-1].SetBodies([]body.Body{personMid})
+	streams[0].SetBodies([]body.Body{personMid})
 	ticks, alarms = &arm.PersonTicks, &arm.PersonAlarms
-	if err := eng.Run(ctx, cfg.PersonWindows); err != nil {
+	if err := eng.Run(ctx, fleetPersonWindows); err != nil {
 		return arm, err
 	}
 	if coord != nil {
@@ -273,17 +250,18 @@ func runFleetArm(cfg FleetDriftConfig, mode fleetArmMode) (FleetArm, error) {
 // Render prints the comparison table.
 func (r *FleetDriftResult) Render() string {
 	var b strings.Builder
+	preset := fleetPreset(r.Config.MonitorMultiple)
 	fmt.Fprintf(&b, "Fleet drift disambiguation — %s across %d links (%s), %d×%d-packet horizon\n",
-		r.Config.Preset.Kind, r.Config.Links, r.Config.Scheme,
-		r.Config.MonitorMultiple, r.Config.CalibrationPackets)
+		preset.Kind, fleetLinks, fleetScheme,
+		r.Config.MonitorMultiple, fleetCalibrationPackets)
 	fmt.Fprintf(&b, "  ambient preset: %.1f dB/min walk + %.1f dB step at packet %d\n",
-		r.Config.Preset.GainDBPerMinute, r.Config.Preset.StepDB, r.Config.Preset.StepAtPacket)
+		preset.GainDBPerMinute, preset.StepDB, preset.StepAtPacket)
 	fmt.Fprintf(&b, "  %-9s  %10s  %8s  %12s  %11s  %8s  %7s\n",
 		"mode", "site FAR", "alarms", "quarantined", "person det.", "relocks", "recals")
 	for _, arm := range []FleetArm{r.Frozen, r.PerLink, r.Fleet} {
 		fmt.Fprintf(&b, "  %-9s  %9.1f%%  %8d  %7d/%d  %8d/%d  %8d  %7d\n",
 			arm.Name, 100*arm.FAR, arm.EmptyAlarms,
-			arm.Quarantined, r.Config.Links,
+			arm.Quarantined, fleetLinks,
 			arm.PersonAlarms, arm.PersonTicks,
 			arm.Relocks, arm.RecalsDispatched)
 	}

@@ -40,7 +40,7 @@ func TestFleetDriftDisambiguation(t *testing.T) {
 		// Same stream, per-link adaptation only: the correlated step reads
 		// as a local change on every link, so at least half the fleet ends
 		// up written off.
-		if min := (res.Config.Links + 1) / 2; res.PerLink.Quarantined < min {
+		if min := (fleetLinks + 1) / 2; res.PerLink.Quarantined < min {
 			t.Errorf("seed %d: per-link arm quarantined %d links, want ≥%d", seed, res.PerLink.Quarantined, min)
 		}
 

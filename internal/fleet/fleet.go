@@ -86,7 +86,7 @@ const (
 	// estimate is too noisy to hold the false-alarm budget.
 	recalPackets = 300
 	// jumpScoreZ is the |ScoreZ| a jump-flagged link must reach to count as
-	// fresh step evidence, matching the drift monitor's JumpZ.
+	// fresh step evidence, matching the drift monitor's jump bound.
 	jumpScoreZ = 6
 	// walkRateDB is the |ShiftRateDB| past which a link counts as actively
 	// walking — its adaptation is absorbing a moving baseline even though
@@ -95,48 +95,31 @@ const (
 	// walk is the early, silent face of ambient drift) and their trend sign
 	// seeds the drift direction when the z evidence is still flat.
 	walkRateDB = 0.02
-)
-
-// Config parameterizes the coordinator. The zero value selects the defaults
-// noted per field.
-type Config struct {
-	// SilentTicks is how many consecutive healthy-links-quiet observations
+	// silentTicks is how many consecutive healthy-links-quiet observations
 	// (fused rounds — see Coordinator.Observe) are required before a
 	// step-change recalibration may be dispatched — the RASID-style
-	// "fleet-silent period" gate (default 8). Note the trade-off: a person
-	// parked on one link past both the drift window and this horizon is
-	// indistinguishable from moved furniture and will eventually trigger
-	// that link's recalibration; the system recovers when they leave (the
-	// departure is itself a step the drift monitor catches).
-	SilentTicks int
-	// CooldownTicks spaces staggered recalibration dispatches (default 2
+	// "fleet-silent period" gate: 8 rounds, 4 s at the paper's operating
+	// point. Note the trade-off: a person parked on one link past both the
+	// drift window and this horizon is indistinguishable from moved
+	// furniture and will eventually trigger that link's recalibration; the
+	// system recovers when they leave (the departure is itself a step the
+	// drift monitor catches).
+	silentTicks = 8
+	// cooldownTicks spaces staggered recalibration dispatches: 2
 	// observations between dispatches, in addition to waiting for the
-	// previous link's rebuild to finish).
-	CooldownTicks int
-	// AmbientHoldTicks keeps an ambient episode open after its quorum tick
-	// (default 12 observations). Sensitivity to a correlated event varies
+	// previous link's rebuild to finish.
+	cooldownTicks = 2
+	// ambientHoldTicks keeps an ambient episode open for 12 observations
+	// after its quorum tick. Sensitivity to a correlated event varies
 	// across links — an insensitive link's drift statistic can lag the
 	// quorum by many windows — so while the episode is open, any link that
 	// turns evidencing, or that is simply alarming, is attributed to the
-	// same site-wide event and relocked too. The cost is a narrow window
-	// in which a person arriving right after an ambient event could be
+	// same site-wide event and relocked too. The cost is a narrow window in
+	// which a person arriving right after an ambient event could be
 	// absorbed; the alternative is one lagging link alarming for the rest
 	// of the run.
-	AmbientHoldTicks int
-}
-
-func (c Config) withDefaults() Config {
-	if c.SilentTicks <= 0 {
-		c.SilentTicks = 8
-	}
-	if c.CooldownTicks <= 0 {
-		c.CooldownTicks = 2
-	}
-	if c.AmbientHoldTicks <= 0 {
-		c.AmbientHoldTicks = 12
-	}
-	return c
-}
+	ambientHoldTicks = 12
+)
 
 // Report is one observation's worth of coordinator output: the fleet
 // classification plus the evidence counts and actions behind it.
@@ -173,7 +156,6 @@ type Report struct {
 // controls accordingly. Observe is single-caller (one fusion loop); Report
 // may be read from any goroutine.
 type Coordinator struct {
-	cfg Config
 	act Actuator
 
 	mu         sync.Mutex
@@ -192,9 +174,8 @@ type Coordinator struct {
 
 // New builds a coordinator driving the given actuator (normally the
 // *engine.Engine whose verdicts it observes).
-func New(cfg Config, act Actuator) *Coordinator {
+func New(act Actuator) *Coordinator {
 	return &Coordinator{
-		cfg:        cfg.withDefaults(),
 		act:        act,
 		suppressed: make(map[string]bool),
 		queued:     make(map[string]bool),
@@ -214,8 +195,8 @@ func (c *Coordinator) Report() Report {
 // applies the resulting actions (suppression, relock, staggered
 // recalibration dispatch). Call it once per fused round — from the
 // engine's Config.OnRound, with the verdict it hands over — so the
-// tick-based windows in Config (SilentTicks, AmbientHoldTicks,
-// CooldownTicks) count closed rounds. The facade's fleet mode does exactly
+// tick-based windows (silentTicks, ambientHoldTicks, cooldownTicks) count
+// closed rounds. The facade's fleet mode does exactly
 // that. Observe may request recalibrations while holding its lock: the
 // engine delivers a round those requests close only after this call returns.
 func (c *Coordinator) Observe(v *engine.SiteVerdict) Report {
@@ -283,7 +264,7 @@ func (c *Coordinator) Observe(v *engine.SiteVerdict) Report {
 	switch {
 	case n > 0 && sameDir >= ambientQuorum:
 		state = StateAmbient
-		c.ambientEnd = c.ticks + uint64(c.cfg.AmbientHoldTicks)
+		c.ambientEnd = c.ticks + ambientHoldTicks
 		c.onAmbient(evidencing)
 	case c.ticks <= c.ambientEnd && drifting+jumped+quarantined > 0:
 		// Inside an open ambient episode: links whose statistics lagged
@@ -291,7 +272,7 @@ func (c *Coordinator) Observe(v *engine.SiteVerdict) Report {
 		// are attributed to the same cause as they surface.
 		state = StateAmbient
 		c.onAmbient(evidencing)
-	case quarantined > 0 && nonQuarEvid == 0 && c.silent >= c.cfg.SilentTicks:
+	case quarantined > 0 && nonQuarEvid == 0 && c.silent >= silentTicks:
 		// Only quarantine-class links evidence, and the site has been
 		// silent long enough that nobody is around: a permanent local
 		// change (furniture). Recalibrate just those links.
@@ -508,7 +489,7 @@ func (c *Coordinator) dispatch(blocked bool) {
 		c.cooldown = 0
 	}
 	c.cooldown++
-	if len(c.queue) == 0 || blocked || c.cooldown < c.cfg.CooldownTicks {
+	if len(c.queue) == 0 || blocked || c.cooldown < cooldownTicks {
 		return
 	}
 	id := c.queue[0]

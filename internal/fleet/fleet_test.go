@@ -71,7 +71,7 @@ func quarantined(z float64) adapt.Health {
 
 func TestCoordinatorQuiet(t *testing.T) {
 	rec := newRecorder()
-	c := New(Config{}, rec)
+	c := New(rec)
 	rep := c.Observe(verdict(link("a", healthy(), false), link("b", healthy(), false)))
 	if rep.State != StateQuiet {
 		t.Fatalf("state = %v", rep.State)
@@ -85,7 +85,7 @@ func TestCoordinatorQuiet(t *testing.T) {
 // its refreshes, never recalibrate, and lift the suppression once it calms.
 func TestCoordinatorLocalized(t *testing.T) {
 	rec := newRecorder()
-	c := New(Config{}, rec)
+	c := New(rec)
 	rep := c.Observe(verdict(
 		link("a", jumped(20), true),
 		link("b", healthy(), false),
@@ -116,7 +116,7 @@ func TestCoordinatorLocalized(t *testing.T) {
 // recalibrations during quiet ticks.
 func TestCoordinatorAmbient(t *testing.T) {
 	rec := newRecorder()
-	c := New(Config{CooldownTicks: 1}, rec)
+	c := New(rec)
 	rep := c.Observe(verdict(
 		link("a", jumped(15), true),
 		link("b", jumped(12), true),
@@ -159,7 +159,7 @@ func TestCoordinatorAmbient(t *testing.T) {
 // its only evidence is that it is suddenly alarming.
 func TestCoordinatorAmbientHoldCatchesLaggards(t *testing.T) {
 	rec := newRecorder()
-	c := New(Config{AmbientHoldTicks: 5}, rec)
+	c := New(rec)
 	c.Observe(verdict(
 		link("a", jumped(15), true),
 		link("b", jumped(12), true),
@@ -181,7 +181,7 @@ func TestCoordinatorAmbientHoldCatchesLaggards(t *testing.T) {
 		link("a", healthy(), false), link("b", healthy(), false),
 		link("c", healthy(), false), link("d", healthy(), false),
 	)
-	for i := 0; i < 6; i++ {
+	for i := 0; i < ambientHoldTicks; i++ {
 		c.Observe(quiet)
 	}
 	relocksBefore := rec.relocked["a"]
@@ -204,7 +204,7 @@ func TestCoordinatorAmbientHoldCatchesLaggards(t *testing.T) {
 // resets that silence (someone just arrived).
 func TestCoordinatorStepChange(t *testing.T) {
 	rec := newRecorder()
-	c := New(Config{SilentTicks: 4, CooldownTicks: 1}, rec)
+	c := New(rec)
 	quarantinedSite := verdict(
 		// Old latch: the arrival jump has aged out of the drift window.
 		link("a", adapt.Health{State: adapt.StateQuarantined, DriftZ: 12, ScoreZ: 12, NeedsRecalibration: true}, true),
@@ -212,13 +212,13 @@ func TestCoordinatorStepChange(t *testing.T) {
 		link("c", healthy(), false),
 	)
 	var rep Report
-	for i := 0; i < 3; i++ {
+	for i := 0; i < silentTicks-1; i++ {
 		rep = c.Observe(quarantinedSite)
 		if len(rec.recals) != 0 {
 			t.Fatalf("recal dispatched before the silent period elapsed (tick %d)", i)
 		}
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < silentTicks; i++ {
 		rep = c.Observe(quarantinedSite)
 	}
 	if rep.State != StateStepChange {
@@ -240,7 +240,7 @@ func TestCoordinatorStepChange(t *testing.T) {
 	// Same shape, but the quarantined link still carries a fresh jump (a
 	// person just arrived and parked): silence must never accumulate.
 	rec2 := newRecorder()
-	c2 := New(Config{SilentTicks: 4, CooldownTicks: 1}, rec2)
+	c2 := New(rec2)
 	parked := verdict(
 		link("a", adapt.Health{State: adapt.StateQuarantined, DriftZ: 12, ScoreZ: 12, JumpExceeded: true, NeedsRecalibration: true}, true),
 		link("b", healthy(), false),
@@ -259,8 +259,8 @@ func TestCoordinatorStepChange(t *testing.T) {
 // recalibration capture must be an empty room.
 func TestCoordinatorDispatchWaitsForAlarms(t *testing.T) {
 	rec := newRecorder()
-	// CooldownTicks 2 keeps the enqueueing tick itself from dispatching.
-	c := New(Config{CooldownTicks: 2}, rec)
+	// cooldownTicks keeps the enqueueing tick itself from dispatching.
+	c := New(rec)
 	// Ambient event enqueues three links.
 	c.Observe(verdict(
 		link("a", jumped(15), true),
@@ -296,7 +296,7 @@ func TestCoordinatorDispatchWaitsForAlarms(t *testing.T) {
 // would bake the person into its baseline.
 func TestCoordinatorDispatchBlockedByFreshJump(t *testing.T) {
 	rec := newRecorder()
-	c := New(Config{CooldownTicks: 1, SilentTicks: 2, AmbientHoldTicks: 1}, rec)
+	c := New(rec)
 	// Ambient event enqueues all three links.
 	c.Observe(verdict(
 		link("a", jumped(15), true),

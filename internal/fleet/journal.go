@@ -61,19 +61,25 @@ type JournalConfig struct {
 	// at the cost of more fsyncs; the emission path itself never blocks on
 	// the disk either way.
 	SyncEvery time.Duration
-	// CompactBytes triggers compaction — full snapshots rewritten into the
+	// compactBytes triggers compaction — full snapshots rewritten into the
 	// Store, the journal rewritten with only the latest deltas — once the
-	// journal grows past it (default 4 MiB; negative disables compaction
-	// entirely, including the final one at Close).
-	CompactBytes int64
+	// journal grows past it: defaultCompactBytes when zero, and negative
+	// disables compaction entirely, including the final one at Close. Only
+	// the package's tests set it, to force compactions or to rule them out.
+	compactBytes int64
 }
+
+// defaultCompactBytes is the journal size that triggers compaction: 4 MiB.
+// Compaction rewrites every link's snapshot, so it should run rarely; a
+// restart replays at most this much journal.
+const defaultCompactBytes = 4 << 20
 
 func (c JournalConfig) withDefaults() JournalConfig {
 	if c.SyncEvery <= 0 {
 		c.SyncEvery = time.Second
 	}
-	if c.CompactBytes == 0 {
-		c.CompactBytes = 4 << 20
+	if c.compactBytes == 0 {
+		c.compactBytes = defaultCompactBytes
 	}
 	return c
 }
@@ -360,7 +366,7 @@ func (j *Journal) drainLocked() {
 			return
 		}
 	}
-	if j.cfg.CompactBytes > 0 && j.size >= j.cfg.CompactBytes {
+	if j.cfg.compactBytes > 0 && j.size >= j.cfg.compactBytes {
 		j.compactLocked()
 	}
 }
@@ -445,7 +451,7 @@ func (j *Journal) Close() error {
 		<-j.done
 		j.mu.Lock()
 		j.drainLocked()
-		if j.failed == nil && j.cfg.CompactBytes >= 0 {
+		if j.failed == nil && j.cfg.compactBytes >= 0 {
 			j.compactLocked()
 		}
 		j.broken.Store(true)

@@ -105,10 +105,10 @@ func journalFileBytes(log []logRec) []byte {
 
 // driftFixture builds a deterministic adaptive drift fleet: Workers=1 (one
 // emitting shard — record order is total), GainWalk so baselines are
-// actively walking, RederiveEvery small so thresholds move too.
+// actively walking and profiles and thresholds move.
 func driftFixture(t testing.TB, nLinks int) *engine.Engine {
 	t.Helper()
-	pol := adapt.Policy{RederiveEvery: 4}
+	pol := adapt.Policy{}
 	e := engine.New(engine.Config{Workers: 1, WindowSize: 25, Adaptation: &pol})
 	for i := 0; i < nLinks; i++ {
 		s, err := scenario.LinkCase(i+2, int64(40+i))
@@ -136,7 +136,7 @@ func journaledDriftRun(t *testing.T, nLinks, windows int) ([]logRec, map[string]
 	if err := eng.Calibrate(context.Background(), 150); err != nil {
 		t.Fatal(err)
 	}
-	j, err := openJournal(dir, JournalConfig{SyncEvery: time.Millisecond, CompactBytes: -1}, osFS{})
+	j, err := openJournal(dir, JournalConfig{SyncEvery: time.Millisecond, compactBytes: -1}, osFS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestJournalCrashRecoveryAtRecordBoundaries(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(crashDir, journalFileName), journalFileBytes(log[:k]), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, err := openJournal(crashDir, JournalConfig{CompactBytes: -1}, osFS{})
+		j, err := openJournal(crashDir, JournalConfig{compactBytes: -1}, osFS{})
 		if err != nil {
 			t.Fatalf("prefix %d: open: %v", k, err)
 		}
@@ -332,7 +332,7 @@ func TestJournalByteBoundaryRecovery(t *testing.T) {
 		if err := os.WriteFile(path, file[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, err := openJournal(dir, JournalConfig{SyncEvery: time.Hour, CompactBytes: -1}, osFS{})
+		j, err := openJournal(dir, JournalConfig{SyncEvery: time.Hour, compactBytes: -1}, osFS{})
 		if err != nil {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
@@ -553,7 +553,7 @@ func TestJournalCrashInjection(t *testing.T) {
 			if err := eng.Calibrate(context.Background(), 150); err != nil {
 				t.Fatal(err)
 			}
-			j, err := openJournal(dir, JournalConfig{SyncEvery: time.Millisecond, CompactBytes: compactBytes}, fs)
+			j, err := openJournal(dir, JournalConfig{SyncEvery: time.Millisecond, compactBytes: compactBytes}, fs)
 			if err != nil {
 				// Killed before the journal even opened (the header write):
 				// the run proceeds unjournaled and recovery must land on the
@@ -575,7 +575,7 @@ func TestJournalCrashInjection(t *testing.T) {
 
 			// "Reboot": reopen the directory with a healthy filesystem and
 			// restore a fresh engine.
-			j2, err := openJournal(dir, JournalConfig{SyncEvery: time.Hour, CompactBytes: -1}, osFS{})
+			j2, err := openJournal(dir, JournalConfig{SyncEvery: time.Hour, compactBytes: -1}, osFS{})
 			if err != nil {
 				t.Fatalf("compact %d budget %d: reopen: %v", compactBytes, budget, err)
 			}
@@ -640,7 +640,7 @@ func TestStoreRoundTripByteIdentity(t *testing.T) {
 	for _, tc := range presets {
 		for _, seed := range []int64{1, 5, 9} {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
-				pol := adapt.Policy{RederiveEvery: 4}
+				pol := adapt.Policy{}
 				build := func() *engine.Engine {
 					e := engine.New(engine.Config{Workers: 1, WindowSize: 25, Adaptation: &pol})
 					s, err := scenario.LinkCase(int(seed%5)+1, seed)

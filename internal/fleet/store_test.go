@@ -27,7 +27,7 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 		future  = 8
 	)
 	preset := scenario.GainWalk(8) // keep the baselines actively walking
-	pol := adapt.Policy{RederiveEvery: 4}
+	pol := adapt.Policy{}
 
 	build := func() (*engine.Engine, []*scenario.DriftStream) {
 		e := engine.New(engine.Config{Workers: 1, WindowSize: 25, Adaptation: &pol})

@@ -87,11 +87,18 @@ func TestClosestPoint(t *testing.T) {
 
 func TestDistToPoint(t *testing.T) {
 	s := Segment{Point{0, 0}, Point{10, 0}}
-	if d := s.DistToPoint(Point{5, 3}); math.Abs(d-3) > eps {
-		t.Fatalf("dist = %v", d)
-	}
-	if d := s.DistToPoint(Point{13, 4}); math.Abs(d-5) > eps {
-		t.Fatalf("dist past end = %v", d)
+	for _, c := range []struct {
+		p    Point
+		want float64
+	}{
+		{Point{5, 3}, 3},
+		{Point{13, 4}, 5},        // past the end: distance to B
+		{Point{5, 0.001}, 0.001}, // just off the segment
+		{Point{5, 1}, 1},
+	} {
+		if d := s.DistToPoint(c.p); math.Abs(d-c.want) > eps {
+			t.Errorf("DistToPoint(%v) = %v, want %v", c.p, d, c.want)
+		}
 	}
 }
 
@@ -164,16 +171,6 @@ func TestIntersect(t *testing.T) {
 	e := Segment{Point{4, 4}, Point{8, 0}}
 	if _, ok := a.Intersect(e); !ok {
 		t.Fatal("endpoint touch not detected")
-	}
-}
-
-func TestContains(t *testing.T) {
-	s := Segment{Point{0, 0}, Point{10, 0}}
-	if s.DistToPoint(Point{5, 0.001}) > 0.01 {
-		t.Fatal("near point not contained")
-	}
-	if s.DistToPoint(Point{5, 1}) <= 0.01 {
-		t.Fatal("far point contained")
 	}
 }
 

@@ -35,15 +35,7 @@ type FrameSource interface {
 // phase, flip chaos on, and flip it off again to watch recovery. Zero-value
 // fields disable their fault.
 type ChaosConfig struct {
-	// Seed is reserved for randomized faults; current faults are all
-	// counter-deterministic, and the seed is carried so configs stay stable
-	// when a randomized mode is added.
-	Seed int64
-
-	// StallAfter injects a one-shot stall: after this many armed Next calls
-	// the source blocks for StallFor before serving the frame.
-	StallAfter int
-	// StallEvery injects a recurring stall every N armed Next calls.
+	// StallEvery injects a stall every N armed Next calls.
 	StallEvery int
 	// StallFor is how long each injected stall blocks (default 0: no-op).
 	StallFor time.Duration
@@ -152,7 +144,7 @@ func (c *ChaosSource) Arm(on bool) {
 }
 
 // Stall blocks the source manually: Next waits until Resume, Interrupt, or
-// Arm(false). Unlike StallAfter/StallEvery this is operator-driven, for
+// Arm(false). Unlike StallEvery this is operator-driven, for
 // tests that want to control exactly when a link goes quiet.
 func (c *ChaosSource) Stall() {
 	c.mu.Lock()
@@ -229,13 +221,9 @@ func (c *ChaosSource) Next() (*csi.Frame, error) {
 			c.stats.Torn++
 			fail = ErrTornFrame
 		}
-		if fail == nil && cfg.StallFor > 0 {
-			oneShot := cfg.StallAfter > 0 && n == uint64(cfg.StallAfter)
-			recurring := cfg.StallEvery > 0 && n%uint64(cfg.StallEvery) == 0
-			if oneShot || recurring {
-				c.stats.Stalls++
-				sleep = cfg.StallFor
-			}
+		if fail == nil && cfg.StallFor > 0 && cfg.StallEvery > 0 && n%uint64(cfg.StallEvery) == 0 {
+			c.stats.Stalls++
+			sleep = cfg.StallFor
 		}
 		if fail == nil && sleep == 0 && cfg.DripEvery > 0 && cfg.DripDelay > 0 && n%uint64(cfg.DripEvery) == 0 {
 			c.stats.Drips++

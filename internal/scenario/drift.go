@@ -78,16 +78,12 @@ type DriftPreset struct {
 	// PhaseRadPerPacket is the per-packet common oscillator phase creep
 	// (DriftCFOWalk).
 	PhaseRadPerPacket float64
-	// StepAtPacket is when the furniture moves (DriftFurnitureMove) or the
-	// AGC re-locks (DriftAmbient).
+	// StepAtPacket is when the furniture moves (DriftFurnitureMove: a metal
+	// panel appears one metre to the side of the link midpoint) or the AGC
+	// re-locks (DriftAmbient).
 	StepAtPacket int
 	// StepDB is the gain step applied from StepAtPacket on (DriftAmbient).
 	StepDB float64
-	// Obstacle overrides the auto-placed furniture segment; nil places a
-	// metal panel ~1 m lateral of the link midpoint.
-	Obstacle *geom.Segment
-	// ObstacleMat is the obstacle material (zero value = Metal).
-	ObstacleMat propagation.Material
 }
 
 // NoDrift returns the control preset (capture impairments only).
@@ -212,16 +208,7 @@ func (s *Scenario) NewDriftStream(preset DriftPreset, seedOffset int64) (*DriftS
 		if preset.StepAtPacket < 0 {
 			return nil, fmt.Errorf("furniture step at packet %d: %w", preset.StepAtPacket, ErrBadScenario)
 		}
-		seg := preset.Obstacle
-		if seg == nil {
-			def := s.defaultFurniture()
-			seg = &def
-		}
-		mat := preset.ObstacleMat
-		if mat == (propagation.Material{}) {
-			mat = propagation.Metal
-		}
-		moved, err := s.WithObstacle(*seg, mat)
+		moved, err := s.WithObstacle(s.defaultFurniture(), propagation.Metal)
 		if err != nil {
 			return nil, err
 		}

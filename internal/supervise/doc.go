@@ -14,9 +14,9 @@
 //
 // with heartbeat-based staleness detection (StaleAfter/DownAfter age
 // bounds on the source's last activity), jittered exponential backoff
-// redials for sources implementing Reconnector, and a HoldLiveFrames
-// hysteresis so a flapping link must re-prove itself before re-entering
-// fusion. Lifecycle states map into adapt.Health.Lifecycle, which
+// redials for sources implementing Reconnector, and a hysteresis so a
+// flapping link must re-prove itself with 25 consecutive frames (one
+// window) before re-entering fusion. Lifecycle states map into adapt.Health.Lifecycle, which
 // adapt.Health.Weight folds into the link's fusion vote: Stale decays the
 // vote, Down/Recovering collapse it below the fusible floor.
 //

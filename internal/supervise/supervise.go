@@ -67,7 +67,8 @@ type ActivityReporter interface {
 }
 
 // Policy parameterizes link supervision. The zero value selects the
-// defaults noted per field.
+// defaults noted per field; the Recovering→Live hysteresis is fixed at 25
+// frames, one window.
 type Policy struct {
 	// RingSize bounds the per-link ingest ring (default 128 frames; rounded
 	// up to a power of two).
@@ -81,10 +82,6 @@ type Policy struct {
 	// BackoffMin/BackoffMax bound the jittered exponential reconnect
 	// backoff (defaults 50ms and 5s).
 	BackoffMin, BackoffMax time.Duration
-	// HoldLiveFrames is the anti-flap hysteresis: after a reconnect the
-	// link stays Recovering — excluded from fusion — until this many
-	// consecutive frames arrive (default 25, one typical window).
-	HoldLiveFrames int
 	// DropWhenFull sheds the newest frame when the ring is full instead of
 	// blocking the producer. Off by default: a slow consumer then exerts
 	// backpressure on the source, which is what replay and simulation
@@ -97,6 +94,12 @@ type Policy struct {
 	// for pure staleness transitions).
 	OnTransition func(link string, from, to adapt.Lifecycle, cause error)
 }
+
+// holdLiveFrames is the anti-flap hysteresis: after a reconnect the link
+// stays Recovering — excluded from fusion — until 25 consecutive frames
+// arrive, one window at the paper's M = 25, so a link re-proves itself with
+// a full window before it votes again.
+const holdLiveFrames = 25
 
 func (p Policy) withDefaults() Policy {
 	if p.RingSize <= 0 {
@@ -116,9 +119,6 @@ func (p Policy) withDefaults() Policy {
 		if p.BackoffMax < p.BackoffMin {
 			p.BackoffMax = p.BackoffMin
 		}
-	}
-	if p.HoldLiveFrames <= 0 {
-		p.HoldLiveFrames = 25
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
@@ -353,7 +353,7 @@ func (s *Supervisor) produce(ctx context.Context) {
 		}
 		// Down: redial until it sticks or the run ends. Backoff grows per
 		// attempt and only resets once the link re-proves itself live
-		// (HoldLiveFrames in noteFrame), so a flapping source pays the full
+		// (holdLiveFrames in noteFrame), so a flapping source pays the full
 		// escalating price instead of thrashing at BackoffMin.
 		s.setErr(err)
 		s.state.Store(int32(stDown))
@@ -385,7 +385,7 @@ func (s *Supervisor) noteFrame() {
 	s.frames.Add(1)
 	s.lastActivity.Store(time.Now().UnixNano())
 	if runState(s.state.Load()) == stRecovering {
-		if s.sinceUp++; s.sinceUp >= s.pol.HoldLiveFrames {
+		if s.sinceUp++; s.sinceUp >= holdLiveFrames {
 			s.backoff = s.pol.BackoffMin
 			s.state.Store(int32(stLive))
 		}

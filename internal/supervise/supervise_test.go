@@ -144,12 +144,11 @@ func (s *flakySource) Reconnect(ctx context.Context) error {
 
 func fastPolicy() Policy {
 	return Policy{
-		RingSize:       16,
-		StaleAfter:     20 * time.Millisecond,
-		DownAfter:      60 * time.Millisecond,
-		BackoffMin:     time.Millisecond,
-		BackoffMax:     8 * time.Millisecond,
-		HoldLiveFrames: 3,
+		RingSize:   16,
+		StaleAfter: 20 * time.Millisecond,
+		DownAfter:  60 * time.Millisecond,
+		BackoffMin: time.Millisecond,
+		BackoffMax: 8 * time.Millisecond,
 	}
 }
 
@@ -245,6 +244,7 @@ func TestSupervisorReconnectBackoffAndHysteresis(t *testing.T) {
 	var mu sync.Mutex
 	var trace []string
 	pol := fastPolicy()
+	pol.RingSize = 2 * holdLiveFrames // nothing drains the ring during the hold
 	pol.OnTransition = func(link string, from, to adapt.Lifecycle, cause error) {
 		mu.Lock()
 		trace = append(trace, fmt.Sprintf("%s->%s", from, to))
@@ -267,13 +267,14 @@ func TestSupervisorReconnectBackoffAndHysteresis(t *testing.T) {
 		t.Fatalf("Lifecycle after redial = %v, want Recovering", lc)
 	}
 
-	// Hysteresis: two frames are not enough to re-enter Live...
-	inner.feed(2)
-	waitFor(t, time.Second, "2 frames buffered", func() bool { return s.Status().Frames == 2 })
+	// Hysteresis: one frame short of the hold is not enough to re-enter
+	// Live...
+	inner.feed(holdLiveFrames - 1)
+	waitFor(t, time.Second, "hold-1 frames buffered", func() bool { return s.Status().Frames == holdLiveFrames-1 })
 	if lc := s.Lifecycle(); lc != adapt.LifecycleRecovering {
-		t.Fatalf("Lifecycle after 2 frames = %v, want still Recovering", lc)
+		t.Fatalf("Lifecycle after %d frames = %v, want still Recovering", holdLiveFrames-1, lc)
 	}
-	// ...the third (HoldLiveFrames) is.
+	// ...the last one of the hold is.
 	inner.feed(1)
 	waitFor(t, time.Second, "Live after hold", func() bool { return s.Lifecycle() == adapt.LifecycleLive })
 
@@ -282,7 +283,7 @@ func TestSupervisorReconnectBackoffAndHysteresis(t *testing.T) {
 	s.Wait()
 
 	// The watcher samples lifecycle on a tick, so fast intermediate states
-	// (Recovering held only for 3 frames here) may be collapsed; what must
+	// (Recovering held only for the hold's frames here) may be collapsed; what must
 	// hold is that the outage and the return to Live were both reported.
 	mu.Lock()
 	defer mu.Unlock()

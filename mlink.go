@@ -84,7 +84,7 @@ type System struct {
 	detector  *core.Detector
 	sc        *core.Scratch
 
-	adaptPol   *adapt.Policy
+	adaptive   bool // EnableAdaptation was called
 	adapter    *adapt.Adapter
 	nullScores []float64
 }
@@ -172,8 +172,8 @@ func (s *System) Calibrate(n int) error {
 	s.detector = det
 	s.nullScores = null
 	s.adapter = nil
-	if s.adaptPol != nil {
-		adapter, err := adapt.NewAdapter(*s.adaptPol, det, null)
+	if s.adaptive {
+		adapter, err := adapt.NewAdapter(adapt.Policy{}, det, null)
 		if err != nil {
 			return fmt.Errorf("mlink calibrate: %w", err)
 		}
@@ -185,18 +185,14 @@ func (s *System) Calibrate(n int) error {
 // EnableAdaptation turns on online adaptation for this link: every window
 // passed through DetectPresence or DetectWindow refreshes the profile when
 // confidently empty, re-derives the threshold, and tracks drift health.
-// With no argument the default policy is used. Works before or after
-// Calibrate; a later (re-)Calibrate rebuilds the adapter.
-func (s *System) EnableAdaptation(policy ...AdaptationPolicy) error {
-	p := AdaptationPolicy{}
-	if len(policy) > 0 {
-		p = policy[0]
-	}
-	s.adaptPol = &p
+// Works before or after Calibrate; a later (re-)Calibrate rebuilds the
+// adapter.
+func (s *System) EnableAdaptation() error {
+	s.adaptive = true
 	if s.detector == nil {
 		return nil
 	}
-	adapter, err := adapt.NewAdapter(p, s.detector, s.nullScores)
+	adapter, err := adapt.NewAdapter(adapt.Policy{}, s.detector, s.nullScores)
 	if err != nil {
 		return fmt.Errorf("mlink adaptation: %w", err)
 	}

@@ -39,11 +39,10 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 func TestEngineStreamSoakChaos(t *testing.T) {
 	eng := NewEngine(EngineConfig{Workers: 1, WindowSize: 25, Fusion: KOfN{K: 1}})
 	if err := eng.EnableSupervision(SupervisionPolicy{
-		StaleAfter:     50 * time.Millisecond,
-		DownAfter:      150 * time.Millisecond,
-		BackoffMin:     2 * time.Millisecond,
-		BackoffMax:     20 * time.Millisecond,
-		HoldLiveFrames: 10,
+		StaleAfter: 50 * time.Millisecond,
+		DownAfter:  150 * time.Millisecond,
+		BackoffMin: 2 * time.Millisecond,
+		BackoffMax: 20 * time.Millisecond,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +54,7 @@ func TestEngineStreamSoakChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaosSrc, err := eng.AddChaosLink("flaky", sysA, ChaosConfig{StallAfter: 1, StallFor: time.Hour})
+	chaosSrc, err := eng.AddChaosLink("flaky", sysA, ChaosConfig{StallEvery: 1, StallFor: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +228,10 @@ func TestEngineStreamSoakChaos(t *testing.T) {
 func TestServeAPIAllLinksDown(t *testing.T) {
 	eng := NewEngine(EngineConfig{Workers: 1, WindowSize: 25, Fusion: KOfN{K: 1}})
 	if err := eng.EnableSupervision(SupervisionPolicy{
-		StaleAfter:     50 * time.Millisecond,
-		DownAfter:      150 * time.Millisecond,
-		BackoffMin:     2 * time.Millisecond,
-		BackoffMax:     20 * time.Millisecond,
-		HoldLiveFrames: 10,
+		StaleAfter: 50 * time.Millisecond,
+		DownAfter:  150 * time.Millisecond,
+		BackoffMin: 2 * time.Millisecond,
+		BackoffMax: 20 * time.Millisecond,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +242,7 @@ func TestServeAPIAllLinksDown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := eng.AddChaosLink(fmt.Sprintf("l%d", i), sys, ChaosConfig{StallAfter: 1, StallFor: time.Hour})
+		src, err := eng.AddChaosLink(fmt.Sprintf("l%d", i), sys, ChaosConfig{StallEvery: 1, StallFor: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}

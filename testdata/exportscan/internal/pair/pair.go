@@ -37,3 +37,27 @@ func Recur(n int) {
 		Recur(n - 1)
 	}
 }
+
+// Knobs has one field of each fate.
+type Knobs struct {
+	Defaulted int // set only in withDefaults
+	TestSet   int // set only by a test
+	Keyed     int // set by the facade's composite literal
+	Counted   int // set by Count
+}
+
+func (k Knobs) withDefaults() Knobs {
+	if k.Defaulted == 0 {
+		k.Defaulted = 1
+	}
+	return k
+}
+
+// Count bumps Counted.
+func (k *Knobs) Count() int {
+	k.Counted++
+	return k.withDefaults().Defaulted
+}
+
+// Point is set positionally.
+type Point struct{ X, Y int }
