@@ -87,18 +87,23 @@ func TestClosestPoint(t *testing.T) {
 
 func TestDistToPoint(t *testing.T) {
 	s := Segment{Point{0, 0}, Point{10, 0}}
-	for _, c := range []struct {
-		p    Point
-		want float64
-	}{
-		{Point{5, 3}, 3},
-		{Point{13, 4}, 5},        // past the end: distance to B
-		{Point{5, 0.001}, 0.001}, // just off the segment
-		{Point{5, 1}, 1},
-	} {
-		if d := s.DistToPoint(c.p); math.Abs(d-c.want) > eps {
-			t.Errorf("DistToPoint(%v) = %v, want %v", c.p, d, c.want)
-		}
+	if d := s.DistToPoint(Point{5, 3}); math.Abs(d-3) > eps {
+		t.Fatalf("dist = %v", d)
+	}
+	if d := s.DistToPoint(Point{13, 4}); math.Abs(d-5) > eps {
+		t.Fatalf("dist past end = %v", d)
+	}
+}
+
+// TestContains checks the distances a containment tolerance of 0.01 m
+// separates: a point just off the segment and one a metre away.
+func TestContains(t *testing.T) {
+	s := Segment{Point{0, 0}, Point{10, 0}}
+	if d := s.DistToPoint(Point{5, 0.001}); math.Abs(d-0.001) > eps {
+		t.Fatalf("near dist = %v", d)
+	}
+	if d := s.DistToPoint(Point{5, 1}); math.Abs(d-1) > eps {
+		t.Fatalf("far dist = %v", d)
 	}
 }
 
