@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -429,16 +430,53 @@ func BenchmarkEngineScoringWorkers(b *testing.B) {
 	}
 }
 
+// steadyTimer times an engine's steady state. A warm-up Run primes every
+// link's slab, the shard scratches and the report buffers; the timed Run
+// then restarts the timer at its first scored window (Config.OnDecision),
+// so the per-Run setup — shard and supervisor goroutines, tickers, the
+// run's context — falls before the timer instead of amortizing over the
+// timed ops, where 85–110 setup allocations over 100 ops could read
+// 1 allocs/op.
+type steadyTimer struct {
+	b     *testing.B
+	armed atomic.Bool
+}
+
+// decision restarts the timer at the timed Run's first decision; set it as
+// Config.OnDecision.
+func (t *steadyTimer) decision(string, core.Decision) {
+	if t.armed.Load() && t.armed.CompareAndSwap(true, false) {
+		t.b.ResetTimer()
+	}
+}
+
+// run scores warm windows per link, then times b.N more and reports their
+// scores/s.
+func (t *steadyTimer) run(e *engine.Engine, warm int) {
+	ctx := context.Background()
+	if err := e.Run(ctx, warm); err != nil {
+		t.b.Fatal(err)
+	}
+	before := e.Metrics().WindowsScored
+	t.b.ReportAllocs()
+	t.armed.Store(true)
+	if err := e.Run(ctx, t.b.N); err != nil {
+		t.b.Fatal(err)
+	}
+	t.b.StopTimer()
+	scored := e.Metrics().WindowsScored - before
+	t.b.ReportMetric(float64(scored)/t.b.Elapsed().Seconds(), "scores/s")
+}
+
 // BenchmarkEngineSteadyState measures one full steady-state tick of the
 // sharded pipeline per benchmark op: every link of an 8-link fleet pulls and
 // scores one window, and every closed fusion round hands the report loop a
 // fused site verdict (Config.OnRound) that it follows with a metrics poll
 // through the reuse-friendly MetricsInto/LinksInto paths — the complete
-// monitoring loop a daemon like mlink-serve runs forever. A warm-up Run primes the per-link
-// slabs, shard scratches and report buffers outside the timer; after it the
-// loop must report 0 allocs/op (cmd/benchcheck enforces this in CI; the
-// constant per-Run setup — spawning shards, one context — amortizes to zero
-// over the ≥100 timed ops CI's precise pass uses).
+// monitoring loop a daemon like mlink-serve runs forever. A two-window
+// warm-up Run primes the per-link slabs, shard scratches and report buffers
+// (steadyTimer); after it the loop must report 0 allocs/op (cmd/benchcheck
+// enforces this in CI).
 func BenchmarkEngineSteadyState(b *testing.B) {
 	const links = 8
 	s, frames := engineFixture(b)
@@ -448,6 +486,7 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 		verdicts uint64
 		e        *engine.Engine
 	)
+	timer := steadyTimer{b: b}
 	e = engine.New(engine.Config{
 		Workers:    4,
 		WindowSize: 25,
@@ -459,6 +498,7 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 			ids = e.LinksInto(ids)
 			verdicts++
 		},
+		OnDecision: timer.decision,
 	})
 	for i := 0; i < links; i++ {
 		cfg := core.DefaultConfig(s.Grid, core.SchemeSubcarrier, s.Env.RX.Offsets())
@@ -466,23 +506,10 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	ctx := context.Background()
-	if err := e.Calibrate(ctx, 60); err != nil {
+	if err := e.Calibrate(context.Background(), 60); err != nil {
 		b.Fatal(err)
 	}
-	// Warm-up: primes slabs, scratches and the report loop's buffers.
-	if err := e.Run(ctx, 2); err != nil {
-		b.Fatal(err)
-	}
-	warm := e.Metrics().WindowsScored
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.Run(ctx, b.N); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	scored := float64(e.Metrics().WindowsScored - warm)
-	b.ReportMetric(scored/b.Elapsed().Seconds(), "scores/s")
+	timer.run(e, 2)
 	if verdicts == 0 {
 		b.Fatal("report loop never fused a verdict")
 	}
@@ -497,7 +524,7 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 // isolates the supervision overhead every healthy link pays forever: the
 // ring handoff, the lifecycle/heartbeat bookkeeping, and the health
 // weighting in fusion. The per-Run setup (supervisor goroutines, tickers)
-// amortizes to zero over the ≥100 timed ops CI's precise pass uses.
+// runs before the timer restarts (steadyTimer).
 func BenchmarkEngineSteadyStateSupervised(b *testing.B) {
 	const links = 8
 	s, frames := engineFixture(b)
@@ -507,6 +534,7 @@ func BenchmarkEngineSteadyStateSupervised(b *testing.B) {
 		verdicts uint64
 		e        *engine.Engine
 	)
+	timer := steadyTimer{b: b}
 	e = engine.New(engine.Config{
 		Workers:    4,
 		WindowSize: 25,
@@ -516,6 +544,7 @@ func BenchmarkEngineSteadyStateSupervised(b *testing.B) {
 			ids = e.LinksInto(ids)
 			verdicts++
 		},
+		OnDecision: timer.decision,
 	})
 	// Default policy: generous staleness thresholds keep the watcher ticker
 	// cold relative to the scoring cadence, as a production deployment would.
@@ -529,23 +558,10 @@ func BenchmarkEngineSteadyStateSupervised(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	ctx := context.Background()
-	if err := e.Calibrate(ctx, 60); err != nil {
+	if err := e.Calibrate(context.Background(), 60); err != nil {
 		b.Fatal(err)
 	}
-	// Warm-up: primes slabs, scratches, report buffers, and the rings.
-	if err := e.Run(ctx, 2); err != nil {
-		b.Fatal(err)
-	}
-	warm := e.Metrics().WindowsScored
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.Run(ctx, b.N); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	scored := float64(e.Metrics().WindowsScored - warm)
-	b.ReportMetric(scored/b.Elapsed().Seconds(), "scores/s")
+	timer.run(e, 2)
 	if verdicts == 0 {
 		b.Fatal("report loop never fused a verdict")
 	}
@@ -560,14 +576,20 @@ func BenchmarkEngineSteadyStateSupervised(b *testing.B) {
 // isolates the journal path: delta serialization into the shard's reused
 // record buffer, the SPSC buffer handoff, and the syncer's absorb-and-write
 // loop. The journal stays far below its compaction size at the gate's
-// iteration count.
+// iteration count. The 56-window warm-up Run (steadyTimer) emits the
+// one-off full records and, because a delta embeds the drift monitor's
+// rolling rings, fills those rings (default 20 windows) plus the null
+// buffer (32), so the delta record and every reused buffer behind it reach
+// their steady size before the timer starts.
 func BenchmarkEngineSteadyStateJournal(b *testing.B) {
 	const links = 8
 	s, frames := engineFixture(b)
+	timer := steadyTimer{b: b}
 	e := engine.New(engine.Config{
 		Workers:    4,
 		WindowSize: 25,
 		Adaptation: &adapt.Policy{},
+		OnDecision: timer.decision,
 	})
 	for i := 0; i < links; i++ {
 		cfg := core.DefaultConfig(s.Grid, core.SchemeSubcarrier, s.Env.RX.Offsets())
@@ -592,26 +614,10 @@ func BenchmarkEngineSteadyStateJournal(b *testing.B) {
 	if err := e.SetJournal(j); err != nil {
 		b.Fatal(err)
 	}
-	// Warm-up: primes slabs and scratches, emits the one-off full records,
-	// and — because a delta embeds the drift monitor's rolling rings — runs
-	// long enough to fill those rings (default 20 windows) plus the null
-	// buffer (32), so the delta record and every reused buffer behind it
-	// reach their steady size before the timer starts.
-	if err := e.Run(ctx, 56); err != nil {
-		b.Fatal(err)
-	}
-	warm := e.Metrics().WindowsScored
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.Run(ctx, b.N); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
+	timer.run(e, 56)
 	if err := j.Err(); err != nil {
 		b.Fatal(err)
 	}
-	scored := float64(e.Metrics().WindowsScored - warm)
-	b.ReportMetric(scored/b.Elapsed().Seconds(), "scores/s")
 }
 
 // BenchmarkEngineSteadyStateSkewed measures the scheduler's answer to a
@@ -758,6 +764,7 @@ func BenchmarkEngineSteadyStateSubscribed(b *testing.B) {
 		e        *engine.Engine
 		hub      *serve.Hub
 	)
+	timer := steadyTimer{b: b}
 	e = engine.New(engine.Config{
 		Workers:    4,
 		WindowSize: 25,
@@ -768,6 +775,7 @@ func BenchmarkEngineSteadyStateSubscribed(b *testing.B) {
 			verdicts++
 			hub.Notify()
 		},
+		OnDecision: timer.decision,
 	})
 	for i := 0; i < links; i++ {
 		cfg := core.DefaultConfig(s.Grid, core.SchemeSubcarrier, s.Env.RX.Offsets())
@@ -783,23 +791,10 @@ func BenchmarkEngineSteadyStateSubscribed(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	ctx := context.Background()
-	if err := e.Calibrate(ctx, 60); err != nil {
+	if err := e.Calibrate(context.Background(), 60); err != nil {
 		b.Fatal(err)
 	}
-	// Warm-up: primes slabs, scratches, report buffers, rings and frames.
-	if err := e.Run(ctx, 2); err != nil {
-		b.Fatal(err)
-	}
-	warm := e.Metrics().WindowsScored
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.Run(ctx, b.N); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	scored := float64(e.Metrics().WindowsScored - warm)
-	b.ReportMetric(scored/b.Elapsed().Seconds(), "scores/s")
+	timer.run(e, 2)
 	if verdicts == 0 {
 		b.Fatal("report loop never fused a verdict")
 	}

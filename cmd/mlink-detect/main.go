@@ -1,6 +1,8 @@
 // Command mlink-detect is the detector side of the distributed deployment:
 // it connects to a csid stream, calibrates a static profile from the first
-// frames, then prints a presence verdict per monitoring window.
+// frames, then prints a presence verdict per monitoring window. The stream
+// feeds a one-link monitoring engine (internal/engine), so calibration and
+// scoring are the ones mlink-serve runs.
 //
 // Usage:
 //
@@ -9,61 +11,53 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"os"
 	"time"
 
 	"mlink/internal/channel"
 	"mlink/internal/core"
 	"mlink/internal/csinet"
+	"mlink/internal/engine"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func schemeOf(name string) (core.Scheme, error) {
-	switch name {
-	case "baseline":
-		return core.SchemeBaseline, nil
-	case "subcarrier":
-		return core.SchemeSubcarrier, nil
-	case "path":
-		return core.SchemeSubcarrierPath, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q (baseline|subcarrier|path)", name)
-	}
-}
-
-func run() error {
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("mlink-detect", flag.ExitOnError)
 	var (
-		addr       = flag.String("addr", "127.0.0.1:5500", "csid address")
-		schemeName = flag.String("scheme", "path", "detection scheme: baseline|subcarrier|path")
-		calN       = flag.Int("calibration", 200, "calibration packets")
-		window     = flag.Int("window", 25, "monitoring window packets")
-		maxWindows = flag.Int("max-windows", 0, "stop after this many windows (0 = run forever)")
+		addr       = fs.String("addr", "127.0.0.1:5500", "csid address")
+		schemeName = fs.String("scheme", "path", "detection scheme: baseline|subcarrier|path")
+		calN       = fs.Int("calibration", 200, "calibration packets (as many again are held out to set the threshold)")
+		window     = fs.Int("window", 25, "monitoring window packets")
+		maxWindows = fs.Int("max-windows", 0, "stop after this many windows (0 = run forever)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
-	scheme, err := schemeOf(*schemeName)
+	scheme, err := core.ParseScheme(*schemeName)
 	if err != nil {
 		return err
 	}
 
+	src := csinet.Redial(*addr)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	client, err := csinet.Dial(ctx, *addr)
+	err = src.Connect(ctx)
 	cancel()
 	if err != nil {
 		return err
 	}
-	defer client.Close()
+	defer src.Close()
 
-	hello := client.Hello()
+	hello := src.Hello()
 	grid, err := channel.NewIntel5300Grid(hello.CenterFreqHz)
 	if err != nil {
 		return err
@@ -76,52 +70,37 @@ func run() error {
 	}
 	cfg := core.DefaultConfig(grid, scheme, offsets)
 
-	fmt.Printf("mlink-detect: calibrating %s from %d packets...\n", scheme, *calN)
-	cal, err := client.RecvN(*calN)
-	if err != nil {
-		return fmt.Errorf("calibration recv: %w", err)
-	}
-	profile, err := core.Calibrate(cfg, cal)
-	if err != nil {
-		return err
-	}
-	det, err := core.NewDetector(cfg, profile)
-	if err != nil {
-		return err
-	}
-	holdout, err := client.RecvN(*calN / 2)
-	if err != nil {
-		return fmt.Errorf("holdout recv: %w", err)
-	}
-	null, err := det.SelfScores(holdout, *window, *window)
-	if err != nil {
-		return err
-	}
-	threshold, err := det.CalibrateThreshold(null, core.ThresholdQuantile, core.DefaultThresholdMargin)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("mlink-detect: threshold %.4f, monitoring (window %d packets)\n", threshold, *window)
-
-	sc := core.NewScratch()
-	for w := 0; *maxWindows == 0 || w < *maxWindows; w++ {
-		frames, err := client.RecvN(*window)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				fmt.Println("mlink-detect: stream ended")
-				return nil
+	// One link, so every scored window closes a fusion round. The engine
+	// stays unsupervised: a clean close by csid ends the link and Run.
+	windows := 0
+	e := engine.New(engine.Config{
+		WindowSize: *window,
+		OnRound: func(v *engine.SiteVerdict) {
+			for _, d := range v.Links {
+				status := "clear  "
+				if d.Present {
+					status = "PRESENT"
+				}
+				fmt.Fprintf(out, "window %4d  [%s]  score %.4f  (threshold %.4f)\n", windows, status, d.Score, d.Threshold)
 			}
-			return err
-		}
-		dec, err := det.DetectScratch(frames, sc)
-		if err != nil {
-			return err
-		}
-		status := "clear  "
-		if dec.Present {
-			status = "PRESENT"
-		}
-		fmt.Printf("window %4d  [%s]  score %.4f  (threshold %.4f)\n", w, status, dec.Score, dec.Threshold)
+			windows++
+		},
+	})
+	if err := e.AddLink(*addr, cfg, src); err != nil {
+		return err
+	}
+
+	fmt.Fprintf(out, "mlink-detect: calibrating %s from %d packets...\n", scheme, *calN)
+	if err := e.Calibrate(context.Background(), *calN); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "mlink-detect: threshold %.4f, monitoring (window %d packets)\n", e.Metrics().PerLink[0].Threshold, *window)
+
+	if err := e.Run(context.Background(), *maxWindows); err != nil {
+		return err
+	}
+	if *maxWindows == 0 || windows < *maxWindows {
+		fmt.Fprintln(out, "mlink-detect: stream ended")
 	}
 	return nil
 }

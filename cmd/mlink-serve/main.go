@@ -44,24 +44,12 @@ import (
 	"time"
 
 	"mlink"
+	"mlink/internal/core"
 )
 
 func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
-	}
-}
-
-func schemeOf(name string) (mlink.Scheme, error) {
-	switch name {
-	case "baseline":
-		return mlink.SchemeBaseline, nil
-	case "subcarrier":
-		return mlink.SchemeSubcarrier, nil
-	case "path":
-		return mlink.SchemeSubcarrierPath, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q (baseline|subcarrier|path)", name)
 	}
 }
 
@@ -160,7 +148,7 @@ func run() error {
 		fmt.Printf("pprof listening on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
-	scheme, err := schemeOf(*schemeName)
+	scheme, err := core.ParseScheme(*schemeName)
 	if err != nil {
 		return err
 	}

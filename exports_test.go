@@ -25,9 +25,6 @@ var exportAllowlist = map[string]string{
 	// Reference arms of cmd/benchcheck's in-run speedup gates.
 	"internal/csi.Extractor.CaptureNaive":        "uncached reference arm of the ExtractorCapture speedup gate",
 	"internal/propagation.Environment.OracleLOS": "LOS reference of the EnvironmentResponse gate and the cache tests",
-	// The forward half of the planned transform pair; the round-trip and
-	// Parseval suites check IDFTInto against it.
-	"internal/dsp.Transform.DFTInto": "forward transform paired with the production IDFTInto",
 	// A geometry oracle the geom, scenario and propagation suites check
 	// positions against.
 	"internal/geom.Segment.DistToPoint": "point-to-segment distance the suites check positions against",
@@ -36,8 +33,6 @@ var exportAllowlist = map[string]string{
 	// Test seams the engine and csinet suites drive directly.
 	"internal/engine.Engine.ScoreWindow":     "synchronous scoring seam for the engine's decision tests",
 	"internal/engine.NewReplaySource":        "engine Source adapter replaying recorded frames",
-	"internal/csinet.Redial":                 "reconnecting client, driven by the redial suite",
-	"internal/csinet.Redialer.Connect":       "reconnecting client, driven by the redial suite",
 	"internal/csinet.Server.ClientCount":     "observes accepted connections in the server tests",
 	"internal/csinet.Client.SetRecvDeadline": "bounds a blocking receive in the client tests",
 	// Called through an interface by the standard library.

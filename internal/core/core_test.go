@@ -364,6 +364,26 @@ func TestSchemeString(t *testing.T) {
 	}
 }
 
+func TestParseScheme(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Scheme
+		ok   bool
+	}{
+		{"baseline", SchemeBaseline, true},
+		{"subcarrier", SchemeSubcarrier, true},
+		{"path", SchemeSubcarrierPath, true},
+		{"", 0, false},
+		{"Path", 0, false},
+		{"subcarrier+path-weighting", 0, false},
+	} {
+		got, err := ParseScheme(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
 // calibrateAndDetect builds a detector of the given scheme over the test
 // link and returns (emptyScore, presentScore).
 func calibrateAndDetect(t *testing.T, scheme Scheme, target geom.Point) (float64, float64) {

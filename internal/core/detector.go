@@ -36,6 +36,21 @@ func (s Scheme) String() string {
 	}
 }
 
+// ParseScheme maps a command-line scheme name — baseline, subcarrier or
+// path — to its Scheme.
+func ParseScheme(name string) (Scheme, error) {
+	switch name {
+	case "baseline":
+		return SchemeBaseline, nil
+	case "subcarrier":
+		return SchemeSubcarrier, nil
+	case "path":
+		return SchemeSubcarrierPath, nil
+	default:
+		return 0, fmt.Errorf("unknown scheme %q (baseline|subcarrier|path)", name)
+	}
+}
+
 // Config parameterizes calibration and detection.
 type Config struct {
 	// Grid is the OFDM subcarrier grid of the receiver.

@@ -33,8 +33,8 @@ type Scratch struct {
 	knotFrac       []float64
 	// plNum[k] = (1/f_k²)/Σf⁻², the Eq. 10 path-loss numerator.
 	plNum []float64
-	// xform is the planned power-delay-profile transform (mixed-radix FFT
-	// for smooth sizes such as the 30-subcarrier grid).
+	// xform is the planned power-delay-profile transform (the prime-factor
+	// plan for the 30-subcarrier grid).
 	xform *dsp.Transform
 
 	// Reusable multipath-factor buffers.
@@ -131,7 +131,7 @@ func (sc *Scratch) bindGrid(grid *channel.Grid) {
 	if sc.xform == nil || sc.xform.Len() != n {
 		// Shared process-wide plan: Transforms are immutable and
 		// concurrency-safe, so every scratch (and so every shard) scoring
-		// the same grid size reuses one warmed radix plan.
+		// the same grid size reuses one warmed plan.
 		sc.xform = dsp.Plan(n)
 	}
 	sc.grid = grid

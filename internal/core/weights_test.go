@@ -14,14 +14,16 @@ import (
 )
 
 // naiveWindowWeights is the reference for the subcarrier weights stage
-// (Kernel.windowWeights): the Eq. 11 multipath factors through the
-// recursive mixed-radix IDFT, and the Eq. 13–15 weights from
-// quickselect-median stability ratios, allocating as it goes.
+// (Kernel.windowWeights): the Eq. 11 multipath factors through the O(n²)
+// matrix IDFT, and the Eq. 13–15 weights from quickselect-median stability
+// ratios, allocating as it goes.
 func naiveWindowWeights(window []*csi.Frame, grid *channel.Grid) ([][]float64, error) {
 	nAnt, nSub := window[0].NumAntennas(), window[0].NumSubcarriers()
 	var sc Scratch
 	sc.bindGrid(grid)
-	sc.xform = dsp.NewMixedRadixTransform(nSub)
+	// A plan of size 0 has no prime-factor plan, and Transform.IDFTInto
+	// sends every length it was not planned for to the matrix dsp.IDFTInto.
+	sc.xform = dsp.NewTransform(0)
 	out := make([][]float64, nAnt)
 	for ant := range out {
 		meanMu := make([]float64, nSub)
@@ -77,7 +79,7 @@ func weightsFixture(tb testing.TB, linkCase int, seed int64) (*Kernel, []*csi.Fr
 }
 
 // TestWindowWeightsMatchNaive pins the weights stage — prime-factor IDFT
-// plus network medians — to the mixed-radix/quickselect reference on every
+// plus network medians — to the matrix-IDFT/quickselect reference on every
 // link case.
 func TestWindowWeightsMatchNaive(t *testing.T) {
 	for c := 1; c <= scenario.NumLinkCases; c++ {
@@ -102,7 +104,7 @@ func TestWindowWeightsMatchNaive(t *testing.T) {
 
 // BenchmarkSubcarrierWeights times the subcarrier weights stage of one
 // 25-packet, three-antenna window (75 multipath-factor rows and their
-// medians): naive is the mixed-radix/quickselect reference, cached the
+// medians): naive is the matrix-IDFT/quickselect reference, cached the
 // scoring path on a warm scratch.
 func BenchmarkSubcarrierWeights(b *testing.B) {
 	k, window := weightsFixture(b, 2, 5)

@@ -20,7 +20,7 @@ var ErrLinkDown = errors.New("csinet: link down")
 // Client collects CSI frames from a csinet server — the detector side of
 // the distributed deployment.
 //
-// Recv/RecvInto are single-goroutine (the stream is ordered); Close,
+// RecvInto is single-goroutine (the stream is ordered); Close,
 // SetRecvDeadline, and LastActivity are safe from any goroutine.
 type Client struct {
 	conn    net.Conn
@@ -95,20 +95,10 @@ func (c *Client) recvPayload() ([]byte, error) {
 	}
 }
 
-// Recv blocks for the next CSI frame, allocating a fresh one. Heartbeats
-// are consumed silently; a closed stream surfaces as io.EOF. See RecvInto
-// for the pooled path.
-func (c *Client) Recv() (*csi.Frame, error) {
-	payload, err := c.recvPayload()
-	if err != nil {
-		return nil, err
-	}
-	return DecodeFrame(payload)
-}
-
 // RecvInto blocks for the next CSI frame and decodes it into f, reusing
 // its storage when the shape matches — the allocation-free ingest path
-// (pair it with a csi.FramePool). Semantics otherwise match Recv.
+// (pair it with a csi.FramePool). Heartbeats are consumed silently; a
+// closed stream surfaces as io.EOF.
 func (c *Client) RecvInto(f *csi.Frame) error {
 	payload, err := c.recvPayload()
 	if err != nil {
@@ -117,20 +107,7 @@ func (c *Client) RecvInto(f *csi.Frame) error {
 	return DecodeFrameInto(f, payload)
 }
 
-// RecvN collects exactly n frames (or fails).
-func (c *Client) RecvN(n int) ([]*csi.Frame, error) {
-	out := make([]*csi.Frame, 0, n)
-	for len(out) < n {
-		f, err := c.Recv()
-		if err != nil {
-			return nil, fmt.Errorf("recv %d/%d: %w", len(out), n, err)
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
-// SetRecvDeadline bounds the next Recv calls.
+// SetRecvDeadline bounds the next RecvInto calls.
 func (c *Client) SetRecvDeadline(t time.Time) error {
 	return c.conn.SetReadDeadline(t)
 }

@@ -55,8 +55,30 @@ func dialT(t *testing.T, addr net.Addr) *Client {
 	return c
 }
 
+// recv receives the next frame into a fresh one.
+func recv(c *Client) (*csi.Frame, error) {
+	f := new(csi.Frame)
+	if err := c.RecvInto(f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// recvN receives exactly n frames into fresh ones.
+func recvN(c *Client, n int) ([]*csi.Frame, error) {
+	out := make([]*csi.Frame, n)
+	for i := range out {
+		f, err := recv(c)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = f
+	}
+	return out, nil
+}
+
 // TestClientServerClosesMidStream: a server that dies between frames must
-// surface as a clean io.EOF on the next Recv — including when the
+// surface as a clean io.EOF on the next receive — including when the
 // connection drops mid-message (a torn header or payload is an
 // ErrUnexpectedEOF underneath, which the client folds into EOF so callers
 // have exactly one end-of-stream signal).
@@ -76,10 +98,10 @@ func TestClientServerClosesMidStream(t *testing.T) {
 			// Abrupt close: no heartbeat, no goodbye.
 		})
 		c := dialT(t, addr)
-		if _, err := c.Recv(); err != nil {
+		if _, err := recv(c); err != nil {
 			t.Fatalf("first frame: %v", err)
 		}
-		if _, err := c.Recv(); !errors.Is(err, io.EOF) {
+		if _, err := recv(c); !errors.Is(err, io.EOF) {
 			t.Fatalf("recv after close = %v, want io.EOF", err)
 		}
 	})
@@ -93,19 +115,8 @@ func TestClientServerClosesMidStream(t *testing.T) {
 			_, _ = conn.Write(frame[:len(frame)/2])
 		})
 		c := dialT(t, addr)
-		if _, err := c.Recv(); !errors.Is(err, io.EOF) {
+		if _, err := recv(c); !errors.Is(err, io.EOF) {
 			t.Fatalf("recv of torn message = %v, want io.EOF", err)
-		}
-	})
-	t.Run("recvn reports progress", func(t *testing.T) {
-		addr := rawServer(t, func(conn net.Conn) {
-			_ = WriteMessage(conn, TypeHello, hello)
-			_ = WriteMessage(conn, TypeFrame, frame)
-			_ = WriteMessage(conn, TypeFrame, frame)
-		})
-		c := dialT(t, addr)
-		if _, err := c.RecvN(5); !errors.Is(err, io.EOF) {
-			t.Fatalf("recvn past close = %v, want io.EOF", err)
 		}
 	})
 }
@@ -131,7 +142,7 @@ func TestClientShortAndCorruptFrames(t *testing.T) {
 			time.Sleep(50 * time.Millisecond)
 		})
 		c := dialT(t, addr)
-		if _, err := c.Recv(); !errors.Is(err, ErrMalformed) {
+		if _, err := recv(c); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("short frame err = %v, want ErrMalformed", err)
 		}
 	})
@@ -146,7 +157,7 @@ func TestClientShortAndCorruptFrames(t *testing.T) {
 			time.Sleep(50 * time.Millisecond)
 		})
 		c := dialT(t, addr)
-		if _, err := c.Recv(); !errors.Is(err, ErrBadCRC) {
+		if _, err := recv(c); !errors.Is(err, ErrBadCRC) {
 			t.Fatalf("corrupt payload err = %v, want ErrBadCRC", err)
 		}
 	})
@@ -157,7 +168,7 @@ func TestClientShortAndCorruptFrames(t *testing.T) {
 			time.Sleep(50 * time.Millisecond)
 		})
 		c := dialT(t, addr)
-		if _, err := c.Recv(); !errors.Is(err, ErrMalformed) {
+		if _, err := recv(c); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("unknown type err = %v, want ErrMalformed", err)
 		}
 	})
@@ -186,14 +197,14 @@ func TestClientReconnect(t *testing.T) {
 
 	srv := newServer()
 	c := dialT(t, srv.Addr())
-	if _, err := c.RecvN(3); err != nil {
+	if _, err := recvN(c, 3); err != nil {
 		t.Fatalf("first connection: %v", err)
 	}
 	// The server dies; in-flight reads end with EOF.
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Recv(); !errors.Is(err, io.EOF) {
+	if _, err := recv(c); !errors.Is(err, io.EOF) {
 		t.Fatalf("recv after server death = %v, want io.EOF", err)
 	}
 
@@ -205,7 +216,7 @@ func TestClientReconnect(t *testing.T) {
 	if c2.Hello().NumSubcarriers != 2 {
 		t.Fatalf("reconnect hello = %+v", c2.Hello())
 	}
-	frames, err := c2.RecvN(3)
+	frames, err := recvN(c2, 3)
 	if err != nil {
 		t.Fatalf("reconnected stream: %v", err)
 	}

@@ -220,7 +220,7 @@ func TestServerClientStream(t *testing.T) {
 	if client.Hello().NumAntennas != 3 {
 		t.Fatalf("hello = %+v", client.Hello())
 	}
-	frames, err := client.RecvN(total)
+	frames, err := recvN(client, total)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +232,11 @@ func TestServerClientStream(t *testing.T) {
 			t.Fatalf("frame %d shape %dx%d", i, f.NumAntennas(), f.NumSubcarriers())
 		}
 	}
-	// After the source ends, the stream closes: Recv returns EOF.
+	// After the source ends, the stream closes: the next receive is EOF.
 	if err := client.SetRecvDeadline(time.Now().Add(2 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Recv(); !errors.Is(err, io.EOF) {
+	if _, err := recv(client); !errors.Is(err, io.EOF) {
 		t.Fatalf("post-stream recv err = %v, want EOF", err)
 	}
 }
@@ -264,7 +264,7 @@ func TestServerMultipleClients(t *testing.T) {
 		if err != nil {
 			t.Fatalf("client %d: %v", i, err)
 		}
-		frames, err := client.RecvN(3)
+		frames, err := recvN(client, 3)
 		if err != nil {
 			t.Fatalf("client %d recv: %v", i, err)
 		}
@@ -299,7 +299,7 @@ func TestServerGracefulClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, err := client.RecvN(2); err != nil {
+	if _, err := recvN(client, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil && !errors.Is(err, io.EOF) {
@@ -315,7 +315,7 @@ func TestServerGracefulClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		if _, err := client.Recv(); err != nil {
+		if _, err := recv(client); err != nil {
 			if errors.Is(err, io.EOF) {
 				return
 			}
@@ -398,7 +398,7 @@ func TestServerPacing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, err := client.RecvN(5); err != nil {
+	if _, err := recvN(client, 5); err != nil {
 		t.Fatal(err)
 	}
 	// The fifth frame was taken before it was sent, so its stamp is queued.

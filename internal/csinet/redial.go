@@ -31,9 +31,9 @@ type Redialer struct {
 	c    atomic.Pointer[Client]
 	pool atomic.Pointer[csi.FramePool]
 
-	// Announced shape of the last successful connection; producer-owned
-	// (only Reconnect reads and writes it).
-	helloAnt, helloSub uint8
+	// Announcement of the last successful connection; producer-owned
+	// (written only by Reconnect).
+	hello Hello
 }
 
 // Redial prepares a redialing source for addr without connecting; the
@@ -61,20 +61,25 @@ func (r *Redialer) Reconnect(ctx context.Context) error {
 		return fmt.Errorf("redial: %w", err)
 	}
 	h := c.Hello()
-	if r.pool.Load() == nil || r.helloAnt != h.NumAntennas || r.helloSub != h.NumSubcarriers {
+	if r.pool.Load() == nil || r.hello.NumAntennas != h.NumAntennas || r.hello.NumSubcarriers != h.NumSubcarriers {
 		r.pool.Store(csi.NewFramePool(int(h.NumAntennas), int(h.NumSubcarriers)))
 	}
-	r.helloAnt, r.helloSub = h.NumAntennas, h.NumSubcarriers
+	r.hello = h
 	if old := r.c.Swap(c); old != nil {
 		old.Close()
 	}
 	return nil
 }
 
+// Hello returns the stream metadata the last successful connection
+// announced. Like Reconnect, it belongs to the goroutine that drives Next.
+func (r *Redialer) Hello() Hello { return r.hello }
+
 // Next receives one frame from the current connection into a pooled frame.
-// Any receive failure — including a clean peer close — tears the
-// connection down and returns an error matching ErrLinkDown; the caller
-// (typically a supervisor) decides when to Reconnect.
+// Any receive failure tears the connection down and returns an error that
+// matches ErrLinkDown and wraps the cause, so a clean peer close also
+// matches io.EOF; the caller (typically a supervisor) decides when to
+// Reconnect.
 func (r *Redialer) Next() (*csi.Frame, error) {
 	c := r.c.Load()
 	if c == nil {
@@ -86,7 +91,7 @@ func (r *Redialer) Next() (*csi.Frame, error) {
 		if r.c.CompareAndSwap(c, nil) {
 			c.Close()
 		}
-		return nil, fmt.Errorf("%s: %v: %w", r.addr, err, ErrLinkDown)
+		return nil, fmt.Errorf("%s: %w: %w", r.addr, err, ErrLinkDown)
 	}
 	return f, nil
 }

@@ -122,8 +122,8 @@ func TestRedialerReconnectsAcrossRestart(t *testing.T) {
 	if err := r.Connect(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if c := r.c.Load(); c == nil || c.Hello().NumAntennas != 3 {
-		t.Fatalf("hello after connect = %+v", c)
+	if h := r.Hello(); h.NumAntennas != 3 {
+		t.Fatalf("hello after connect = %+v", h)
 	}
 	for i := 0; i < 3; i++ {
 		f, err := r.Next()
@@ -180,6 +180,50 @@ func TestRedialerReconnectsAcrossRestart(t *testing.T) {
 		t.Fatalf("reconnected frame shape %dx%d", f.NumAntennas(), f.NumSubcarriers())
 	}
 	r.Recycle(f)
+}
+
+// TestRedialerCleanCloseIsEOF: a stream the server ends cleanly surfaces
+// from Next as ErrLinkDown wrapping io.EOF, so an unsupervised consumer can
+// tell the end of the stream from a broken transport.
+func TestRedialerCleanCloseIsEOF(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", defaultHello(), func() Source {
+		n := uint32(0)
+		return SourceFunc(func() (*csi.Frame, error) {
+			if n == 2 {
+				return nil, io.EOF
+			}
+			f := sampleFrame(n)
+			n++
+			return f, nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	go srv.Serve(context.Background()) //nolint:errcheck — ends on Close
+
+	r := Redial(srv.Addr().String())
+	defer r.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := r.Connect(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if h := r.Hello(); h.NumAntennas != 3 || h.NumSubcarriers != 30 {
+		t.Fatalf("Hello() = %+v", h)
+	}
+	for i := 0; i < 2; i++ {
+		f, err := r.Next()
+		if err != nil {
+			t.Fatalf("Next %d: %v", i, err)
+		}
+		r.Recycle(f)
+	}
+	_, err = r.Next()
+	if !errors.Is(err, io.EOF) || !errors.Is(err, ErrLinkDown) {
+		t.Fatalf("Next after a clean close = %v, want io.EOF and ErrLinkDown", err)
+	}
 }
 
 // TestServerDisconnectsSlowClient wedges one client (it connects and never

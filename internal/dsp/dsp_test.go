@@ -159,6 +159,13 @@ func TestCDFQuantileMonotone(t *testing.T) {
 	}
 }
 
+// DFTInto computes the forward discrete Fourier transform of x into dst
+// (len(x), no aliasing) on the cached-twiddle matrix path: the reference
+// the prime-factor plan's forward direction is checked against.
+//
+//	X[k] = Σ_n x[n]·e^{-j2πkn/N}
+func DFTInto(dst, x []complex128) { matrixDFT(dst, x, false) }
+
 // dft and idft are allocating test shorthands for DFTInto and IDFTInto.
 func dft(x []complex128) []complex128 {
 	out := make([]complex128, len(x))

@@ -36,15 +36,11 @@ func twiddles(n int) *twiddleSet {
 	return v.(*twiddleSet)
 }
 
-// DFTInto computes the discrete Fourier transform of x into dst (len(x),
-// no aliasing): O(n²) with cached twiddle factors, the reference the
-// planned Transform is checked against.
-//
-//	X[k] = Σ_n x[n]·e^{-j2πkn/N}
-func DFTInto(dst, x []complex128) { matrixDFT(dst, x, false) }
-
 // IDFTInto computes the inverse discrete Fourier transform of x into dst
-// (len(x), no aliasing) with 1/N scaling, so that it inverts DFTInto.
+// (len(x), no aliasing) with 1/N scaling: O(n²) with cached twiddle factors,
+// the path a Transform takes for sizes it has no prime-factor plan for.
+//
+//	x[n] = (1/N)·Σ_k X[k]·e^{+j2πkn/N}
 func IDFTInto(dst, x []complex128) { matrixDFT(dst, x, true) }
 
 func matrixDFT(dst, x []complex128, inverse bool) {

@@ -2,27 +2,23 @@ package dsp
 
 import "math"
 
-// Transform is a planned DFT/IDFT of one fixed size. Sizes that are a
+// Transform is a planned inverse DFT of one fixed size. Sizes that are a
 // product of distinct primes from {2, 3, 5} — the CSI pipeline's
 // 30-subcarrier vectors (30 = 2·3·5) included — run as a Good–Thomas
 // prime-factor transform: no twiddle multiplies at all, just straight-line
-// 2/3/5-point butterflies over a CRT-permuted copy. Other sizes whose prime
-// factors are all in {2, 3, 5} run as a recursive mixed-radix Cooley–Tukey
-// FFT. Both are O(n·Σfactors) instead of the O(n²) of the package-level
-// DFTInto; any other size falls back to that cached-twiddle matrix path, so
-// a Transform is never wrong, only sometimes not faster.
+// 2/3/5-point butterflies over a CRT-permuted copy, O(n·Σfactors) instead of
+// the O(n²) of the package-level IDFTInto. Every other size falls back to
+// that cached-twiddle matrix path, so a Transform is never wrong, only
+// sometimes not faster.
 //
 // A Transform is allocation-free per call and safe for concurrent use: after
-// NewTransform the plan is immutable (factors, index map and twiddle tables
-// are only read), and every per-call intermediate lives on the stack or in
-// the caller's dst. Prefer Plan over NewTransform so all workers share one
+// NewTransform the plan is immutable (its index map and butterfly roots are
+// only read), and every per-call intermediate lives on the stack or in the
+// caller's dst. Prefer Plan over NewTransform so all workers share one
 // cached plan per size.
 type Transform struct {
-	n       int
-	pfa     *pfaPlan // prime-factor plan; nil → mixed-radix or matrix path
-	radices []int    // mixed-radix plan, outermost first; nil → matrix fallback
-	fwd     dirTables
-	inv     dirTables
+	n   int
+	pfa *pfaPlan // prime-factor plan; nil → matrix path
 }
 
 // pfaMaxN is the largest prime-factor size, 2·3·5: the size of the stack
@@ -100,102 +96,24 @@ func newPFAPlan(n int) *pfaPlan {
 	return p
 }
 
-// dirTables holds one direction's twiddles: the size-N table plus the small
-// fixed butterfly matrices W_r^{jq} (which are level-independent, so each
-// radix needs exactly one).
-type dirTables struct {
-	w  []complex128
-	b3 [2]complex128    // W_3^1, W_3^2
-	b5 [5][5]complex128 // W_5^{jq}
-}
-
-func (d *dirTables) fill(n int, w []complex128) {
-	d.w = w
-	if n%3 == 0 {
-		d.b3[0] = w[n/3]
-		d.b3[1] = w[2*n/3]
-	}
-	if n%5 == 0 {
-		for q := 0; q < 5; q++ {
-			for j := 0; j < 5; j++ {
-				d.b5[q][j] = w[(n/5*j*q)%n]
-			}
-		}
-	}
-}
-
 // NewTransform plans transforms of the given size: the prime-factor plan
-// where it applies, else NewMixedRadixTransform. Any n ≥ 0 is accepted.
+// where it applies, else the matrix path. Any n ≥ 0 is accepted.
 func NewTransform(n int) *Transform {
-	if pfa := newPFAPlan(n); pfa != nil {
-		return &Transform{n: n, pfa: pfa}
-	}
-	return NewMixedRadixTransform(n)
-}
-
-// NewMixedRadixTransform plans n as the recursive mixed-radix FFT whenever
-// its prime factors are all in {2, 3, 5} — prime-factor sizes included, so
-// it is also the reference the prime-factor plan is checked and benchmarked
-// against — and as the matrix fallback otherwise.
-func NewMixedRadixTransform(n int) *Transform {
-	p := &Transform{n: n}
-	if n < 2 {
-		return p
-	}
-	rem := n
-	var radices []int
-	for _, r := range [...]int{2, 3, 5} {
-		for rem%r == 0 {
-			radices = append(radices, r)
-			rem /= r
-		}
-	}
-	if rem == 1 {
-		p.radices = radices
-		ts := twiddles(n)
-		p.fwd.fill(n, ts.fwd)
-		p.inv.fill(n, ts.inv)
-	}
-	return p
+	return &Transform{n: n, pfa: newPFAPlan(n)}
 }
 
 // Len reports the planned transform size.
 func (p *Transform) Len() int { return p.n }
 
-// DFTInto computes the forward transform of x into dst (both length n, no
-// aliasing), identical in result to the package-level DFTInto up to
-// floating-point summation order. Mismatched lengths take the generic path.
-func (p *Transform) DFTInto(dst, x []complex128) {
-	switch {
-	case len(x) != p.n || len(dst) != p.n:
-		DFTInto(dst, x)
-	case p.pfa != nil:
-		p.pfa.run(dst, x, false)
-	case p.radices != nil:
-		p.rec(&p.fwd, dst, x, 0, 1, p.n, 1, 0)
-	default:
-		DFTInto(dst, x)
-	}
-}
-
 // IDFTInto computes the inverse transform (with 1/n scaling) of x into dst,
 // identical in result to the package-level IDFTInto up to floating-point
-// summation order. Mismatched lengths take the generic path.
+// summation order. Mismatched lengths take the matrix path.
 func (p *Transform) IDFTInto(dst, x []complex128) {
-	switch {
-	case len(x) != p.n || len(dst) != p.n:
+	if p.pfa == nil || len(x) != p.n || len(dst) != p.n {
 		IDFTInto(dst, x)
-	case p.pfa != nil:
-		p.pfa.run(dst, x, true)
-	case p.radices != nil:
-		p.rec(&p.inv, dst, x, 0, 1, p.n, 1, 0)
-		scale := complex(1/float64(p.n), 0)
-		for i := range dst {
-			dst[i] *= scale
-		}
-	default:
-		IDFTInto(dst, x)
+		return
 	}
+	p.pfa.run(dst, x, true)
 }
 
 // run computes the prime-factor transform of x into dst: gather through the
@@ -282,96 +200,6 @@ func butterflies5(t []complex128, s int, rot *rotation) {
 			t[j+4*s] = complex(real(a1)+b1i, imag(a1)-b1r)
 			t[j+2*s] = complex(real(a2)-b2i, imag(a2)+b2r)
 			t[j+3*s] = complex(real(a2)+b2i, imag(a2)-b2r)
-		}
-	}
-}
-
-// rec runs one decimation-in-time level: the logical input is the length-n
-// sequence src[off], src[off+stride], …; unit is the twiddle step of this
-// level in the size-N table (N/n). dst is the contiguous output segment.
-func (p *Transform) rec(d *dirTables, dst, src []complex128, off, stride, n, unit, level int) {
-	r := p.radices[level]
-	m := n / r
-	if m == 1 {
-		// Leaf: direct size-r DFT of the strided inputs via the fixed
-		// butterfly matrices — no index arithmetic in the inner loop.
-		switch r {
-		case 2:
-			a, b := src[off], src[off+stride]
-			dst[0] = a + b
-			dst[1] = a - b
-		case 3:
-			a, b, c := src[off], src[off+stride], src[off+2*stride]
-			w1, w2 := d.b3[0], d.b3[1]
-			dst[0] = a + b + c
-			dst[1] = a + b*w1 + c*w2
-			dst[2] = a + b*w2 + c*w1
-		default:
-			var t [5]complex128
-			for j := 0; j < 5; j++ {
-				t[j] = src[off+j*stride]
-			}
-			for q := 0; q < 5; q++ {
-				bw := &d.b5[q]
-				dst[q] = t[0] + t[1]*bw[1] + t[2]*bw[2] + t[3]*bw[3] + t[4]*bw[4]
-			}
-		}
-		return
-	}
-	for j := 0; j < r; j++ {
-		p.rec(d, dst[j*m:(j+1)*m], src, off+j*stride, stride*r, m, unit*r, level+1)
-	}
-	// Combine the r sub-transforms in place: for each output row kk, twiddle
-	// the r sub-values then butterfly across them. The butterfly reads and
-	// writes the same r slots {j·m+kk}, so no scratch is needed.
-	N := p.n
-	w := d.w
-	switch r {
-	case 2:
-		idx := 0
-		for kk := 0; kk < m; kk++ {
-			t0 := dst[kk]
-			t1 := dst[m+kk] * w[idx]
-			dst[kk] = t0 + t1
-			dst[m+kk] = t0 - t1
-			if idx += unit; idx >= N {
-				idx -= N
-			}
-		}
-	case 3:
-		w1, w2 := d.b3[0], d.b3[1]
-		idx1, idx2 := 0, 0
-		for kk := 0; kk < m; kk++ {
-			t0 := dst[kk]
-			t1 := dst[m+kk] * w[idx1]
-			t2 := dst[2*m+kk] * w[idx2]
-			dst[kk] = t0 + t1 + t2
-			dst[m+kk] = t0 + t1*w1 + t2*w2
-			dst[2*m+kk] = t0 + t1*w2 + t2*w1
-			if idx1 += unit; idx1 >= N {
-				idx1 -= N
-			}
-			if idx2 += 2 * unit; idx2 >= N {
-				idx2 -= N
-			}
-		}
-	default:
-		var idx [5]int
-		for kk := 0; kk < m; kk++ {
-			t0 := dst[kk]
-			t1 := dst[m+kk] * w[idx[1]]
-			t2 := dst[2*m+kk] * w[idx[2]]
-			t3 := dst[3*m+kk] * w[idx[3]]
-			t4 := dst[4*m+kk] * w[idx[4]]
-			for q := 0; q < 5; q++ {
-				bw := &d.b5[q]
-				dst[q*m+kk] = t0 + t1*bw[1] + t2*bw[2] + t3*bw[3] + t4*bw[4]
-			}
-			for j := 1; j < 5; j++ {
-				if idx[j] += j * unit; idx[j] >= N {
-					idx[j] -= N
-				}
-			}
 		}
 	}
 }

@@ -17,9 +17,10 @@ func randComplex(rng *rand.Rand, n int) []complex128 {
 	return out
 }
 
-// TestTransformMatchesMatrixDFT checks the planned FFT against the O(n²)
-// reference for every size up to 64 — smooth sizes take the mixed-radix
-// path, sizes with a prime factor > 5 exercise the fallback.
+// TestTransformMatchesMatrixDFT checks the planned inverse transform against
+// the O(n²) reference for every size up to 64 — products of distinct primes
+// from {2, 3, 5} take the prime-factor plan, every other size the matrix
+// path.
 func TestTransformMatchesMatrixDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for n := 0; n <= 64; n++ {
@@ -28,32 +29,27 @@ func TestTransformMatchesMatrixDFT(t *testing.T) {
 		if p.Len() != n {
 			t.Fatalf("n=%d: Len() = %d", n, p.Len())
 		}
-		gotF := make([]complex128, n)
-		gotI := make([]complex128, n)
-		p.DFTInto(gotF, x)
-		p.IDFTInto(gotI, x)
-		wantF := dft(x)
-		wantI := idft(x)
+		got := make([]complex128, n)
+		p.IDFTInto(got, x)
+		want := idft(x)
 		for k := 0; k < n; k++ {
-			if d := cmplx.Abs(gotF[k] - wantF[k]); d > 1e-9 {
-				t.Fatalf("n=%d DFT[%d]: |planned-matrix| = %g", n, k, d)
-			}
-			if d := cmplx.Abs(gotI[k] - wantI[k]); d > 1e-9 {
+			if d := cmplx.Abs(got[k] - want[k]); d > 1e-9 {
 				t.Fatalf("n=%d IDFT[%d]: |planned-matrix| = %g", n, k, d)
 			}
 		}
 	}
 }
 
-// TestTransformRoundTrip checks IDFT(DFT(x)) ≈ x on the planned path.
+// TestTransformRoundTrip checks IDFT(DFT(x)) ≈ x through the prime-factor
+// plan in both directions.
 func TestTransformRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{2, 3, 5, 6, 12, 30, 60} {
+	for _, n := range []int{2, 3, 5, 6, 10, 15, 30} {
 		p := NewTransform(n)
 		x := randComplex(rng, n)
 		fwd := make([]complex128, n)
 		back := make([]complex128, n)
-		p.DFTInto(fwd, x)
+		p.pfa.run(fwd, x, false)
 		p.IDFTInto(back, fwd)
 		for k := range x {
 			if d := cmplx.Abs(back[k] - x[k]); d > 1e-9 {
@@ -178,7 +174,7 @@ func TestPrimeFactorTransformOracle(t *testing.T) {
 		want := make([]complex128, n)
 		for trial := 0; trial < 200; trial++ {
 			x := randComplex(rng, n)
-			p.DFTInto(got, x)
+			p.pfa.run(got, x, false)
 			DFTInto(want, x)
 			if e := relErr(got, want); e > 1e-12 {
 				t.Fatalf("n=%d DFT: relative error %g", n, e)
@@ -194,17 +190,17 @@ func TestPrimeFactorTransformOracle(t *testing.T) {
 
 // BenchmarkTransform30 times one 30-point IDFT — the per-packet
 // power-delay-profile transform — on the prime-factor plan and on the
-// mixed-radix plan it replaced.
+// matrix path every other size takes.
 func BenchmarkTransform30(b *testing.B) {
 	x := randComplex(rand.New(rand.NewSource(5)), 30)
 	dst := make([]complex128, 30)
 	for _, bc := range []struct {
 		name string
-		p    *Transform
-	}{{"pfa", NewTransform(30)}, {"mixed", NewMixedRadixTransform(30)}} {
+		idft func(dst, x []complex128)
+	}{{"pfa", NewTransform(30).IDFTInto}, {"matrix", IDFTInto}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				bc.p.IDFTInto(dst, x)
+				bc.idft(dst, x)
 			}
 		})
 	}

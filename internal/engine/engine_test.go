@@ -15,6 +15,7 @@ import (
 	"mlink/internal/csi"
 	"mlink/internal/csinet"
 	"mlink/internal/scenario"
+	"mlink/internal/supervise"
 )
 
 // switchSource is an extractor source whose occupancy can be changed
@@ -286,14 +287,11 @@ func TestEngineCancel(t *testing.T) {
 	}
 }
 
-// TestEngineStreamsFromCSINet runs the distributed deployment under -race:
-// a csinet server streams simulated CSI over TCP into two engine links that
-// calibrate and score concurrently.
-func TestEngineStreamsFromCSINet(t *testing.T) {
-	s, err := scenario.Classroom(21)
-	if err != nil {
-		t.Fatal(err)
-	}
+// serveCSINet streams s's empty room from a csinet server on a loopback
+// port, one extractor per connection. Each connection ends cleanly after
+// perConn frames (0: never).
+func serveCSINet(t *testing.T, s *scenario.Scenario, perConn int) *csinet.Server {
+	t.Helper()
 	var (
 		mu     sync.Mutex
 		nConns int64
@@ -308,7 +306,14 @@ func TestEngineStreamsFromCSINet(t *testing.T) {
 		if err != nil {
 			return csinet.SourceFunc(func() (*csi.Frame, error) { return nil, io.EOF })
 		}
-		return csinet.SourceFunc(func() (*csi.Frame, error) { return x.Capture(nil), nil })
+		sent := 0
+		return csinet.SourceFunc(func() (*csi.Frame, error) {
+			if perConn > 0 && sent == perConn {
+				return nil, io.EOF
+			}
+			sent++
+			return x.Capture(nil), nil
+		})
 	}
 	idx := make([]int16, len(s.Grid.Indices))
 	for i, v := range s.Grid.Indices {
@@ -324,25 +329,41 @@ func TestEngineStreamsFromCSINet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Serve(ctx)
-	defer srv.Close()
+	go srv.Serve(context.Background()) //nolint:errcheck — ends on Close
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
 
+// redial connects a Redialer to srv.
+func redial(t *testing.T, srv *csinet.Server) *csinet.Redialer {
+	t.Helper()
+	r := csinet.Redial(srv.Addr().String())
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := r.Connect(ctx); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// TestEngineStreamsFromCSINet runs the distributed deployment under -race:
+// a csinet server streams simulated CSI over TCP into two engine links that
+// calibrate and score concurrently.
+func TestEngineStreamsFromCSINet(t *testing.T) {
+	s, err := scenario.Classroom(21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serveCSINet(t, s, 0)
 	e := New(Config{Workers: 4, WindowSize: 10, Fusion: MaxScore{}})
 	for _, id := range []string{"rx1", "rx2"} {
-		dialCtx, dialCancel := context.WithTimeout(ctx, 5*time.Second)
-		client, err := csinet.Dial(dialCtx, srv.Addr().String())
-		dialCancel()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer client.Close()
 		cfg := core.DefaultConfig(s.Grid, core.SchemeSubcarrier, s.Env.RX.Offsets())
-		if err := e.AddLink(id, cfg, SourceFunc(client.Recv)); err != nil {
+		if err := e.AddLink(id, cfg, redial(t, srv)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	ctx := context.Background()
 	if err := e.Calibrate(ctx, 60); err != nil {
 		t.Fatal(err)
 	}
@@ -361,5 +382,73 @@ func TestEngineStreamsFromCSINet(t *testing.T) {
 	}
 	if got := e.Metrics().WindowsScored; got != 4 {
 		t.Fatalf("windows scored = %d, want 4", got)
+	}
+}
+
+// TestEngineRedialCleanCloseEndsLink: when the collector closes the stream
+// cleanly, an unsupervised link over a Redialer ends like any source at
+// io.EOF: the partial window is dropped and Run returns nil.
+func TestEngineRedialCleanCloseEndsLink(t *testing.T) {
+	s, err := scenario.Classroom(21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 60 calibration plus 60 held-out frames, two 10-frame windows, and 5
+	// frames of a third.
+	srv := serveCSINet(t, s, 2*60+2*10+5)
+	e := New(Config{Workers: 1, WindowSize: 10})
+	cfg := core.DefaultConfig(s.Grid, core.SchemeSubcarrier, s.Env.RX.Offsets())
+	if err := e.AddLink("rx", cfg, redial(t, srv)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := e.Calibrate(ctx, 60); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(ctx, 0); err != nil {
+		t.Fatalf("Run after a clean close = %v, want nil", err)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("Run ended by the test deadline, not by the stream's end")
+	}
+	if got := e.Metrics().WindowsScored; got != 2 {
+		t.Fatalf("windows scored = %d, want 2", got)
+	}
+}
+
+// TestEngineRedialSupervisedReconnects: under supervision the same clean
+// close takes the link Down and the supervisor redials, so the link keeps
+// scoring on the collector's next connection.
+func TestEngineRedialSupervisedReconnects(t *testing.T) {
+	s, err := scenario.Classroom(21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Calibration takes 120 frames of the first connection, leaving three
+	// windows; the run needs eight, so the rest come from a redial.
+	srv := serveCSINet(t, s, 2*60+3*10)
+	e := New(Config{Workers: 1, WindowSize: 10})
+	if err := e.SetSupervision(&supervise.Policy{BackoffMin: 10 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(s.Grid, core.SchemeSubcarrier, s.Env.RX.Offsets())
+	if err := e.AddLink("rx", cfg, redial(t, srv)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := e.Calibrate(ctx, 60); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(ctx, 8); err != nil {
+		t.Fatal(err)
+	}
+	m := e.Metrics()
+	if m.WindowsScored != 8 {
+		t.Fatalf("windows scored = %d, want 8", m.WindowsScored)
+	}
+	if got := m.PerLink[0].Reconnects; got < 1 {
+		t.Fatalf("reconnects = %d, want ≥ 1", got)
 	}
 }
