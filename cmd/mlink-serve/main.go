@@ -10,8 +10,10 @@
 // correlated ambient event) into every link so the adaptation can be
 // watched working. -fleet layers the cross-link coordinator on top
 // (ambient-drift disambiguation, automatic quarantine clearing, staggered
-// online recalibration), and -profiles makes the adapted baselines durable
-// across daemon restarts.
+// online recalibration), and -journal makes the adapted baselines durable
+// across daemon restarts and crashes: a write-ahead journal, restored at
+// startup and compacted into per-link snapshots at shutdown. A directory an
+// older build wrote with per-link snapshot files alone opens unchanged.
 //
 // -supervise puts every link's source behind a supervisor (bounded ingest
 // ring, Live/Stale/Down/Recovering lifecycle, jittered-backoff reconnects):
@@ -26,7 +28,7 @@
 //	mlink-serve -links 5 -scheme subcarrier -workers 4 -windows 8 -occupied 3
 //	mlink-serve -links 3 -adapt -drift gain -drift-rate 12 -windows 40 -fusion weighted
 //	mlink-serve -links 5 -fleet -drift ambient -drift-rate 2 -drift-step 900 -windows 60
-//	mlink-serve -links 5 -fleet -profiles /var/lib/mlink/profiles -windows 0
+//	mlink-serve -links 5 -fleet -journal /var/lib/mlink/journal -windows 0
 //	mlink-serve -links 5 -supervise -chaos flap -chaos-link 2 -windows 40
 package main
 
@@ -34,6 +36,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	_ "net/http/pprof" // -pprof exposes the default mux's profile endpoints
@@ -48,7 +51,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -107,37 +110,39 @@ func driftOf(name string, gainRate float64, stepAt int) (mlink.DriftPreset, bool
 	}
 }
 
-func run() error {
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("mlink-serve", flag.ExitOnError)
 	var (
-		nLinks     = flag.Int("links", 5, "number of monitored links (cycles the 5 Fig. 6 cases)")
-		schemeName = flag.String("scheme", "subcarrier", "detection scheme: baseline|subcarrier|path")
-		workers    = flag.Int("workers", 0, "scoring/calibration pool size (0 = GOMAXPROCS)")
-		calN       = flag.Int("cal", 150, "calibration packets per link")
-		window     = flag.Int("window", 25, "monitoring window packets")
-		windows    = flag.Int("windows", 8, "windows per link (0 = run until interrupted)")
-		occupied   = flag.Int("occupied", 0, "1-based index of a link with a person at its midpoint (0 = all empty)")
-		fusionName = flag.String("fusion", "kofn", "site fusion policy: kofn|weighted|max")
-		k          = flag.Int("k", 1, "K for k-of-n fusion (0 = majority)")
-		seed       = flag.Int64("seed", 1, "base simulation seed")
-		adaptOn    = flag.Bool("adapt", false, "enable per-link online adaptation (profile refresh, threshold re-derivation, drift quarantine)")
-		fleetOn    = flag.Bool("fleet", false, "enable cross-link fleet coordination (ambient-drift disambiguation, auto quarantine clearing, staggered online recalibration); implies -adapt")
-		profiles   = flag.String("profiles", "", "profile snapshot directory: restore adapted link baselines at startup and persist them at shutdown")
-		journalDir = flag.String("journal", "", "crash-safe journal directory: restore baselines at startup (recovering from torn tails) and checkpoint continuously while running; supersedes -profiles")
-		journalSyn = flag.Duration("journal-sync", time.Second, "journal fsync cadence — the crash loss window (with -journal)")
-		driftName  = flag.String("drift", "none", "environment drift preset applied to every link: none|gain|cfo|furniture|ambient")
-		driftRate  = flag.Float64("drift-rate", 12, "gain-walk slope in dB/min (for -drift gain|ambient)")
-		driftStep  = flag.Int("drift-step", 600, "furniture-move / ambient-step packet (for -drift furniture|ambient)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for live CPU/heap profiles")
-		superOn    = flag.Bool("supervise", false, "supervise every link's source: bounded ingest ring, Live/Stale/Down/Recovering lifecycle, backoff reconnects, staleness-aware fusion")
-		staleAfter = flag.Duration("stale-after", 500*time.Millisecond, "frame silence before a supervised link reads Stale (with -supervise)")
-		downAfter  = flag.Duration("down-after", 2*time.Second, "frame silence before a supervised link reads Down (with -supervise)")
-		backoff    = flag.Duration("backoff", 50*time.Millisecond, "initial reconnect backoff for a Down supervised link (with -supervise)")
-		backoffMax = flag.Duration("backoff-max", 5*time.Second, "reconnect backoff ceiling (with -supervise)")
-		chaosName  = flag.String("chaos", "none", "fault schedule injected into one link: none|stall|drip|eof|flap|drop|torn (with -supervise)")
-		chaosLink  = flag.Int("chaos-link", 1, "1-based index of the link that misbehaves (with -chaos)")
-		httpAddr   = flag.String("http", "", "serve the HTTP API on this address (e.g. :8080): GET /v1/verdict, /v1/links, /metrics, /v1/stream (SSE)")
+		nLinks     = fs.Int("links", 5, "number of monitored links (cycles the 5 Fig. 6 cases)")
+		schemeName = fs.String("scheme", "subcarrier", "detection scheme: baseline|subcarrier|path")
+		workers    = fs.Int("workers", 0, "scoring/calibration pool size (0 = GOMAXPROCS)")
+		calN       = fs.Int("cal", 150, "calibration packets per link")
+		window     = fs.Int("window", 25, "monitoring window packets")
+		windows    = fs.Int("windows", 8, "windows per link (0 = run until interrupted)")
+		occupied   = fs.Int("occupied", 0, "1-based index of a link with a person at its midpoint (0 = all empty)")
+		fusionName = fs.String("fusion", "kofn", "site fusion policy: kofn|weighted|max")
+		k          = fs.Int("k", 1, "K for k-of-n fusion (0 = majority)")
+		seed       = fs.Int64("seed", 1, "base simulation seed")
+		adaptOn    = fs.Bool("adapt", false, "enable per-link online adaptation (profile refresh, threshold re-derivation, drift quarantine)")
+		fleetOn    = fs.Bool("fleet", false, "enable cross-link fleet coordination (ambient-drift disambiguation, auto quarantine clearing, staggered online recalibration); implies -adapt")
+		journalDir = fs.String("journal", "", "crash-safe journal directory: restore baselines at startup (recovering from torn tails) and checkpoint continuously while running")
+		journalSyn = fs.Duration("journal-sync", time.Second, "journal fsync cadence — the crash loss window (with -journal)")
+		driftName  = fs.String("drift", "none", "environment drift preset applied to every link: none|gain|cfo|furniture|ambient")
+		driftRate  = fs.Float64("drift-rate", 12, "gain-walk slope in dB/min (for -drift gain|ambient)")
+		driftStep  = fs.Int("drift-step", 600, "furniture-move / ambient-step packet (for -drift furniture|ambient)")
+		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for live CPU/heap profiles")
+		superOn    = fs.Bool("supervise", false, "supervise every link's source: bounded ingest ring, Live/Stale/Down/Recovering lifecycle, backoff reconnects, staleness-aware fusion")
+		staleAfter = fs.Duration("stale-after", 500*time.Millisecond, "frame silence before a supervised link reads Stale (with -supervise)")
+		downAfter  = fs.Duration("down-after", 2*time.Second, "frame silence before a supervised link reads Down (with -supervise)")
+		backoff    = fs.Duration("backoff", 50*time.Millisecond, "initial reconnect backoff for a Down supervised link (with -supervise)")
+		backoffMax = fs.Duration("backoff-max", 5*time.Second, "reconnect backoff ceiling (with -supervise)")
+		chaosName  = fs.String("chaos", "none", "fault schedule injected into one link: none|stall|drip|eof|flap|drop|torn (with -supervise)")
+		chaosLink  = fs.Int("chaos-link", 1, "1-based index of the link that misbehaves (with -chaos)")
+		httpAddr   = fs.String("http", "", "serve the HTTP API on this address (e.g. :8080): GET /v1/verdict, /v1/links, /metrics, /v1/stream (SSE)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *pprofAddr != "" {
 		go func() {
@@ -145,7 +150,7 @@ func run() error {
 				log.Printf("pprof server: %v", err)
 			}
 		}()
-		fmt.Printf("pprof listening on http://%s/debug/pprof/\n", *pprofAddr)
+		fmt.Fprintf(out, "pprof listening on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
 	scheme, err := core.ParseScheme(*schemeName)
@@ -166,6 +171,9 @@ func run() error {
 	}
 	if *nLinks < 1 {
 		return fmt.Errorf("need at least one link, got %d", *nLinks)
+	}
+	if *occupied < 0 || *occupied > *nLinks {
+		return fmt.Errorf("-occupied %d out of range (0..%d)", *occupied, *nLinks)
 	}
 	if chaosEnabled && (*chaosLink < 1 || *chaosLink > *nLinks) {
 		return fmt.Errorf("-chaos-link %d out of range (1..%d)", *chaosLink, *nLinks)
@@ -191,27 +199,27 @@ func run() error {
 			if d.Present {
 				mark = "*"
 			}
-			fmt.Printf("%s link %-6s score %7.4f  thr %7.4f\n", mark, linkID, d.Score, d.Threshold)
+			fmt.Fprintf(out, "%s link %-6s score %7.4f  thr %7.4f\n", mark, linkID, d.Score, d.Threshold)
 		},
 		OnRound: func(v *mlink.SiteVerdict) {
 			printMu.Lock()
 			defer printMu.Unlock()
 			switch {
 			case v.Inconclusive:
-				fmt.Printf("  site [%s] INCONCLUSIVE: no link can vote (%d down, %d recovering, %d recalibrating of %d)\n",
+				fmt.Fprintf(out, "  site [%s] INCONCLUSIVE: no link can vote (%d down, %d recovering, %d recalibrating of %d)\n",
 					v.Policy, v.Coverage.Down, v.Coverage.Recovering,
 					v.Coverage.Recalibrating, v.Coverage.Links)
 			case v.Coverage.Degraded():
-				fmt.Printf("  site [%s] present=%v score=%.3f (%d/%d links positive; DEGRADED %d/%d fused)\n",
+				fmt.Fprintf(out, "  site [%s] present=%v score=%.3f (%d/%d links positive; DEGRADED %d/%d fused)\n",
 					v.Policy, v.Present, v.Score, v.Positive, v.Total,
 					v.Coverage.Fused, v.Coverage.Links)
 			default:
-				fmt.Printf("  site [%s] present=%v score=%.3f (%d/%d links positive)\n",
+				fmt.Fprintf(out, "  site [%s] present=%v score=%.3f (%d/%d links positive)\n",
 					v.Policy, v.Present, v.Score, v.Positive, v.Total)
 			}
 			if rep, ok := eng.FleetReport(); ok && rep.State != 0 && rep.State != fleetState {
 				fleetState = rep.State
-				fmt.Printf("  fleet state -> %s (drifting %d, jumped %d, quarantined %d; relocks %d, recals %d)\n",
+				fmt.Fprintf(out, "  fleet state -> %s (drifting %d, jumped %d, quarantined %d; relocks %d, recals %d)\n",
 					rep.State, rep.Drifting, rep.Jumped, rep.Quarantined, rep.Relocks, rep.RecalsDispatched)
 			}
 		},
@@ -238,10 +246,10 @@ func run() error {
 				defer printMu.Unlock()
 				lastLifecycle[link] = to
 				if cause != nil {
-					fmt.Printf("  ! link %-8s %s -> %s (%v)\n", link, from, to, cause)
+					fmt.Fprintf(out, "  ! link %-8s %s -> %s (%v)\n", link, from, to, cause)
 					return
 				}
-				fmt.Printf("  ! link %-8s %s -> %s\n", link, from, to)
+				fmt.Fprintf(out, "  ! link %-8s %s -> %s\n", link, from, to)
 			},
 		})
 		if err != nil {
@@ -279,40 +287,32 @@ func run() error {
 
 	start := time.Now()
 	restored := 0
-	switch {
-	case *journalDir != "":
+	if *journalDir != "" {
 		ids, err := eng.EnableJournal(*journalDir, mlink.JournalConfig{SyncEvery: *journalSyn})
 		if err != nil {
 			return err
 		}
 		restored = len(ids)
-		fmt.Printf("journal %s: recovered %d/%d link baselines (fsync every %v)\n", *journalDir, restored, *nLinks, *journalSyn)
-	case *profiles != "":
-		ids, err := eng.LoadProfiles(*profiles)
-		if err != nil {
-			return err
-		}
-		restored = len(ids)
-		fmt.Printf("restored %d/%d link baselines from %s\n", restored, *nLinks, *profiles)
+		fmt.Fprintf(out, "journal %s: recovered %d/%d link baselines (fsync every %v)\n", *journalDir, restored, *nLinks, *journalSyn)
 	}
 	if restored < *nLinks {
-		fmt.Printf("calibrating %d links (%d packets each, scheme %s)...\n", *nLinks-restored, *calN, scheme)
+		fmt.Fprintf(out, "calibrating %d links (%d packets each, scheme %s)...\n", *nLinks-restored, *calN, scheme)
 		if err := eng.CalibrateMissing(*calN); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("fleet ready in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(out, "fleet ready in %v\n", time.Since(start).Round(time.Millisecond))
 	var m mlink.EngineMetrics // reused across polls (MetricsInto)
 	eng.MetricsInto(&m)
 	for _, lm := range m.PerLink {
-		fmt.Printf("  link %-8s mean mu %6.3f  threshold %7.4f\n", lm.ID, lm.MeanMu, lm.Threshold)
+		fmt.Fprintf(out, "  link %-8s mean mu %6.3f  threshold %7.4f\n", lm.ID, lm.MeanMu, lm.Threshold)
 	}
 
 	if chaosSrc != nil {
 		// Calibration is done on clean captures; the faults start with
 		// monitoring.
 		chaosSrc.Arm(true)
-		fmt.Printf("chaos %q armed on link %d\n", *chaosName, *chaosLink)
+		fmt.Fprintf(out, "chaos %q armed on link %d\n", *chaosName, *chaosLink)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -330,7 +330,7 @@ func run() error {
 		serveStop = srvCancel
 		serveDone = make(chan error, 1)
 		go func() { serveDone <- mlink.Serve(srvCtx, eng, *httpAddr, mlink.ServeOptions{Logf: log.Printf}) }()
-		fmt.Printf("http API on %s (/v1/verdict /v1/links /metrics /v1/stream)\n", *httpAddr)
+		fmt.Fprintf(out, "http API on %s (/v1/verdict /v1/links /metrics /v1/stream)\n", *httpAddr)
 	}
 
 	runErr := eng.Run(ctx, *windows)
@@ -341,30 +341,30 @@ func run() error {
 		if err := <-serveDone; err != nil {
 			log.Printf("http API: %v", err)
 		}
-		fmt.Println("http API drained")
+		fmt.Fprintln(out, "http API drained")
 	}
 	if runErr != nil {
 		return runErr
 	}
 
 	eng.MetricsInto(&m)
-	fmt.Printf("\nscored %d windows (%d frames) at %.1f windows/s across %d links\n",
+	fmt.Fprintf(out, "\nscored %d windows (%d frames) at %.1f windows/s across %d links\n",
 		m.WindowsScored, m.FramesSeen, m.ScoresPerSec, m.Links)
 	// Scheduler picture: how evenly the work-stealing shards shared the
 	// fleet, and what each link's window actually costs (the EWMA the
 	// stealing decisions route around).
-	fmt.Printf("scheduler: %d shards, %d steals", len(m.Shards), m.Steals)
+	fmt.Fprintf(out, "scheduler: %d shards, %d steals", len(m.Shards), m.Steals)
 	for i, sm := range m.Shards {
-		fmt.Printf("  [s%d %d windows, %.0f%% busy]", i, sm.WindowsScored, 100*sm.Utilization)
+		fmt.Fprintf(out, "  [s%d %d windows, %.0f%% busy]", i, sm.WindowsScored, 100*sm.Utilization)
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	for _, lm := range m.PerLink {
-		fmt.Printf("  link %-10s cost %8.1f µs/window (EWMA)\n", lm.ID, lm.NsPerWindowEWMA/1e3)
+		fmt.Fprintf(out, "  link %-10s cost %8.1f µs/window (EWMA)\n", lm.ID, lm.NsPerWindowEWMA/1e3)
 	}
 	if *adaptOn || *fleetOn {
 		for _, lm := range m.PerLink {
 			h := lm.Health
-			fmt.Printf("  link %-10s health %-11s  z %6.1f  shift %5.2f dB  refreshes %3d  relocks %d  thr %7.4f  recal-needed %v\n",
+			fmt.Fprintf(out, "  link %-10s health %-11s  z %6.1f  shift %5.2f dB  refreshes %3d  relocks %d  thr %7.4f  recal-needed %v\n",
 				lm.ID, h.State, h.DriftZ, h.ProfileShiftDB, h.Refreshes, h.Relocks, lm.Threshold, h.NeedsRecalibration)
 		}
 	}
@@ -376,18 +376,18 @@ func run() error {
 			if !ok {
 				lc = mlink.LinkLive
 			}
-			fmt.Printf("  link %-10s lifecycle %-12s  drops %4d  reconnects %d\n",
+			fmt.Fprintf(out, "  link %-10s lifecycle %-12s  drops %4d  reconnects %d\n",
 				lm.ID, lc, lm.SourceDrops, lm.Reconnects)
 		}
 		printMu.Unlock()
 	}
 	if chaosSrc != nil {
 		st := chaosSrc.Stats()
-		fmt.Printf("chaos ground truth: delivered %d, dropped %d, stalls %d, drips %d, eofs %d, fails %d, torn %d, reconnects %d (%d redials refused)\n",
+		fmt.Fprintf(out, "chaos ground truth: delivered %d, dropped %d, stalls %d, drips %d, eofs %d, fails %d, torn %d, reconnects %d (%d redials refused)\n",
 			st.Delivered, st.Dropped, st.Stalls, st.Drips, st.EOFs, st.Fails, st.Torn, st.Reconnects, st.FailedConnects)
 	}
 	if rep, ok := eng.FleetReport(); ok {
-		fmt.Printf("fleet classification: %s (links %d, drifting %d, jumped %d, quarantined %d, walking %d; relocks %d, recals dispatched %d, quarantines cleared %d)\n",
+		fmt.Fprintf(out, "fleet classification: %s (links %d, drifting %d, jumped %d, quarantined %d, walking %d; relocks %d, recals dispatched %d, quarantines cleared %d)\n",
 			rep.State, rep.Links, rep.Drifting, rep.Jumped, rep.Quarantined, rep.Walking,
 			rep.Relocks, rep.RecalsDispatched, rep.QuarantinesCleared)
 	}
@@ -395,20 +395,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("final site verdict [%s]: present=%v score=%.3f (%d/%d links positive)\n",
+	fmt.Fprintf(out, "final site verdict [%s]: present=%v score=%.3f (%d/%d links positive)\n",
 		v.Policy, v.Present, v.Score, v.Positive, v.Total)
-	switch {
-	case *journalDir != "":
+	if *journalDir != "" {
 		if err := eng.CloseJournal(); err != nil {
 			return err
 		}
-		fmt.Printf("journal %s: compacted and closed\n", *journalDir)
-	case *profiles != "":
-		ids, err := eng.SaveProfiles(*profiles)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("persisted %d link baselines to %s\n", len(ids), *profiles)
+		fmt.Fprintf(out, "journal %s: compacted and closed\n", *journalDir)
 	}
 	return nil
 }

@@ -198,33 +198,6 @@ func (e *Engine) FleetReport() (FleetReport, bool) {
 	return coord.Report(), true
 }
 
-// SaveProfiles snapshots every calibrated link's adapted state (profile
-// fingerprints, threshold, drift history) into dir — one versioned record
-// per link — and returns the IDs written. Call it with the engine stopped; a
-// later LoadProfiles on a freshly built engine resumes from the walked
-// baselines instead of recalibrating.
-func (e *Engine) SaveProfiles(dir string) ([]string, error) {
-	saved, err := fleet.Store{Dir: dir}.Save(e.eng)
-	if err != nil {
-		return saved, fmt.Errorf("mlink save profiles: %w", err)
-	}
-	return saved, nil
-}
-
-// LoadProfiles restores every registered link that has a record in dir and
-// returns the restored IDs. Restored links need no calibration — follow with
-// CalibrateMissing to capture baselines for just the links that had no
-// record. Restored simulated links switch straight to their monitoring
-// occupancy.
-func (e *Engine) LoadProfiles(dir string) ([]string, error) {
-	restored, err := fleet.Store{Dir: dir}.Load(e.eng)
-	if err != nil {
-		return restored, fmt.Errorf("mlink load profiles: %w", err)
-	}
-	e.enterMonitoring(restored)
-	return restored, nil
-}
-
 // EnableJournal attaches crash-safe online persistence: dir's journal is
 // opened (recovering from any previous crash — torn tails are detected and
 // truncated), every registered link with journaled state is restored to its
@@ -235,9 +208,12 @@ func (e *Engine) LoadProfiles(dir string) ([]string, error) {
 //
 // Returns the IDs restored; follow with CalibrateMissing for links that had
 // no journaled state. Call with the engine stopped, and CloseJournal (or
-// nothing — a crash is the designed-for case) when done. EnableJournal
-// supersedes the manual SaveProfiles/LoadProfiles checkpointing for engines
-// that run continuously.
+// nothing — a crash is the designed-for case) when done. This is the one
+// persistence recipe: EnableJournal, CalibrateMissing, Run, CloseJournal.
+// A link calibrated but never scored journals nothing (its first full
+// record is emitted at its first scored window), so it recalibrates on the
+// next start. A directory of .mlprofile snapshots with no journal file
+// restores unchanged.
 func (e *Engine) EnableJournal(dir string, config ...JournalConfig) ([]string, error) {
 	cfg := JournalConfig{}
 	if len(config) > 0 {
@@ -283,7 +259,7 @@ func (e *Engine) CloseJournal() error {
 }
 
 // CalibrateMissing calibrates only the links that are not calibrated yet —
-// the companion of LoadProfiles for mixed fleets — then switches every
+// the companion of EnableJournal for mixed fleets — then switches every
 // link's people in for monitoring. A no-op when nothing is missing.
 func (e *Engine) CalibrateMissing(n int) error {
 	if err := e.eng.CalibrateMissing(context.Background(), n); err != nil {

@@ -6,8 +6,8 @@
 // ambient drift, relocks the baselines and schedules staggered online
 // recalibrations; when a real person then walks onto one link, the site
 // still alarms and the coordinator classifies the perturbation as
-// localized — never as a reason to recalibrate. The adapted baselines are
-// persisted at the end, the way a daemon restart would resume them.
+// localized — never as a reason to recalibrate. A journal persists the
+// adapted baselines throughout, the way a daemon restart would resume them.
 package main
 
 import (
@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 
 	"mlink/internal/adapt"
 	"mlink/internal/body"
@@ -95,6 +96,21 @@ func run() error {
 	if err := eng.Calibrate(ctx, calPackets); err != nil {
 		return err
 	}
+	// Journal the adapted baselines while monitoring, exactly as a daemon
+	// does; a restart restores them and resumes without recalibrating.
+	dir, err := os.MkdirTemp("", "office-journal-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	journal, err := fleet.OpenJournal(dir, fleet.JournalConfig{})
+	if err != nil {
+		return err
+	}
+	defer journal.Close()
+	if err := eng.SetJournal(journal); err != nil {
+		return err
+	}
 
 	fmt.Println("\n-- empty office; the site-wide gain event lands at window 20 --")
 	if err := eng.Run(ctx, 48); err != nil {
@@ -122,17 +138,18 @@ func run() error {
 			lm.ID, h.State, lm.Threshold, h.ProfileShiftDB, h.Refreshes, h.NeedsRecalibration)
 	}
 
-	// Persist the adapted baselines exactly as a daemon shutdown would; a
-	// restart Loads them back and resumes without recalibrating.
-	dir, err := os.MkdirTemp("", "office-profiles-")
+	// A clean shutdown: detach the journal and compact it into per-link
+	// snapshots.
+	if err := eng.SetJournal(nil); err != nil {
+		return err
+	}
+	if err := journal.Close(); err != nil {
+		return err
+	}
+	saved, err := filepath.Glob(filepath.Join(dir, "*.mlprofile"))
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(dir)
-	saved, err := fleet.Store{Dir: dir}.Save(eng)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("persisted %d adapted baselines (restart recipe: fleet.Store.Load, then Engine.CalibrateMissing)\n", len(saved))
+	fmt.Printf("persisted %d adapted baselines (restart recipe: fleet.OpenJournal, Journal.Restore, then Engine.CalibrateMissing)\n", len(saved))
 	return nil
 }

@@ -28,6 +28,9 @@ var exportAllowlist = map[string]string{
 	// A geometry oracle the geom, scenario and propagation suites check
 	// positions against.
 	"internal/geom.Segment.DistToPoint": "point-to-segment distance the suites check positions against",
+	// A record oracle: the engine, fleet and facade suites compare restored
+	// link state against it, across packages.
+	"internal/engine.Engine.ExportLink": "link record oracle the engine, fleet and facade suites compare restored state against",
 	// Safety code.
 	"internal/fleet.Journal.Err": "the journal's sticky fault report, for callers that must know writes stopped",
 	// Test seams the engine and csinet suites drive directly.

@@ -40,7 +40,7 @@
 // AppendBinary/Restore serialize the adapter's full resumable state
 // (walked fingerprints, threshold, rolling windows) as a versioned binary
 // snapshot, so a restarted daemon resumes from the adapted baseline instead
-// of recalibrating; see fleet.Store.
+// of recalibrating; see fleet.Journal.
 //
 // One mean-RSS pass per window: a refresh or relock needs the window's
 // profile statistics. ObserveScored takes the scratch that just scored the

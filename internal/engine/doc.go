@@ -48,8 +48,9 @@
 // (Recalibrating) until its new baseline lands. A link already retired for
 // the Run (quota met, stream ended) is revived through a dedicated queue so
 // late rebuilds are serviced rather than rejected. SuppressRefresh and RelockLink expose the adapter's
-// fleet controls per link, and ExportLink/ImportLink serialize a link's
-// full monitoring state as versioned records for fleet.Store persistence.
+// fleet controls per link, and ImportLink and ApplyLinkDelta restore a
+// link's full monitoring state from the versioned records fleet.Journal
+// persists.
 //
 // With Config.Supervision set, every source moves behind a
 // supervise.Supervisor: a per-link producer goroutine feeds a bounded SPSC

@@ -379,22 +379,47 @@ func (e *Engine) pull(ctx context.Context, src Source, dst []*csi.Frame, n int) 
 // mean multipath factor μ is recorded for the metrics block. n is raised to
 // cover at least two self-score windows.
 func (e *Engine) Calibrate(ctx context.Context, n int) error {
+	return e.calibrate(ctx, n, false)
+}
+
+// CalibrateMissing calibrates only the links that have no detector yet — the
+// companion of a journal restore, where most of the fleet resumed from disk
+// and just the new (or unjournaled) links need a fresh empty-room capture.
+// With nothing missing it is a no-op.
+func (e *Engine) CalibrateMissing(ctx context.Context, n int) error {
+	return e.calibrate(ctx, n, true)
+}
+
+// calibrate is Calibrate over every link, or over just the links with no
+// detector when missingOnly is set. A link with no detector has never been
+// in a Run, so the ring flush and stale-recalibration cleanup below do
+// nothing for it.
+func (e *Engine) calibrate(ctx context.Context, n int, missingOnly bool) error {
 	e.mu.Lock()
 	if e.running || e.calibrating {
 		e.mu.Unlock()
 		return ErrRunning
 	}
+	var links []*link
+	for _, l := range e.links {
+		if !missingOnly || l.det == nil {
+			links = append(links, l)
+		}
+	}
+	if len(links) == 0 {
+		e.mu.Unlock()
+		if missingOnly {
+			return nil
+		}
+		return ErrNoLinks
+	}
 	e.calibrating = true
-	links := append([]*link(nil), e.links...)
 	e.mu.Unlock()
 	defer func() {
 		e.mu.Lock()
 		e.calibrating = false
 		e.mu.Unlock()
 	}()
-	if len(links) == 0 {
-		return ErrNoLinks
-	}
 	n = e.normalizeCalPackets(n)
 	return e.forEach(ctx, links, func(ctx context.Context, l *link) error {
 		if l.sup != nil {

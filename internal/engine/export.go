@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"mlink/internal/adapt"
@@ -23,9 +22,10 @@ var ErrBadRecord = fmt.Errorf("engine: bad link record")
 // ExportLink serializes one calibrated link's full monitoring state — the
 // characterized quality weight, decision threshold, and either the static
 // profile (frozen links) or the adapter's walked baseline, rolling windows
-// and health (adaptive links) — as a versioned binary record. A fleet.Store
-// writes these records to disk so a restarted daemon resumes from the
-// adapted baseline instead of recalibrating from scratch.
+// and health (adaptive links) — as a versioned binary record, the layout
+// of the journal's full records and snapshot files. Production persists
+// through the journal (SetJournal); ExportLink is the record oracle the
+// engine and fleet suites compare restored state against.
 //
 // Rejected while Run or a calibration is active: the exported state must be
 // a quiescent snapshot, not a moving target.
@@ -187,36 +187,4 @@ func (e *Engine) ApplyLinkDelta(linkID string, delta []byte) error {
 	h := ad.Health()
 	l.state.publishCalibration(l.meanMu, h.Threshold, true, h)
 	return nil
-}
-
-// CalibrateMissing calibrates only the links that have no detector yet — the
-// companion of a profile restore, where most of the fleet resumed from disk
-// and just the new (or unreadable) links need a fresh empty-room capture.
-// With nothing missing it is a no-op.
-func (e *Engine) CalibrateMissing(ctx context.Context, n int) error {
-	e.mu.Lock()
-	if e.running || e.calibrating {
-		e.mu.Unlock()
-		return ErrRunning
-	}
-	e.calibrating = true
-	var missing []*link
-	for _, l := range e.links {
-		if l.det == nil {
-			missing = append(missing, l)
-		}
-	}
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		e.calibrating = false
-		e.mu.Unlock()
-	}()
-	if len(missing) == 0 {
-		return nil
-	}
-	n = e.normalizeCalPackets(n)
-	return e.forEach(ctx, missing, func(ctx context.Context, l *link) error {
-		return e.calibrateLink(ctx, l, n, l.src)
-	})
 }

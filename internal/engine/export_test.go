@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -208,4 +209,68 @@ func FuzzLinkRecord(f *testing.F) {
 			t.Fatalf("valid record rejected after fuzz input: %v", err)
 		}
 	})
+}
+
+// TestCalibrateMissingSkipsCalibrated: CalibrateMissing leaves an imported
+// link's state and source untouched and builds the link with no detector to
+// the same record Calibrate builds from the same frames; with nothing
+// missing it draws no frame, and on an empty engine it is a no-op where
+// Calibrate reports ErrNoLinks.
+func TestCalibrateMissingSkipsCalibrated(t *testing.T) {
+	ctx := context.Background()
+	build := func() *Engine {
+		e := New(Config{Workers: 2, WindowSize: 25})
+		for i, id := range []string{"a", "b"} {
+			_, cfg, src := buildLink(t, i+2, int64(7+i))
+			if err := e.AddLink(id, cfg, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	ref := build()
+	if err := ref.Calibrate(ctx, 150); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	for _, id := range ref.Links() {
+		rec, err := ref.ExportLink(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = rec
+	}
+
+	e := build()
+	if err := e.ImportLink("a", want["a"]); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CalibrateMissing(ctx, 150); err != nil {
+		t.Fatal(err)
+	}
+	for id, rec := range want {
+		got, err := e.ExportLink(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, rec) {
+			t.Errorf("link %s: record differs from a plain Calibrate's", id)
+		}
+	}
+	if seen := e.Metrics().FramesSeen; seen != 300 {
+		t.Errorf("drew %d frames, want 300 (link b's profile and held-out frames only)", seen)
+	}
+	if err := e.CalibrateMissing(ctx, 150); err != nil {
+		t.Fatal(err)
+	}
+	if seen := e.Metrics().FramesSeen; seen != 300 {
+		t.Errorf("CalibrateMissing with nothing missing drew %d frames", seen-300)
+	}
+
+	if err := New(Config{}).CalibrateMissing(ctx, 150); err != nil {
+		t.Errorf("CalibrateMissing on an empty engine: %v", err)
+	}
+	if err := New(Config{}).Calibrate(ctx, 150); !errors.Is(err, ErrNoLinks) {
+		t.Errorf("Calibrate on an empty engine: err = %v, want ErrNoLinks", err)
+	}
 }

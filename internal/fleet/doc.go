@@ -22,24 +22,22 @@
 // link at a time, on each link's owning shard while its siblings keep
 // scoring.
 //
-// Store adds durability: it snapshots every link's adapted state (profile
-// fingerprints, threshold, rolling drift windows) through the engine's
-// versioned binary records, so a restarted daemon resumes from the walked
-// baseline instead of recalibrating a live site from scratch.
-//
-// Journal makes that durability crash-safe and online. Store only captures
-// a stopped engine, so a daemon killed mid-Run would lose every refresh
-// since its last checkpoint; the Journal instead rides the scoring loop —
-// each owning shard frames per-window state deltas into a lock-free
-// per-shard buffer, a background syncer drains, appends and fsyncs them on
-// a configured cadence, and compaction folds the growing journal back into
-// Store snapshots. Records are length-framed and CRC'd (internal/binio), so
-// OpenJournal detects and truncates the torn tail a kill leaves behind and
-// Restore rebuilds each link bit-for-bit from latest snapshot + latest full
-// record + latest delta, bounding a crash's loss to roughly the fsync
-// cadence. The crash-injection harness in journal_test.go holds this to the
-// letter: kills at every record boundary, at byte granularity, and through
-// an injected filesystem that dies mid-write must all recover to a clean
+// Journal makes adaptation durable, crash-safe and online: a restarted
+// daemon resumes from the walked baselines (profile fingerprints,
+// threshold, rolling drift windows, in the engine's versioned binary link
+// records) instead of recalibrating a live site from scratch. The Journal
+// rides the scoring loop — each owning shard frames per-window state
+// deltas into a lock-free per-shard buffer, a background syncer drains,
+// appends and fsyncs them on a configured cadence, and compaction folds the
+// growing journal back into one .mlprofile snapshot file per link. Records
+// are length-framed and CRC'd (internal/binio), so OpenJournal detects and
+// truncates the torn tail a kill leaves behind and Restore rebuilds each
+// link bit-for-bit from latest snapshot + latest full record + latest
+// delta, bounding a crash's loss to roughly the fsync cadence. A directory
+// of snapshots with no journal file restores as it stands. The
+// crash-injection harness in journal_test.go holds this to the letter:
+// kills at every record boundary, at byte granularity, and through an
+// injected filesystem that dies mid-write must all recover to a clean
 // prefix of the emitted record stream.
 //
 // RASID (Kosba et al.) motivates the silent-period re-estimation schedule;

@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sync"
@@ -14,8 +15,22 @@ import (
 )
 
 // journalFileName is the append-only journal inside a journal directory;
-// the directory doubles as the Store holding the compacted snapshots.
+// the compacted per-link snapshots sit next to it.
 const journalFileName = "journal.mlwal"
+
+// snapshotExt is the extension of a compacted per-link snapshot file.
+const snapshotExt = ".mlprofile"
+
+// snapshotPath returns the compacted snapshot file of a link in dir: one
+// full ExportLink-format record, named by the URL-escaped link ID.
+func snapshotPath(dir, linkID string) string {
+	return filepath.Join(dir, url.PathEscape(linkID)+snapshotExt)
+}
+
+// ErrRunning reports a Restore attempted while the engine is running (or
+// mid-calibration): restore into a stopped engine. Wraps engine.ErrRunning,
+// so callers may test against either sentinel.
+var ErrRunning = fmt.Errorf("fleet: persistence needs a stopped engine (%w)", engine.ErrRunning)
 
 // Journal record kinds: a full record is a complete ExportLink snapshot (the
 // base), a delta is the adapter's absolute mutable state as of one scored
@@ -54,6 +69,34 @@ func (osFS) OpenAppend(path string) (journalHandle, error) {
 	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
+// writeFileAtomic writes via a same-directory temp file and rename, so a
+// crash mid-write leaves the previous intact file rather than a truncated
+// one that would hard-fail the next startup's Restore.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return nil
+}
+
 // JournalConfig parameterizes a Journal.
 type JournalConfig struct {
 	// SyncEvery is the fsync cadence (default 1s): the upper bound on how
@@ -61,8 +104,8 @@ type JournalConfig struct {
 	// at the cost of more fsyncs; the emission path itself never blocks on
 	// the disk either way.
 	SyncEvery time.Duration
-	// compactBytes triggers compaction — full snapshots rewritten into the
-	// Store, the journal rewritten with only the latest deltas — once the
+	// compactBytes triggers compaction — full records rewritten as per-link
+	// snapshot files, the journal rewritten with only the latest deltas — once the
 	// journal grows past it: defaultCompactBytes when zero, and negative
 	// disables compaction entirely, including the final one at Close. Only
 	// the package's tests set it, to force compactions or to rule them out.
@@ -97,7 +140,7 @@ type latestRec struct {
 // append-only, CRC-framed record log (see binio's journal framing) that
 // the engine emits full link records and per-window deltas into, made
 // durable by a background syncer on a configurable cadence and periodically
-// compacted into ordinary Store snapshots.
+// compacted into per-link snapshot files next to the journal.
 //
 // The write path never touches the disk or the journal mutex: the engine's
 // single writer (appends serialized by the engine, in global emission
@@ -110,11 +153,10 @@ type latestRec struct {
 // truncates it, and resumes the walked baselines bit-for-bit from the
 // surviving prefix.
 type Journal struct {
-	dir   string
-	path  string
-	cfg   JournalConfig
-	fs    journalFS
-	store Store
+	dir  string
+	path string
+	cfg  JournalConfig
+	fs   journalFS
 
 	// broken makes every writer's append a no-op once the journal has
 	// failed or closed — shards check it lock-free.
@@ -158,7 +200,6 @@ func openJournal(dir string, cfg JournalConfig, fs journalFS) (*Journal, error) 
 		path:   filepath.Join(dir, journalFileName),
 		cfg:    cfg.withDefaults(),
 		fs:     fs,
-		store:  Store{Dir: dir},
 		latest: make(map[string]*latestRec),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -265,8 +306,11 @@ func (j *Journal) NewWriter() engine.JournalWriter {
 // from the compacted snapshot in the same directory) is imported and the
 // latest delta after it applied, leaving the link bit-for-bit where the
 // last synced window put it. Links with no journaled state are left
-// untouched — calibrate them with Engine.CalibrateMissing. Returns the IDs
-// restored.
+// untouched — calibrate them with Engine.CalibrateMissing. A snapshot that
+// exists but does not decode is an error wrapping engine.ErrBadRecord:
+// recalibrating over it would hide the corruption. A directory holding only
+// snapshot files and no journal restores from the snapshots alone. Returns
+// the IDs restored.
 func (j *Journal) Restore(eng *engine.Engine) ([]string, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -277,7 +321,7 @@ func (j *Journal) Restore(eng *engine.Engine) ([]string, error) {
 		if rec != nil && len(rec.full) > 0 {
 			full = rec.full
 		} else {
-			data, err := j.fs.ReadFile(j.store.path(id))
+			data, err := j.fs.ReadFile(snapshotPath(j.dir, id))
 			switch {
 			case errors.Is(err, os.ErrNotExist):
 				if rec != nil && len(rec.delta) > 0 {
@@ -371,8 +415,8 @@ func (j *Journal) drainLocked() {
 	}
 }
 
-// compactLocked rewrites the journal's accumulated state as ordinary Store
-// snapshots plus a minimal journal holding only the latest deltas. Crash
+// compactLocked rewrites the journal's accumulated state as per-link
+// snapshot files plus a minimal journal holding only the latest deltas. Crash
 // safety comes from ordering alone: snapshots are written (each atomically)
 // before the journal is atomically replaced, so a kill at any point leaves
 // either the old journal (whose records supersede the snapshots they were
@@ -383,7 +427,7 @@ func (j *Journal) compactLocked() {
 		if len(rec.full) == 0 {
 			continue
 		}
-		if err := j.fs.WriteFileAtomic(j.store.path(id), rec.full); err != nil {
+		if err := j.fs.WriteFileAtomic(snapshotPath(j.dir, id), rec.full); err != nil {
 			j.fail(fmt.Errorf("fleet journal compact: %w", err))
 			return
 		}
@@ -441,8 +485,8 @@ func (j *Journal) Err() error {
 }
 
 // Close stops the syncer, drains what the writers handed off, compacts
-// (unless disabled or already failed) so the directory ends as plain Store
-// snapshots plus a minimal journal, and closes the file. Idempotent.
+// (unless disabled or already failed) so the directory ends as plain
+// per-link snapshots plus a minimal journal, and closes the file. Idempotent.
 // Detach the journal from the engine (SetJournal(nil)) first; appends to a
 // closed journal are silently dropped.
 func (j *Journal) Close() error {

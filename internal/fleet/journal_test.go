@@ -613,12 +613,13 @@ func TestJournalCrashInjection(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellites: store round-trip property, ErrRunning typing
+// Satellites: record round-trip property, ErrRunning typing
 // ---------------------------------------------------------------------------
 
-// TestStoreRoundTripByteIdentity is the save→load→save property across
-// every drift preset and several seeds: the second save must be
-// byte-identical to the first, including for quarantined links (the
+// TestStoreRoundTripByteIdentity is the export→import→export property of
+// the link records the journal and its snapshots store, across every drift
+// preset and several seeds: the second export must be byte-identical to
+// the first, including for quarantined links (the
 // furniture-move step trips the jump discriminator) and links still
 // flagged for recalibration.
 func TestStoreRoundTripByteIdentity(t *testing.T) {
@@ -668,27 +669,20 @@ func TestStoreRoundTripByteIdentity(t *testing.T) {
 						sawQuarantine = true
 					}
 				}
-				dir1, dir2 := t.TempDir(), t.TempDir()
-				if _, err := (Store{Dir: dir1}).Save(a); err != nil {
-					t.Fatal(err)
-				}
-				b := build()
-				if _, err := (Store{Dir: dir1}).Load(b); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := (Store{Dir: dir2}).Save(b); err != nil {
-					t.Fatal(err)
-				}
-				r1, err := os.ReadFile(Store{Dir: dir1}.path("l"))
+				r1, err := a.ExportLink("l")
 				if err != nil {
 					t.Fatal(err)
 				}
-				r2, err := os.ReadFile(Store{Dir: dir2}.path("l"))
+				b := build()
+				if err := b.ImportLink("l", r1); err != nil {
+					t.Fatal(err)
+				}
+				r2, err := b.ExportLink("l")
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(r1, r2) {
-					t.Fatal("save→load→save is not byte-identical")
+					t.Fatal("export→import→export is not byte-identical")
 				}
 			})
 		}
@@ -698,17 +692,25 @@ func TestStoreRoundTripByteIdentity(t *testing.T) {
 	}
 }
 
-// TestStoreErrRunning pins the typed save/load-while-running failure.
+// TestStoreErrRunning pins the typed restore-while-running failure.
 func TestStoreErrRunning(t *testing.T) {
+	dir := t.TempDir()
 	eng := driftFixture(t, 1)
 	if err := eng.Calibrate(context.Background(), 150); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	store := Store{Dir: dir}
-	if _, err := store.Save(eng); err != nil {
+	record, err := eng.ExportLink("l0")
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(snapshotPath(dir, "l0"), record, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(dir, JournalConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -718,11 +720,8 @@ func TestStoreErrRunning(t *testing.T) {
 	for eng.Metrics().WindowsScored == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := store.Save(eng); !errors.Is(err, ErrRunning) || !errors.Is(err, engine.ErrRunning) {
-		t.Errorf("Save while running: err = %v, want fleet.ErrRunning wrapping engine.ErrRunning", err)
-	}
-	if _, err := store.Load(eng); !errors.Is(err, ErrRunning) {
-		t.Errorf("Load while running: err = %v, want fleet.ErrRunning", err)
+	if _, err := j.Restore(eng); !errors.Is(err, ErrRunning) || !errors.Is(err, engine.ErrRunning) {
+		t.Errorf("Restore while running: err = %v, want fleet.ErrRunning wrapping engine.ErrRunning", err)
 	}
 	cancel()
 	if err := <-done; err != nil {

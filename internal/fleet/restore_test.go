@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"testing"
+	"time"
 
 	"mlink/internal/adapt"
 	"mlink/internal/core"
@@ -16,10 +17,11 @@ import (
 )
 
 // TestStorePersistenceRoundTrip is the acceptance check for durable
-// adaptation: an engine is run with adaptation active (its baselines walk),
-// killed, and rebuilt from a Store snapshot; the restored links must score
-// the next windows within 1e-9 of the uninterrupted engine and require no
-// recalibration.
+// adaptation: an engine runs journaled with adaptation active (its
+// baselines walk) and stops, and a fresh engine is rebuilt from the
+// journal directory's snapshot store through OpenJournal → Restore; the
+// restored links must score the next windows within 1e-9 of the
+// uninterrupted engine and require no recalibration.
 func TestStorePersistenceRoundTrip(t *testing.T) {
 	const (
 		nLinks  = 2
@@ -49,8 +51,16 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 		return e, streams
 	}
 
+	dir := t.TempDir()
 	a, streams := build()
 	if err := a.Calibrate(context.Background(), 150); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(dir, JournalConfig{SyncEvery: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SetJournal(j); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Run(context.Background(), windows); err != nil {
@@ -62,14 +72,13 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 		}
 	}
 
-	dir := t.TempDir()
-	store := Store{Dir: dir}
-	saved, err := store.Save(a)
-	if err != nil {
+	// A clean shutdown: detach, then Close compacts the journal into
+	// per-link snapshots plus the latest deltas.
+	if err := a.SetJournal(nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(saved) != nLinks {
-		t.Fatalf("saved %v, want %d links", saved, nLinks)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Capture the links' future windows once; both engines then score the
@@ -90,9 +99,14 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 	}
 
 	// The "restarted daemon": fresh engine, links registered but never
-	// calibrated, state loaded from the store.
+	// calibrated, state restored from the journal directory.
 	b, _ := build()
-	restored, err := store.Load(b)
+	j2, err := OpenJournal(dir, JournalConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	restored, err := j2.Restore(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,16 +155,15 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreErrors pins the store's failure modes.
+// TestStoreErrors pins the snapshot store's failure modes: a journal needs
+// a directory, a directory with no records restores nothing, and a corrupt
+// snapshot fails Restore with engine.ErrBadRecord instead of being silently
+// recalibrated over.
 func TestStoreErrors(t *testing.T) {
-	if _, err := (Store{}).Save(engine.New(engine.Config{})); err == nil {
-		t.Fatal("dirless store saved")
-	}
-	if _, err := (Store{}).Load(engine.New(engine.Config{})); err == nil {
-		t.Fatal("dirless store loaded")
+	if _, err := OpenJournal("", JournalConfig{}); err == nil {
+		t.Fatal("dirless journal opened")
 	}
 
-	// A corrupt record is an error, not a silent recalibration.
 	dir := t.TempDir()
 	e := engine.New(engine.Config{Workers: 1, WindowSize: 25})
 	s, err := scenario.LinkCase(1, 3)
@@ -165,33 +178,35 @@ func TestStoreErrors(t *testing.T) {
 		engine.SourceFunc(func() (*csi.Frame, error) { return x.Capture(nil), nil })); err != nil {
 		t.Fatal(err)
 	}
-	store := Store{Dir: dir}
-	// No records yet: Load restores nothing and is not an error.
-	restored, err := store.Load(e)
+	j, err := OpenJournal(dir, JournalConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No records yet: Restore restores nothing and is not an error.
+	restored, err := j.Restore(e)
 	if err != nil || len(restored) != 0 {
-		t.Fatalf("empty-store load = (%v, %v)", restored, err)
+		t.Fatalf("empty-directory restore = (%v, %v)", restored, err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if err := e.Calibrate(context.Background(), 60); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Save(e); err != nil {
-		t.Fatal(err)
-	}
-	if err := corruptFirstRecord(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.Load(e); !errors.Is(err, engine.ErrBadRecord) {
-		t.Fatalf("corrupt record load err = %v", err)
-	}
-}
-
-// corruptFirstRecord flips the magic of the link's record file.
-func corruptFirstRecord(dir string) error {
-	path := Store{Dir: dir}.path("l")
-	data, err := os.ReadFile(path)
+	record, err := e.ExportLink("l")
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-	data[0] ^= 0xFF
-	return os.WriteFile(path, data, 0o644)
+	record[0] ^= 0xFF // flip the record magic
+	if err := os.WriteFile(snapshotPath(dir, "l"), record, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err = OpenJournal(dir, JournalConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if _, err := j.Restore(e); !errors.Is(err, engine.ErrBadRecord) {
+		t.Fatalf("corrupt snapshot restore err = %v, want engine.ErrBadRecord", err)
+	}
 }

@@ -1,10 +1,83 @@
 package mlink
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 )
+
+// TestJournalMigratesSnapshotDir opens a directory in the layout the
+// retired snapshot-only persistence wrote — one <link>.mlprofile record per
+// link and no journal.mlwal — through EnableJournal: every link restores
+// bit-for-bit with no calibration, and a clean close leaves the snapshots
+// as they were.
+func TestJournalMigratesSnapshotDir(t *testing.T) {
+	build := func() *Engine {
+		eng := NewEngine(EngineConfig{Workers: 1, WindowSize: 25})
+		if err := eng.EnableAdaptation(); err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range []string{"walk1", "walk2"} {
+			sys, err := NewLinkCaseSystem(i+2, SchemeSubcarrier, 5+int64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.AddDriftLink(id, sys, GainWalkDrift(12)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return eng
+	}
+	engA := build()
+	if err := engA.Calibrate(150); err != nil {
+		t.Fatal(err)
+	}
+	if err := engA.Run(t.Context(), 10); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	records := map[string][]byte{}
+	for _, id := range engA.Links() {
+		rec, err := engA.eng.ExportLink(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records[id] = rec
+		if err := os.WriteFile(filepath.Join(dir, id+".mlprofile"), rec, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	engB := build()
+	restored, err := engB.EnableJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(restored) != len(records) {
+		t.Fatalf("restored %v, want %d links", restored, len(records))
+	}
+	for id, want := range records {
+		got, err := engB.eng.ExportLink(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("link %s did not restore bit-for-bit", id)
+		}
+	}
+	if err := engB.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range records {
+		got, err := os.ReadFile(filepath.Join(dir, id+".mlprofile"))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("snapshot %s changed by open and close (err %v)", id, err)
+		}
+	}
+}
 
 // TestJournalRestartSemantics is the end-to-end crash story at the public
 // API: an adaptive drifting fleet journals while running, the process is

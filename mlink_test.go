@@ -297,7 +297,7 @@ func TestScoreWindowExternalFrames(t *testing.T) {
 
 // TestEngineFacadeFleetMode drives the whole fleet layer through the public
 // facade: three links sharing one correlated ambient event, coordinated
-// recovery (relocks + staggered online recalibration), and profile
+// recovery (relocks + staggered online recalibration), and journaled
 // persistence across an engine "restart".
 func TestEngineFacadeFleetMode(t *testing.T) {
 	build := func() *Engine {
@@ -346,11 +346,11 @@ func TestEngineFacadeFleetMode(t *testing.T) {
 		}
 	}
 
-	// Persistence: save, "restart", load, and the restored fleet monitors
-	// on without recalibrating. A drift-free fleet is used here — a
+	// Persistence: journal, "restart", restore, and the restored fleet
+	// monitors on without recalibrating. A drift-free fleet is used here — a
 	// restarted *simulated* drift stream rewinds to packet 0, which no
 	// persisted baseline should be expected to match; the bit-exact
-	// restore-mid-stream check lives in the fleet store tests, which feed
+	// restore-mid-stream check lives in the fleet restore tests, which feed
 	// both engines identical frames.
 	buildStatic := func() *Engine {
 		e := NewEngine(EngineConfig{Workers: 1, WindowSize: 25, Fusion: KOfN{K: 1}})
@@ -368,23 +368,22 @@ func TestEngineFacadeFleetMode(t *testing.T) {
 		}
 		return e
 	}
+	dir := t.TempDir()
 	engA := buildStatic()
-	if err := engA.Calibrate(300); err != nil {
+	if restored, err := engA.EnableJournal(dir); err != nil || len(restored) != 0 {
+		t.Fatalf("fresh journal restored (%v, %v)", restored, err)
+	}
+	if err := engA.CalibrateMissing(300); err != nil {
 		t.Fatal(err)
 	}
 	if err := engA.Run(t.Context(), 12); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	saved, err := engA.SaveProfiles(dir)
-	if err != nil {
+	if err := engA.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
-	if len(saved) != 2 {
-		t.Fatalf("saved %v", saved)
-	}
 	engB := buildStatic()
-	restored, err := engB.LoadProfiles(dir)
+	restored, err := engB.EnableJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,6 +394,9 @@ func TestEngineFacadeFleetMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := engB.Run(t.Context(), 6); err != nil {
+		t.Fatal(err)
+	}
+	if err := engB.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
 	for i, lm := range engB.Metrics().PerLink {
