@@ -28,7 +28,7 @@ func run() error {
 	if err := sys.Calibrate(300); err != nil {
 		return err
 	}
-	fmt.Printf("threshold: %.4f\n", sys.Detector().Threshold())
+	fmt.Printf("threshold: %.4f\n", sys.Threshold())
 
 	// Assess the link while we are at it: the mean multipath factor is the
 	// paper's deployment-quality proxy.

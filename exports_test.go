@@ -34,8 +34,6 @@ var exportAllowlist = map[string]string{
 	// Safety code.
 	"internal/fleet.Journal.Err": "the journal's sticky fault report, for callers that must know writes stopped",
 	// Test seams the engine and csinet suites drive directly.
-	"internal/engine.Engine.ScoreWindow":     "synchronous scoring seam for the engine's decision tests",
-	"internal/engine.NewReplaySource":        "engine Source adapter replaying recorded frames",
 	"internal/csinet.Server.ClientCount":     "observes accepted connections in the server tests",
 	"internal/csinet.Client.SetRecvDeadline": "bounds a blocking receive in the client tests",
 	// Called through an interface by the standard library.

@@ -242,6 +242,9 @@ type Engine struct {
 	jw       JournalWriter
 	runStart time.Time
 	shards   []*shard
+	// probe is ScoreWindow's scratch while no Run has built shards, kept so
+	// repeated calls allocate nothing. Guarded by e.mu.
+	probe *core.Scratch
 
 	// remaining counts the links not yet retired in the current Run; it
 	// hitting zero is what ends the shard loops. revive carries hints that
@@ -392,8 +395,8 @@ func (e *Engine) CalibrateMissing(ctx context.Context, n int) error {
 
 // calibrate is Calibrate over every link, or over just the links with no
 // detector when missingOnly is set. A link with no detector has never been
-// in a Run, so the ring flush and stale-recalibration cleanup below do
-// nothing for it.
+// in a Run, so calibrateLatched's ring flush and stale-recalibration
+// cleanup do nothing for it.
 func (e *Engine) calibrate(ctx context.Context, n int, missingOnly bool) error {
 	e.mu.Lock()
 	if e.running || e.calibrating {
@@ -415,6 +418,13 @@ func (e *Engine) calibrate(ctx context.Context, n int, missingOnly bool) error {
 	}
 	e.calibrating = true
 	e.mu.Unlock()
+	return e.calibrateLatched(ctx, links, n)
+}
+
+// calibrateLatched is the offline calibration of links, entered with the
+// calibrating latch already raised under e.mu (so no Run can start in
+// between) and lowering it on return.
+func (e *Engine) calibrateLatched(ctx context.Context, links []*link, n int) error {
 	defer func() {
 		e.mu.Lock()
 		e.calibrating = false
@@ -610,19 +620,7 @@ func (e *Engine) Recalibrate(ctx context.Context, linkID string, n int) error {
 	}
 	e.calibrating = true
 	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		e.calibrating = false
-		e.mu.Unlock()
-	}()
-	if l.sup != nil {
-		l.sup.Flush()
-	}
-	if err := e.calibrateLink(ctx, l, n, l.src); err != nil {
-		return fmt.Errorf("link %s: %w", linkID, err)
-	}
-	clearStaleRecal(l)
-	return nil
+	return e.calibrateLatched(ctx, []*link{l}, n)
 }
 
 // RequestRecalibration posts an online recalibration without waiting for it:
@@ -1318,9 +1316,11 @@ func (l *link) recycleFrames(frames []*csi.Frame) {
 }
 
 // ScoreWindow synchronously scores one externally assembled window on the
-// named link — for tests and ad-hoc probes. It is rejected while Run or a
-// calibration is active: the link's detector, adapter and published state
-// have exactly one writer at a time.
+// named link, with the same detector, adapter and publication path as a
+// Run's shards — the entry point of callers that drive a link window by
+// window (the facade System, the drift experiment). The frames stay the
+// caller's. It is rejected while Run or a calibration is active: the link's
+// detector, adapter and published state have exactly one writer at a time.
 func (e *Engine) ScoreWindow(linkID string, window []*csi.Frame) (core.Decision, error) {
 	var closed bool
 	defer func() {
@@ -1343,11 +1343,12 @@ func (e *Engine) ScoreWindow(linkID string, window []*csi.Frame) (core.Decision,
 		return core.Decision{}, fmt.Errorf("%w: %s", ErrNotCalibrated, linkID)
 	}
 	// Shards are idle outside Run, so a probe may borrow one's warm scratch.
-	var sc *core.Scratch
+	sc := e.probe
 	if len(e.shards) > 0 {
 		sc = e.shards[0].sc
-	} else {
+	} else if sc == nil {
 		sc = core.NewScratch()
+		e.probe = sc
 	}
 	dec, _, err := e.scoreWindow(nil, l, window, sc)
 	if err != nil {

@@ -27,8 +27,10 @@ type FrameRecycler interface {
 	Recycle(*csi.Frame)
 }
 
-// ReplaySource replays pre-recorded frames, optionally looping forever —
-// used by benchmarks to decouple scoring throughput from capture cost.
+// ReplaySource replays pre-recorded frames, optionally looping forever: it
+// feeds one recorded capture to several engines (the drift experiment's
+// frozen and adaptive arms) and decouples scoring throughput from capture
+// cost in benchmarks. It never recycles the frames; they stay the caller's.
 type ReplaySource struct {
 	frames []*csi.Frame
 	next   int

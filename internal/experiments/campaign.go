@@ -123,9 +123,10 @@ func newBackground(s *scenario.Scenario, people int, rng *rand.Rand) (*scenario.
 // the baseline.
 func (c *Campaign) runSession(s *scenario.Scenario, cfg CampaignConfig, caseID int, session int64, locations []geom.Point) error {
 	rng := rand.New(rand.NewSource(cfg.Seed*101 + int64(caseID)*13 + session))
-	// One frame pool and scoring scratch serve the whole session: every
-	// captured monitoring window is scored, then recycled. The calibration
-	// frames are not: the profiles keep them.
+	// One frame pool and scoring scratch serve the whole session: the
+	// calibration frames are recycled once the profiles are built (a profile
+	// keeps covariance partials, not frames), and every captured monitoring
+	// window once it is scored.
 	pool := csi.NewFramePool(len(s.Env.RX.Elements), s.Grid.Len())
 	sc := core.NewScratch()
 
@@ -149,6 +150,7 @@ func (c *Campaign) runSession(s *scenario.Scenario, cfg CampaignConfig, caseID i
 	if err != nil {
 		return err
 	}
+	recycleWindow(pool, cal)
 
 	for li, loc := range locations {
 		// Each location is measured in its own drifted sub-session.

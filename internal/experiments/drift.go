@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -8,6 +9,7 @@ import (
 	"mlink/internal/body"
 	"mlink/internal/core"
 	"mlink/internal/csi"
+	"mlink/internal/engine"
 	"mlink/internal/scenario"
 )
 
@@ -85,9 +87,10 @@ type DriftResult struct {
 // RunDriftAdaptation runs one drifting link twice over the same captured
 // frames: a frozen detector (profile and threshold fixed at calibration, as
 // in PR 1–2) and an adaptive one (silent-window EWMA refresh + online
-// threshold re-derivation). Calibration, holdout and monitoring all come
-// from a single DriftStream, so the drift accumulates across phases exactly
-// as it would on a live link.
+// threshold re-derivation), each a one-link engine. Calibration, holdout and
+// monitoring all come from a single DriftStream, so the drift accumulates
+// across phases exactly as it would on a live link; both engines calibrate
+// from one recorded empty capture and score every window in turn.
 func RunDriftAdaptation(cfg DriftExperimentConfig) (*DriftResult, error) {
 	cfg = cfg.withDefaults()
 	s, err := scenario.LinkCase(driftCase, cfg.Seed)
@@ -115,122 +118,78 @@ func RunDriftAdaptation(cfg DriftExperimentConfig) (*DriftResult, error) {
 		}
 	}
 
-	detCfg := core.DefaultConfig(s.Grid, driftScheme, s.Env.RX.Offsets())
-	cal, err := pull(driftCalibrationPackets)
+	// One empty capture, profile plus held-out packets as engine.Calibrate
+	// draws them, calibrates both arms.
+	capture, err := pull(2 * driftCalibrationPackets)
 	if err != nil {
 		return nil, fmt.Errorf("calibration capture: %w", err)
 	}
-	profile, err := core.Calibrate(detCfg, cal)
-	if err != nil {
-		return nil, err
+	detCfg := core.DefaultConfig(s.Grid, driftScheme, s.Env.RX.Offsets())
+	var engs [2]*engine.Engine // frozen, adaptive
+	for i, policy := range []*adapt.Policy{nil, {}} {
+		engs[i] = engine.New(engine.Config{Workers: 1, WindowSize: driftWindowPackets, Adaptation: policy})
+		if err := engs[i].AddLink(driftLink, detCfg, engine.NewReplaySource(capture, false)); err != nil {
+			return nil, err
+		}
+		if err := engs[i].Calibrate(context.Background(), driftCalibrationPackets); err != nil {
+			return nil, err
+		}
 	}
-	recycle(cal)
-	frozen, err := core.NewDetector(detCfg, profile)
-	if err != nil {
-		return nil, err
-	}
-	adaptive, err := core.NewDetector(detCfg, profile)
-	if err != nil {
-		return nil, err
-	}
-	holdout, err := pull(driftCalibrationPackets)
-	if err != nil {
-		return nil, fmt.Errorf("holdout capture: %w", err)
-	}
-	null, err := frozen.SelfScores(holdout, driftWindowPackets, driftWindowPackets)
-	if err != nil {
-		return nil, err
-	}
-	recycle(holdout)
-	if _, err := frozen.CalibrateThreshold(null, core.ThresholdQuantile, core.DefaultThresholdMargin); err != nil {
-		return nil, err
-	}
-	if _, err := adaptive.CalibrateThreshold(null, core.ThresholdQuantile, core.DefaultThresholdMargin); err != nil {
-		return nil, err
-	}
-	adapter, err := adapt.NewAdapter(adapt.Policy{}, adaptive, null)
-	if err != nil {
-		return nil, err
-	}
+	recycle(capture)
 
 	res := &DriftResult{
 		Config:   cfg,
 		Frozen:   DriftArm{Name: "frozen"},
 		Adaptive: DriftArm{Name: "adaptive"},
 	}
-	sc := core.NewScratch()
+	arms := [2]*DriftArm{&res.Frozen, &res.Adaptive}
 	windows := cfg.MonitorMultiple * driftCalibrationPackets / driftWindowPackets
-	for w := 0; w < windows; w++ {
+	for w := 0; w < windows+driftTailWindows; w++ {
+		tail := w >= windows
+		if w == windows {
+			res.Adaptive.Health = linkMetrics(engs[1]).Health
+			// Occupied tail: the person steps onto the link after the long
+			// drift. The adaptive arm keeps observing: a detected window is
+			// never folded into the profile (silent-window gate), which is
+			// itself part of what the tail verifies.
+			stream.SetBodies([]body.Body{body.Default(s.LinkMidpoint())})
+		}
 		window, err := pull(driftWindowPackets)
 		if err != nil {
-			return nil, fmt.Errorf("monitor window %d: %w", w, err)
+			return nil, fmt.Errorf("window %d: %w", w, err)
 		}
-		fDec, err := frozen.DetectScratch(window, sc)
-		if err != nil {
-			return nil, err
-		}
-		aDec, err := adaptive.DetectScratch(window, sc)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := adapter.ObserveScored(window, aDec, sc); err != nil {
-			return nil, err
-		}
-		recycle(window)
-		res.Frozen.Windows++
-		res.Adaptive.Windows++
-		if fDec.Present {
-			res.Frozen.FalsePositives++
-		}
-		if aDec.Present {
-			res.Adaptive.FalsePositives++
-		}
-	}
-
-	res.Adaptive.Health = adapter.Health()
-
-	// Occupied tail: the person steps onto the link after the long drift.
-	mid := s.LinkMidpoint()
-	stream.SetBodies([]body.Body{body.Default(mid)})
-	for w := 0; w < driftTailWindows; w++ {
-		window, err := pull(driftWindowPackets)
-		if err != nil {
-			return nil, fmt.Errorf("tail window %d: %w", w, err)
-		}
-		fDec, err := frozen.DetectScratch(window, sc)
-		if err != nil {
-			return nil, err
-		}
-		aDec, err := adaptive.DetectScratch(window, sc)
-		if err != nil {
-			return nil, err
-		}
-		// The adapter keeps observing during the tail: a detected window is
-		// never folded into the profile (silent-window gate), which is
-		// itself part of what the tail verifies.
-		if _, err := adapter.ObserveScored(window, aDec, sc); err != nil {
-			return nil, err
+		for i, eng := range engs {
+			dec, err := eng.ScoreWindow(driftLink, window)
+			if err != nil {
+				return nil, err
+			}
+			n, hits := &arms[i].Windows, &arms[i].FalsePositives
+			if tail {
+				n, hits = &arms[i].TailWindows, &arms[i].TailDetections
+			}
+			*n++
+			if dec.Present {
+				*hits++
+			}
 		}
 		recycle(window)
-		res.Frozen.TailWindows++
-		res.Adaptive.TailWindows++
-		if fDec.Present {
-			res.Frozen.TailDetections++
-		}
-		if aDec.Present {
-			res.Adaptive.TailDetections++
-		}
 	}
 
-	if res.Frozen.Windows > 0 {
-		res.Frozen.FPR = float64(res.Frozen.FalsePositives) / float64(res.Frozen.Windows)
-		res.Adaptive.FPR = float64(res.Adaptive.FalsePositives) / float64(res.Adaptive.Windows)
+	for i, arm := range arms {
+		arm.FPR = float64(arm.FalsePositives) / float64(arm.Windows)
+		arm.FinalThreshold = linkMetrics(engs[i]).Threshold
 	}
-	res.Frozen.FinalThreshold = frozen.Threshold()
-	res.Adaptive.FinalThreshold = adaptive.Threshold()
-	res.Adaptive.TailHealth = adapter.Health()
+	res.Adaptive.TailHealth = linkMetrics(engs[1]).Health
 	res.FinalDriftDB = stream.AppliedGainDB()
 	return res, nil
+}
+
+// driftLink is the drift experiment's link ID in each arm's engine.
+const driftLink = "drift"
+
+// linkMetrics reads the state of a one-link engine's link.
+func linkMetrics(eng *engine.Engine) engine.LinkMetrics {
+	return eng.Metrics().PerLink[0]
 }
 
 // Render prints the comparison table.

@@ -13,7 +13,10 @@
 //
 // For a whole deployment, Engine monitors many links at once — parallel
 // calibration, pooled window scoring and fused site verdicts (see
-// NewEngine and cmd/mlink-serve).
+// NewEngine and cmd/mlink-serve). A System runs its link on a one-link
+// engine, so both share one calibration recipe (static profile, threshold
+// from held-out self scores, adapter seeded from the same scores) and one
+// scoring path.
 //
 // Lower-level building blocks live in the internal packages: propagation
 // (ray tracing), csi (Intel-5300-style extraction), core (multipath factor,
@@ -23,13 +26,14 @@
 package mlink
 
 import (
-	"errors"
+	"context"
 	"fmt"
 
 	"mlink/internal/adapt"
 	"mlink/internal/body"
 	"mlink/internal/core"
 	"mlink/internal/csi"
+	"mlink/internal/engine"
 	"mlink/internal/geom"
 	"mlink/internal/scenario"
 )
@@ -50,9 +54,9 @@ type Decision = core.Decision
 // Frame is one packet's CSI.
 type Frame = csi.Frame
 
-// ErrNotCalibrated is returned when detection is attempted before
-// Calibrate.
-var ErrNotCalibrated = errors.New("mlink: system not calibrated")
+// ErrNotCalibrated is returned when detection (System) or monitoring
+// (Engine.Run) is attempted on a link before it is calibrated.
+var ErrNotCalibrated = engine.ErrNotCalibrated
 
 // Person is a human target at room coordinates (metres).
 type Person struct {
@@ -74,20 +78,21 @@ func (p *Person) body() body.Body {
 	return b
 }
 
-// System binds a simulated link to a detector: the one-stop entry point for
-// examples and quick experiments. A System is not safe for concurrent use:
-// its extractor and its scoring scratch are single-goroutine state.
+// System binds one simulated link to a one-link Engine (the same
+// calibration, scoring and adaptation code a fleet runs): the one-stop entry
+// point for examples and quick experiments. A System is not safe for
+// concurrent use: its extractor is single-goroutine state.
 type System struct {
 	Scenario  *scenario.Scenario
 	extractor *csi.Extractor
 	cfg       core.Config
-	detector  *core.Detector
-	sc        *core.Scratch
-
-	adaptive   bool // EnableAdaptation was called
-	adapter    *adapt.Adapter
-	nullScores []float64
+	eng       *engine.Engine
+	// m is the metrics buffer the link state is read through.
+	m EngineMetrics
 }
+
+// systemLink is the ID of a System's one link in its engine.
+const systemLink = "link"
 
 // NewClassroomSystem builds the paper's 4 m classroom link (§III-A).
 func NewClassroomSystem(scheme Scheme, seed int64) (*System, error) {
@@ -118,8 +123,16 @@ func newSystem(s *scenario.Scenario, scheme Scheme) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mlink: %w", err)
 	}
-	cfg := core.DefaultConfig(s.Grid, scheme, s.Env.RX.Offsets())
-	return &System{Scenario: s, extractor: x, cfg: cfg, sc: core.NewScratch()}, nil
+	sys := &System{
+		Scenario:  s,
+		extractor: x,
+		cfg:       core.DefaultConfig(s.Grid, scheme, s.Env.RX.Offsets()),
+		eng:       engine.New(engine.Config{Workers: 1}),
+	}
+	if err := sys.eng.AddLink(systemLink, sys.cfg, newPhasedSource(sys, nil)); err != nil {
+		return nil, fmt.Errorf("mlink: %w", err)
+	}
+	return sys, nil
 }
 
 // Capture simulates one packet with the given people present and returns
@@ -144,109 +157,63 @@ func bodiesOf(people []*Person) []body.Body {
 	return out
 }
 
-// Calibrate captures n empty-room packets, builds the static profile, and
-// calibrates a decision threshold from held-out self scores (§IV-C
-// calibration stage). It must be called before DetectPresence or
-// ScoreWindow.
+// Calibrate captures n empty-room packets (at least 50), builds the static
+// profile, and calibrates a decision threshold from n held-out packets' self
+// scores (§IV-C calibration stage); with adaptation enabled it also seeds
+// the adapter from those scores. It must be called before DetectPresence or
+// DetectWindow. A re-calibration keeps the previous threshold as a floor,
+// as Engine.Recalibrate does.
 func (s *System) Calibrate(n int) error {
-	if n < 50 {
-		n = 50
-	}
-	cal := s.extractor.CaptureN(n, nil)
-	profile, err := core.Calibrate(s.cfg, cal)
-	if err != nil {
+	if err := s.eng.Calibrate(context.Background(), n); err != nil {
 		return fmt.Errorf("mlink calibrate: %w", err)
-	}
-	det, err := core.NewDetector(s.cfg, profile)
-	if err != nil {
-		return fmt.Errorf("mlink calibrate: %w", err)
-	}
-	holdout := s.extractor.CaptureN(n, nil)
-	null, err := det.SelfScores(holdout, 25, 25)
-	if err != nil {
-		return fmt.Errorf("mlink calibrate: %w", err)
-	}
-	if _, err := det.CalibrateThreshold(null, core.ThresholdQuantile, core.DefaultThresholdMargin); err != nil {
-		return fmt.Errorf("mlink calibrate: %w", err)
-	}
-	s.detector = det
-	s.nullScores = null
-	s.adapter = nil
-	if s.adaptive {
-		adapter, err := adapt.NewAdapter(adapt.Policy{}, det, null)
-		if err != nil {
-			return fmt.Errorf("mlink calibrate: %w", err)
-		}
-		s.adapter = adapter
 	}
 	return nil
 }
 
-// EnableAdaptation turns on online adaptation for this link: every window
-// passed through DetectPresence or DetectWindow refreshes the profile when
-// confidently empty, re-derives the threshold, and tracks drift health.
-// Works before or after Calibrate; a later (re-)Calibrate rebuilds the
-// adapter.
+// EnableAdaptation turns on online adaptation for this link from the next
+// Calibrate on: every window passed through DetectPresence or DetectWindow
+// then refreshes the profile when confidently empty, re-derives the
+// threshold, and tracks drift health. Call it before Calibrate, as on
+// Engine.
 func (s *System) EnableAdaptation() error {
-	s.adaptive = true
-	if s.detector == nil {
-		return nil
+	if err := s.eng.SetAdaptation(&adapt.Policy{}); err != nil {
+		return fmt.Errorf("mlink: %w", err)
 	}
-	adapter, err := adapt.NewAdapter(adapt.Policy{}, s.detector, s.nullScores)
-	if err != nil {
-		return fmt.Errorf("mlink adaptation: %w", err)
-	}
-	s.adapter = adapter
 	return nil
+}
+
+// link reads the System's link state from its engine.
+func (s *System) link() *LinkMetrics {
+	s.eng.MetricsInto(&s.m)
+	return &s.m.PerLink[0]
 }
 
 // Health returns the link's adaptation snapshot (the zero value when
 // adaptation is disabled or the system is not calibrated).
-func (s *System) Health() LinkHealth {
-	if s.adapter == nil {
-		return LinkHealth{}
-	}
-	return s.adapter.Health()
-}
+func (s *System) Health() LinkHealth { return s.link().Health }
 
-// Detector exposes the underlying detector (nil before Calibrate).
-func (s *System) Detector() *core.Detector { return s.detector }
+// Threshold returns the current decision threshold (0 before Calibrate).
+// With adaptation enabled it moves as windows are scored.
+func (s *System) Threshold() float64 { return s.link().Threshold }
 
 // DetectPresence captures a monitoring window of n packets with the given
 // people present (nil for an empty room) and returns the verdict.
 func (s *System) DetectPresence(n int, people ...*Person) (Decision, error) {
-	if s.detector == nil {
+	if !s.link().Calibrated {
 		return Decision{}, ErrNotCalibrated
 	}
 	return s.DetectWindow(s.CaptureWindow(n, people...))
 }
 
-// DetectWindow scores an externally collected window against the threshold
-// and, when adaptation is enabled, feeds the outcome to the adaptation
-// loop.
+// DetectWindow scores an externally collected window (e.g. frames received
+// over csinet) against the threshold and, when adaptation is enabled, feeds
+// the outcome to the adaptation loop.
 func (s *System) DetectWindow(window []*Frame) (Decision, error) {
-	if s.detector == nil {
-		return Decision{}, ErrNotCalibrated
-	}
-	dec, err := s.detector.DetectScratch(window, s.sc)
+	dec, err := s.eng.ScoreWindow(systemLink, window)
 	if err != nil {
-		return Decision{}, err
-	}
-	if s.adapter != nil {
-		if _, err := s.adapter.ObserveScored(window, dec, s.sc); err != nil {
-			return Decision{}, fmt.Errorf("mlink adaptation: %w", err)
-		}
+		return Decision{}, fmt.Errorf("mlink detect: %w", err)
 	}
 	return dec, nil
-}
-
-// ScoreWindow scores an externally collected window (e.g. frames received
-// over csinet).
-func (s *System) ScoreWindow(window []*Frame) (float64, error) {
-	if s.detector == nil {
-		return 0, ErrNotCalibrated
-	}
-	return s.detector.ScoreScratch(window, s.sc)
 }
 
 // AssessLink measures the link's mean multipath factor from n packets — the

@@ -1,6 +1,7 @@
 package mlink
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -46,8 +47,16 @@ func TestDetectBeforeCalibrate(t *testing.T) {
 	if _, err := sys.DetectPresence(25); !errors.Is(err, ErrNotCalibrated) {
 		t.Fatalf("err = %v, want ErrNotCalibrated", err)
 	}
-	if _, err := sys.ScoreWindow(nil); !errors.Is(err, ErrNotCalibrated) {
+	if _, err := sys.DetectWindow(nil); !errors.Is(err, ErrNotCalibrated) {
 		t.Fatalf("err = %v, want ErrNotCalibrated", err)
+	}
+	// The facade Engine reports an uncalibrated link with the same sentinel.
+	eng := NewEngine(EngineConfig{Workers: 1})
+	if err := eng.AddLink("a", sys); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(context.Background(), 1); !errors.Is(err, ErrNotCalibrated) {
+		t.Fatalf("Run err = %v, want ErrNotCalibrated", err)
 	}
 }
 
@@ -286,12 +295,72 @@ func TestScoreWindowExternalFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	window := sys.CaptureWindow(25, &Person{X: 3, Y: 4})
-	score, err := sys.ScoreWindow(window)
+	dec, err := sys.DetectWindow(window)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if score <= 0 {
-		t.Fatalf("score = %v", score)
+	if dec.Score <= 0 {
+		t.Fatalf("score = %v", dec.Score)
+	}
+}
+
+// TestSystemDetectWindowNoAllocs pins that a warm, frozen System scores a
+// window without allocating, for every scheme.
+func TestSystemDetectWindowNoAllocs(t *testing.T) {
+	for _, scheme := range []Scheme{SchemeBaseline, SchemeSubcarrier, SchemeSubcarrierPath} {
+		sys, err := NewClassroomSystem(scheme, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Calibrate(50); err != nil {
+			t.Fatal(err)
+		}
+		window := sys.CaptureWindow(25)
+		if _, err := sys.DetectWindow(window); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := sys.DetectWindow(window); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per window, want 0", scheme, allocs)
+		}
+	}
+}
+
+// TestSystemEnableAdaptationAfterCalibrate pins that adaptation enabled on
+// a calibrated System takes effect at the next Calibrate, as on Engine.
+func TestSystemEnableAdaptationAfterCalibrate(t *testing.T) {
+	sys, err := NewClassroomSystem(SchemeSubcarrier, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Calibrate(100); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.EnableAdaptation(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := sys.DetectPresence(25); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h := sys.Health(); h != (LinkHealth{}) {
+		t.Fatalf("health before re-calibration = %+v, want zero", h)
+	}
+	if err := sys.Calibrate(100); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := sys.DetectPresence(25); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h := sys.Health(); h.Refreshes == 0 {
+		t.Fatalf("no profile refreshes after re-calibration and 10 empty windows: %+v", h)
 	}
 }
 
