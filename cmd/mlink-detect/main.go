@@ -62,6 +62,9 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if err := checkHello(hello, grid); err != nil {
+		return err
+	}
 	// Array geometry: λ/2 ULA as announced by the stream.
 	lambda := 299792458.0 / hello.CenterFreqHz
 	offsets := make([]float64, hello.NumAntennas)
@@ -101,6 +104,23 @@ func run(args []string, out io.Writer) error {
 	}
 	if *maxWindows == 0 || windows < *maxWindows {
 		fmt.Fprintln(out, "mlink-detect: stream ended")
+	}
+	return nil
+}
+
+// checkHello rejects a stream whose Hello announces frames the detector
+// cannot score: no antennas, or subcarriers other than grid's.
+func checkHello(h csinet.Hello, grid *channel.Grid) error {
+	if h.NumAntennas == 0 {
+		return fmt.Errorf("hello announces no antennas")
+	}
+	if int(h.NumSubcarriers) != grid.Len() || len(h.Indices) != grid.Len() {
+		return fmt.Errorf("hello announces %d subcarriers, the detector's grid has %d", h.NumSubcarriers, grid.Len())
+	}
+	for i, idx := range h.Indices {
+		if int(idx) != grid.Indices[i] {
+			return fmt.Errorf("hello subcarrier %d has index %d, the detector's grid %d", i, idx, grid.Indices[i])
+		}
 	}
 	return nil
 }

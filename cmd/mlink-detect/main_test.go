@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -14,9 +15,10 @@ import (
 )
 
 // serveLinkCase streams link case 2's empty room from an unpaced csinet
-// server on a loopback port, with the hello csid announces. Each
-// connection ends cleanly after perConn frames (0: never).
-func serveLinkCase(t *testing.T, perConn int) string {
+// server on a loopback port, with the hello csid announces, altered by edit
+// when it is not nil. Each connection ends cleanly after perConn frames
+// (0: never).
+func serveLinkCase(t *testing.T, perConn int, edit func(*csinet.Hello)) string {
 	t.Helper()
 	s, err := scenario.LinkCase(2, 1)
 	if err != nil {
@@ -31,6 +33,9 @@ func serveLinkCase(t *testing.T, perConn int) string {
 		NumAntennas:    3,
 		NumSubcarriers: uint8(s.Grid.Len()),
 		Indices:        indices,
+	}
+	if edit != nil {
+		edit(&hello)
 	}
 	var (
 		mu     sync.Mutex
@@ -73,7 +78,7 @@ func lines(out string) (all []string, windows int) {
 }
 
 func TestRunMaxWindows(t *testing.T) {
-	addr := serveLinkCase(t, 0)
+	addr := serveLinkCase(t, 0, nil)
 	var out bytes.Buffer
 	if err := run([]string{"-addr", addr, "-calibration", "50", "-window", "25", "-max-windows", "3"}, &out); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
@@ -95,7 +100,7 @@ func TestRunMaxWindows(t *testing.T) {
 func TestRunStreamEnds(t *testing.T) {
 	// 50 calibration and 50 held-out packets, two 25-packet windows and 10
 	// packets of a third.
-	addr := serveLinkCase(t, 2*50+2*25+10)
+	addr := serveLinkCase(t, 2*50+2*25+10, nil)
 	var out bytes.Buffer
 	if err := run([]string{"-addr", addr, "-scheme", "subcarrier", "-calibration", "50"}, &out); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
@@ -103,5 +108,27 @@ func TestRunStreamEnds(t *testing.T) {
 	all, windows := lines(out.String())
 	if windows != 2 || all[len(all)-1] != "mlink-detect: stream ended" {
 		t.Fatalf("want 2 window lines, then the end of the stream, got:\n%s", out.String())
+	}
+}
+
+// TestRunRejectsUnscorableHello: a stream whose Hello announces no
+// antennas, a centre frequency that is not finite, or subcarriers other
+// than the grid the detector builds is refused before calibration starts.
+func TestRunRejectsUnscorableHello(t *testing.T) {
+	for name, edit := range map[string]func(*csinet.Hello){
+		"no antennas":       func(h *csinet.Hello) { h.NumAntennas = 0 },
+		"NaN centre":        func(h *csinet.Hello) { h.CenterFreqHz = math.NaN() },
+		"infinite centre":   func(h *csinet.Hello) { h.CenterFreqHz = math.Inf(1) },
+		"fewer subcarriers": func(h *csinet.Hello) { h.NumSubcarriers, h.Indices = 20, h.Indices[:20] },
+		"other indices":     func(h *csinet.Hello) { h.Indices[3]++ },
+	} {
+		addr := serveLinkCase(t, 0, edit)
+		var out bytes.Buffer
+		err := run([]string{"-addr", addr, "-calibration", "50", "-max-windows", "1"}, &out)
+		if err == nil {
+			t.Errorf("%s: run accepted the stream:\n%s", name, out.String())
+		} else if out.Len() != 0 {
+			t.Errorf("%s: run printed before rejecting the stream (%v):\n%s", name, err, out.String())
+		}
 	}
 }

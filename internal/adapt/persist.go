@@ -123,9 +123,8 @@ func (a *Adapter) AppendBinary(dst []byte) ([]byte, error) {
 // it; the result is bit-identical to the adapter at the delta's emission
 // (see ApplyDelta). Unlike AppendBinary it omits the calibration original:
 // on a 3 × 30 subcarrier link a delta is about 2.1 KB against a full
-// record's 3.6 KB, and on a path link with a 0.05° grid the full record
-// adds about 90 KB of static spectrum and path weights that no delta
-// repeats. Observer-side, allocation-free like the rest of the Observe path.
+// record's 3.6 KB, to which a path link adds its calibration partials.
+// Observer-side, allocation-free like the rest of the Observe path.
 func (a *Adapter) AppendDelta(dst []byte) []byte {
 	dst = binio.AppendU32(dst, deltaMagic)
 	dst = binio.AppendU16(dst, deltaVersion)
@@ -192,10 +191,11 @@ func (a *Adapter) ApplyDelta(blob []byte) error {
 }
 
 // Restore rebuilds an adapter — and the detector it drives — from a snapshot
-// produced by AppendBinary. cfg must be the link's scoring configuration
-// (the profile's shape and scheme requirements are validated against it).
-// The persisted rolling null scores are re-fitted into the null window,
-// keeping the newest.
+// produced by AppendBinary. cfg must be the link's scoring configuration:
+// the profile record is decoded against it (core.UnmarshalLinkProfile), so
+// a record whose grid, array or scheme does not fit cfg is
+// core.ErrBadSnapshot. The persisted rolling null scores are re-fitted into
+// the null window, keeping the newest.
 func Restore(cfg core.Config, blob []byte) (*Adapter, *core.Detector, error) {
 	r := binio.NewReader(blob)
 	if m := r.U32(); r.Err() == nil && m != adapterMagic {
@@ -208,7 +208,7 @@ func Restore(cfg core.Config, blob []byte) (*Adapter, *core.Detector, error) {
 	if err := r.Err(); err != nil {
 		return nil, nil, fmt.Errorf("restore: %w", err)
 	}
-	lp, err := core.UnmarshalLinkProfile(lpBlob)
+	lp, err := core.UnmarshalLinkProfile(cfg, lpBlob)
 	if err != nil {
 		return nil, nil, fmt.Errorf("restore profile: %w", err)
 	}

@@ -46,9 +46,9 @@ type Grid struct {
 }
 
 // NewIntel5300Grid returns the 30-subcarrier grid of the paper's receiver at
-// the given centre frequency.
+// the given centre frequency, which must be positive and finite.
 func NewIntel5300Grid(center float64) (*Grid, error) {
-	if center <= 0 {
+	if !(center > 0) || math.IsInf(center, 1) {
 		return nil, fmt.Errorf("center %v Hz: %w", center, ErrBadGrid)
 	}
 	return &Grid{Center: center, Indices: Intel5300Indices(), Spacing: SubcarrierSpacing}, nil

@@ -50,8 +50,10 @@ func TestNewIntel5300Grid(t *testing.T) {
 			t.Fatalf("subcarrier %v outside channel", f)
 		}
 	}
-	if _, err := NewIntel5300Grid(0); !errors.Is(err, ErrBadGrid) {
-		t.Fatalf("zero center err = %v", err)
+	for _, c := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewIntel5300Grid(c); !errors.Is(err, ErrBadGrid) {
+			t.Fatalf("center %v err = %v", c, err)
+		}
 	}
 }
 

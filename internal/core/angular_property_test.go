@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -208,11 +210,13 @@ func TestScoreScratchIndependentAcrossSchemes(t *testing.T) {
 }
 
 // TestPathProfilePersistenceRebuildsPartials round-trips a path profile and
-// a link profile through the binary format. A current record carries the
-// partials bit for bit; a version 1 record carries the calibration frames,
-// and decoding rebuilds the partials from them. Either way the partials
-// equal those of the test's own calibration frames, and scores through the
-// restored profiles are bit-identical.
+// a link profile through every record version. A current record carries
+// the partials bit for bit; a version 2 record also carries the static
+// spectrum and path weights, which decoding drops; a version 1 record
+// carries the calibration frames, and decoding rebuilds the partials from
+// them. Either way the partials equal those of the test's own calibration
+// frames, the path weights are re-derived bit for bit, and scores through
+// the restored profiles and link profiles are bit-identical.
 func TestPathProfilePersistenceRebuildsPartials(t *testing.T) {
 	s, err := scenario.LinkCase(2, 9)
 	if err != nil {
@@ -241,21 +245,24 @@ func TestPathProfilePersistenceRebuildsPartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	blob, err := profile.AppendBinary(nil)
+	lp, err := NewLinkProfile(profile, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tag, blob := range map[string][]byte{"v2": blob, "v1": appendProfileV1(nil, profile, cal)} {
-		decoded, err := UnmarshalProfile(blob)
+
+	for tag, blob := range profileRecords(t, cfg, profile, cal) {
+		decoded, err := UnmarshalProfile(cfg, blob)
 		if err != nil {
 			t.Fatalf("%s: %v", tag, err)
 		}
 		if decoded.Partials == nil {
-			t.Fatalf("%s: UnmarshalProfile left Partials nil for a spectrum-bearing profile", tag)
+			t.Fatalf("%s: UnmarshalProfile left Partials nil for a path profile", tag)
 		}
 		if !samePartials(decoded.Partials, fresh) {
 			t.Fatalf("%s: decoded partials differ from the partials of the calibration frames", tag)
+		}
+		if !reflect.DeepEqual(decoded.PathWeights, profile.PathWeights) {
+			t.Fatalf("%s: re-derived path weights differ from the calibrated ones", tag)
 		}
 		if err := det.SetProfile(decoded); err != nil {
 			t.Fatal(err)
@@ -267,30 +274,34 @@ func TestPathProfilePersistenceRebuildsPartials(t *testing.T) {
 		if got != want {
 			t.Fatalf("%s: restored-profile score %v != original %v", tag, got, want)
 		}
-	}
 
-	lp, err := NewLinkProfile(profile, 0.2)
-	if err != nil {
-		t.Fatal(err)
+		lpDec, err := UnmarshalLinkProfile(cfg, appendLinkProfileWith(nil, lp, blob))
+		if err != nil {
+			t.Fatalf("%s link profile: %v", tag, err)
+		}
+		for role, p := range map[string]*Profile{"original": lpDec.Original(), "current": lpDec.Current()} {
+			if p.Partials == nil {
+				t.Fatalf("%s: UnmarshalLinkProfile left %s Partials nil", tag, role)
+			}
+		}
+		if err := det.SetProfile(lpDec.Current()); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := det.ScoreScratch(window, NewScratch()); err != nil || got != want {
+			t.Fatalf("%s: link-profile restored score %v (err %v) != original %v", tag, got, err, want)
+		}
 	}
+	// The link profile's own encoder writes the current version.
 	lpBlob, err := lp.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lpDec, err := UnmarshalLinkProfile(lpBlob)
+	v3, err := profile.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tag, p := range map[string]*Profile{"original": lpDec.Original(), "current": lpDec.Current()} {
-		if p.Partials == nil {
-			t.Fatalf("UnmarshalLinkProfile left %s Partials nil", tag)
-		}
-	}
-	if err := det.SetProfile(lpDec.Current()); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := det.ScoreScratch(window, NewScratch()); err != nil || got != want {
-		t.Fatalf("link-profile restored score %v (err %v) != original %v", got, err, want)
+	if !bytes.Equal(lpBlob, appendLinkProfileWith(nil, lp, v3)) {
+		t.Fatal("LinkProfile.AppendBinary differs from the test-side writer around a current profile record")
 	}
 }
 

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mlink/internal/body"
 	"mlink/internal/channel"
 	"mlink/internal/csi"
 	"mlink/internal/geom"
+	"mlink/internal/linalg"
 	"mlink/internal/music"
 	"mlink/internal/propagation"
 )
@@ -518,10 +520,10 @@ func TestDetectorErrors(t *testing.T) {
 	if _, err := det.CalibrateThreshold([]float64{1}, 0, 1); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("bad quantile err = %v", err)
 	}
-	// Path scheme requires a profile with a static spectrum.
+	// Path scheme requires a profile with partials and path weights.
 	pathCfg := DefaultConfig(grid, SchemeSubcarrierPath, env.RX.Offsets())
 	if _, err := NewDetector(pathCfg, profile); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("missing spectrum err = %v", err)
+		t.Fatalf("missing partials err = %v", err)
 	}
 }
 
@@ -564,7 +566,11 @@ func TestPathWeightingEmphasizesOffPathPresence(t *testing.T) {
 	t.Logf("off-path score ratios: baseline %.2f, subcarrier+path %.2f", base, path)
 }
 
-func TestCalibrateStoresStaticSpectrum(t *testing.T) {
+// TestStaticSpectrumFromPartials checks the Eq. 17 derivation a path
+// profile's weights come from: the weights Calibrate stores are those
+// pathWeights derives from the profile's partials, aligned with the
+// steering grid, and the empty room's spectrum peaks near broadside.
+func TestStaticSpectrumFromPartials(t *testing.T) {
 	env, grid := testLink(t, true)
 	x := testExtractor(t, env, grid, 19)
 	cfg := DefaultConfig(grid, SchemeSubcarrierPath, env.RX.Offsets())
@@ -572,15 +578,32 @@ func TestCalibrateStoresStaticSpectrum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if profile.StaticSpectrum == nil || len(profile.PathWeights) == 0 {
-		t.Fatal("static spectrum or path weights missing")
+	spec, w, err := pathWeights(cfg, profile.Partials)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(profile.PathWeights) != len(profile.StaticSpectrum.AnglesDeg) {
-		t.Fatal("path weights misaligned with spectrum")
+	if !reflect.DeepEqual(w, profile.PathWeights) {
+		t.Fatal("calibrated path weights differ from those derived from the partials")
+	}
+	k, err := NewKernel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The scoring kernel's steering grid, read off a Bartlett spectrum.
+	var cov linalg.Matrix
+	if err := profile.Partials.CovarianceInto(&cov, nil); err != nil {
+		t.Fatal(err)
+	}
+	var steer music.Spectrum
+	if err := k.plan.BartlettInto(&steer, &cov); err != nil {
+		t.Fatal(err)
+	}
+	if len(w) != len(steer.AnglesDeg) || !reflect.DeepEqual(spec.AnglesDeg, steer.AnglesDeg) {
+		t.Fatalf("%d path weights over %d spectrum angles, steering grid has %d", len(w), len(spec.AnglesDeg), len(steer.AnglesDeg))
 	}
 	// The static spectrum's dominant angle should be near broadside (the
 	// LOS arrives head-on in this geometry).
-	dom, err := profile.StaticSpectrum.DominantAngle()
+	dom, err := spec.DominantAngle()
 	if err != nil {
 		t.Fatal(err)
 	}

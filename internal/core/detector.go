@@ -117,10 +117,9 @@ type Profile struct {
 	MeanAmp [][]float64
 	// MeanRSSdB is the mean per-subcarrier RSS in dB (Δs reference).
 	MeanRSSdB [][]float64
-	// StaticSpectrum is the unweighted MUSIC pseudospectrum of the empty
-	// room (Fig. 5b), nil for schemes that do not use the array.
-	StaticSpectrum *music.Spectrum
-	// PathWeights is the Eq. 17 weight vector aligned with StaticSpectrum.
+	// PathWeights is the Eq. 17 weight vector over the steering grid,
+	// derived from Partials (see pathWeights); nil for schemes that do not
+	// use the array.
 	PathWeights []float64
 	// Partials are the per-subcarrier covariance partials of the
 	// calibration frames, the profile's only record of those packets: the
@@ -128,7 +127,7 @@ type Profile struct {
 	// window's subcarrier weights (§IV-C), and the partials give that
 	// covariance at O(nSub·nAnt²) without the frames. Set for
 	// SchemeSubcarrierPath only (the other schemes read the fingerprints
-	// alone) and serialized with the profile.
+	// alone) and serialized with the profile; PathWeights derive from them.
 	Partials *music.Partials
 }
 
@@ -153,30 +152,12 @@ func Calibrate(cfg Config, frames []*csi.Frame) (*Profile, error) {
 	}
 
 	if cfg.Scheme == SchemeSubcarrierPath {
-		est, err := newEstimator(cfg)
-		if err != nil {
-			return nil, err
-		}
-		plan, err := est.NewPlan()
-		if err != nil {
-			return nil, err
-		}
-		cov, err := music.Covariance(frames, nil)
-		if err != nil {
-			return nil, fmt.Errorf("static covariance: %w", err)
-		}
-		spec := &music.Spectrum{}
-		if err := plan.PseudospectrumInto(spec, cov, cfg.NumSignals, nil); err != nil {
-			return nil, fmt.Errorf("static pseudospectrum: %w", err)
-		}
-		p.StaticSpectrum = spec
-		p.PathWeights, err = PathWeights(spec, cfg.PathWeight)
-		if err != nil {
-			return nil, fmt.Errorf("path weights: %w", err)
-		}
-		p.Partials, err = music.NewPartials(frames)
-		if err != nil {
+		var err error
+		if p.Partials, err = music.NewPartials(frames); err != nil {
 			return nil, fmt.Errorf("spectral partials: %w", err)
+		}
+		if _, p.PathWeights, err = pathWeights(cfg, p.Partials); err != nil {
+			return nil, err
 		}
 	}
 	return p, nil
@@ -205,8 +186,8 @@ func NewDetector(cfg Config, profile *Profile) (*Detector, error) {
 	if profile == nil || len(profile.MeanAmp) == 0 {
 		return nil, fmt.Errorf("detector needs a calibration profile: %w", ErrBadInput)
 	}
-	if cfg.Scheme == SchemeSubcarrierPath && (profile.StaticSpectrum == nil || len(profile.PathWeights) == 0 || profile.Partials == nil) {
-		return nil, fmt.Errorf("profile lacks static spectrum or partials for path weighting: %w", ErrBadInput)
+	if cfg.Scheme == SchemeSubcarrierPath && (len(profile.PathWeights) == 0 || profile.Partials == nil) {
+		return nil, fmt.Errorf("profile lacks path weights or partials for path weighting: %w", ErrBadInput)
 	}
 	return &Detector{kernel: kernel, profile: profile}, nil
 }

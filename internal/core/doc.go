@@ -20,12 +20,12 @@
 // window covariances, fully rewritten each window so scores are
 // bit-identical across scratches and shard migrations.
 //
-// A Profile keeps nothing of its calibration frames: the fingerprints and,
-// for the path scheme, the partials and static spectrum are all scoring
-// reads, so a caller may recycle the frames once Calibrate returns. A
-// persisted profile therefore holds the partials, not the frames. Version 1
-// records, written by earlier builds, held the frames; readProfile still
-// decodes them, rebuilding the partials from the frames and dropping them.
+// A Profile keeps nothing of its calibration frames, so a caller may
+// recycle them once Calibrate returns. Scoring reads the fingerprints and,
+// for the path scheme, the partials and the Eq. 17 path weights that
+// pathWeights derives from them; no profile keeps the static spectrum. A
+// record holds only the fingerprints and partials, and the decoders take the
+// link's Config to re-derive the weights (record versions 1–3 all decode).
 //
 // Scoring reads the caller's frames as they are: Calibrate, Kernel.Score
 // and MeasureWindowInto apply no phase sanitization. Removing a phase that

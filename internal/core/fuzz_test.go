@@ -9,11 +9,12 @@ import (
 )
 
 // fuzzProfileSeeds builds real serialized profiles — a calibrated
-// subcarrier Profile blob, a LinkProfile blob with refresh history, a
-// path-scheme Profile blob carrying partials and a version 1 path record
-// carrying the calibration frames — so the fuzzer starts from the
-// structures it must not be panicked by.
-func fuzzProfileSeeds(f *testing.F) (profile, linkProfile, pathProfile, v1 []byte) {
+// subcarrier Profile blob, a LinkProfile blob with refresh history, and a
+// path-scheme profile as a record of every version (v1 carrying
+// calibration frames, v2 the static spectrum and weights too, v3 the
+// partials alone) — so the fuzzer starts from the structures it must not be
+// panicked by. It also returns the two fixed configs the decoders run under.
+func fuzzProfileSeeds(f *testing.F) (cfgs []Config, profile, linkProfile []byte, path map[string][]byte) {
 	f.Helper()
 	s, err := scenario.Classroom(31)
 	if err != nil {
@@ -24,6 +25,7 @@ func fuzzProfileSeeds(f *testing.F) (profile, linkProfile, pathProfile, v1 []byt
 		f.Fatal(err)
 	}
 	cfg := DefaultConfig(s.Grid, SchemeSubcarrier, s.Env.RX.Offsets())
+	pathCfg := DefaultConfig(s.Grid, SchemeSubcarrierPath, s.Env.RX.Offsets())
 	cal := x.CaptureN(60, nil)
 	p, err := Calibrate(cfg, cal)
 	if err != nil {
@@ -52,31 +54,29 @@ func fuzzProfileSeeds(f *testing.F) (profile, linkProfile, pathProfile, v1 []byt
 	if err != nil {
 		f.Fatal(err)
 	}
-	pp, err := Calibrate(DefaultConfig(s.Grid, SchemeSubcarrierPath, s.Env.RX.Offsets()), cal)
+	// Four frames keep the v1 seed small; its partials are those frames'.
+	pp, err := Calibrate(pathCfg, cal[:4])
 	if err != nil {
 		f.Fatal(err)
 	}
-	pathProfile, err = pp.AppendBinary(nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	return profile, linkProfile, pathProfile, appendProfileV1(nil, pp, cal[:4])
+	return []Config{cfg, pathCfg}, profile, linkProfile, profileRecords(f, pathCfg, pp, cal[:4])
 }
 
 // FuzzProfileRecord throws truncated, bit-flipped and length-inflated
-// variants of real profile records at the profile decoders: they must
+// variants of real profile records, of every record version, at the profile
+// decoders under a fixed subcarrier and a fixed path config: they must
 // return typed errors (ErrBadInput-wrapping or binio.ErrShort) and never
 // panic, and an accepted blob must re-serialize.
 func FuzzProfileRecord(f *testing.F) {
-	profile, linkProfile, pathProfile, v1 := fuzzProfileSeeds(f)
+	cfgs, profile, linkProfile, path := fuzzProfileSeeds(f)
 	f.Add(profile)
 	f.Add(linkProfile)
-	f.Add(pathProfile)
-	f.Add(v1)
 	f.Add(profile[:len(profile)/2])
 	f.Add(linkProfile[:len(linkProfile)-7])
-	f.Add(pathProfile[:len(pathProfile)-7])
-	f.Add(v1[:len(v1)-7])
+	for _, v := range []string{"v1", "v2", "v3"} {
+		f.Add(path[v])
+		f.Add(path[v][:len(path[v])-7])
+	}
 	flipped := append([]byte(nil), linkProfile...)
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
@@ -92,18 +92,20 @@ func FuzzProfileRecord(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := UnmarshalProfile(data)
-		check(t, err)
-		if err == nil {
-			if _, err := p.AppendBinary(nil); err != nil {
-				t.Fatalf("accepted profile does not re-serialize: %v", err)
+		for _, cfg := range cfgs {
+			p, err := UnmarshalProfile(cfg, data)
+			check(t, err)
+			if err == nil {
+				if _, err := p.AppendBinary(nil); err != nil {
+					t.Fatalf("accepted profile does not re-serialize: %v", err)
+				}
 			}
-		}
-		lp, err := UnmarshalLinkProfile(data)
-		check(t, err)
-		if err == nil {
-			if _, err := lp.AppendBinary(nil); err != nil {
-				t.Fatalf("accepted link profile does not re-serialize: %v", err)
+			lp, err := UnmarshalLinkProfile(cfg, data)
+			check(t, err)
+			if err == nil {
+				if _, err := lp.AppendBinary(nil); err != nil {
+					t.Fatalf("accepted link profile does not re-serialize: %v", err)
+				}
 			}
 		}
 		// The delta-side adapted-state reader shares the hostile-input

@@ -150,7 +150,7 @@ func TestSanitizedProfileStillScores(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if old, err = UnmarshalProfile(appendProfileV1(nil, old, clean)); err != nil {
+			if old, err = UnmarshalProfile(cfg, appendProfileV1(t, nil, cfg, old, clean)); err != nil {
 				t.Fatal(err)
 			}
 			k, err := NewKernel(cfg)

@@ -15,11 +15,11 @@ import (
 //
 // Refresh is copy-on-write: every update allocates fresh mean rows and
 // returns a brand-new *Profile, so scorers holding an older snapshot are
-// never raced. The calibration-derived fields (StaticSpectrum, PathWeights,
-// Partials) are carried over by reference — the EWMA scheme adapts the
-// amplitude fingerprints only; a walked angular profile is what quarantine
-// and recalibration are for. A recalibration builds a whole new Profile
-// (with fresh partials) through Calibrate.
+// never raced. The calibration-derived fields (Partials, PathWeights) are
+// carried over by reference — the EWMA scheme adapts the amplitude
+// fingerprints only; a walked angular profile is what quarantine and
+// recalibration are for. A recalibration builds a whole new Profile (with
+// fresh partials) through Calibrate.
 type LinkProfile struct {
 	orig  *Profile
 	cur   *Profile
@@ -52,15 +52,14 @@ func NewLinkProfile(p *Profile, alpha float64) (*LinkProfile, error) {
 }
 
 // withFingerprints returns a new profile holding the given fingerprints and
-// p's calibration-derived fields (spectrum, path weights, partials), shared
-// by reference.
+// p's calibration-derived fields (partials, path weights), shared by
+// reference.
 func (p *Profile) withFingerprints(meanAmp, meanRSSdB [][]float64) *Profile {
 	return &Profile{
-		MeanAmp:        meanAmp,
-		MeanRSSdB:      meanRSSdB,
-		StaticSpectrum: p.StaticSpectrum,
-		PathWeights:    p.PathWeights,
-		Partials:       p.Partials,
+		MeanAmp:     meanAmp,
+		MeanRSSdB:   meanRSSdB,
+		PathWeights: p.PathWeights,
+		Partials:    p.Partials,
 	}
 }
 
@@ -114,7 +113,7 @@ func (lp *LinkProfile) Refresh(ws *WindowStats) (*Profile, error) {
 // relock: when every link of a site moved together, the level the site sits
 // at now *is* the empty room, and EWMA-walking towards it over dozens of
 // windows would false-alarm the whole way. Like Refresh it is copy-on-write
-// and carries the spectrum-derived fields over by reference.
+// and carries the calibration-derived fields over by reference.
 func (lp *LinkProfile) Adopt(ws *WindowStats) (*Profile, error) {
 	if ws == nil || len(ws.MeanAmp) == 0 {
 		return nil, fmt.Errorf("adopt with empty window stats: %w", ErrBadInput)

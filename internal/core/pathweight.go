@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"mlink/internal/linalg"
 	"mlink/internal/music"
 )
 
@@ -54,4 +55,25 @@ func PathWeights(static *music.Spectrum, cfg PathWeightConfig) ([]float64, error
 		out[i] = 1 / p
 	}
 	return out, nil
+}
+
+// pathWeights derives a path profile's Eq. 17 weights from its partials —
+// static covariance, MUSIC pseudospectrum on the kernel's steering grid
+// (Fig. 5b), PathWeights — for Calibrate and the decoders alike. The
+// spectrum is returned for inspection; no profile keeps it.
+func pathWeights(cfg Config, parts *music.Partials) (*music.Spectrum, []float64, error) {
+	k, err := NewKernel(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	var cov linalg.Matrix
+	if err := parts.CovarianceInto(&cov, nil); err != nil {
+		return nil, nil, fmt.Errorf("static covariance: %w", err)
+	}
+	spec := &music.Spectrum{}
+	if err := k.plan.PseudospectrumInto(spec, &cov, cfg.NumSignals, nil); err != nil {
+		return nil, nil, fmt.Errorf("static pseudospectrum: %w", err)
+	}
+	w, err := PathWeights(spec, cfg.PathWeight)
+	return spec, w, err
 }

@@ -13,10 +13,10 @@ import (
 // version so a daemon restarted onto a newer build can reject (rather than
 // misread) profiles persisted by an older one.
 const (
-	// profileVersion tags the Profile wire layout. Version 2 stores the
-	// calibration covariance partials where version 1 stored the
-	// calibration frames; readProfile still decodes version 1.
-	profileVersion   uint16 = 2
+	// profileVersion tags the Profile layout: fingerprints, then partials.
+	// Version 2 also stored the static spectrum and path weights, version 1
+	// those and the frames instead of the partials; readProfile decodes both.
+	profileVersion   uint16 = 3
 	profileVersionV1 uint16 = 1
 	// linkProfileVersion tags the LinkProfile (orig + adapted) layout.
 	linkProfileVersion uint16 = 1
@@ -107,14 +107,17 @@ func readGrid2(r *binio.Reader) ([][]float64, error) {
 	return out, r.Err()
 }
 
-// AppendBinary serializes the profile — fingerprints, static spectrum, path
-// weights and the calibration partials, i.e. everything scoring touches —
-// onto dst and returns the extended slice.
+// AppendBinary serializes what calibration measured — the fingerprints and,
+// for the path scheme, the partials the decoders re-derive the path weights
+// from — onto dst and returns the extended slice.
 func (p *Profile) AppendBinary(dst []byte) ([]byte, error) {
 	if p == nil || len(p.MeanAmp) == 0 || len(p.MeanRSSdB) == 0 {
 		return nil, fmt.Errorf("serialize empty profile: %w", ErrBadInput)
 	}
-	dst = p.appendHead(dst, profileVersion)
+	dst = binio.AppendU32(dst, profileMagic)
+	dst = binio.AppendU16(dst, profileVersion)
+	dst = appendGrid2(dst, p.MeanAmp)
+	dst = appendGrid2(dst, p.MeanRSSdB)
 	dst = binio.AppendBool(dst, p.Partials != nil)
 	if p.Partials != nil {
 		dst = p.Partials.AppendBinary(dst)
@@ -122,28 +125,13 @@ func (p *Profile) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// appendHead serializes the part of a profile record that every version
-// shares: magic, version, fingerprints, static spectrum and path weights.
-func (p *Profile) appendHead(dst []byte, version uint16) []byte {
-	dst = binio.AppendU32(dst, profileMagic)
-	dst = binio.AppendU16(dst, version)
-	dst = appendGrid2(dst, p.MeanAmp)
-	dst = appendGrid2(dst, p.MeanRSSdB)
-	dst = binio.AppendBool(dst, p.StaticSpectrum != nil)
-	if p.StaticSpectrum != nil {
-		dst = binio.AppendF64s(dst, p.StaticSpectrum.AnglesDeg)
-		dst = binio.AppendF64s(dst, p.StaticSpectrum.Power)
-	}
-	return binio.AppendF64s(dst, p.PathWeights)
-}
-
-// readProfile decodes one Profile from the reader's current position.
-func readProfile(r *binio.Reader) (*Profile, error) {
+// readProfile decodes one Profile for cfg at the reader's position.
+func readProfile(r *binio.Reader, cfg Config) (*Profile, error) {
 	if m := r.U32(); r.Err() == nil && m != profileMagic {
 		return nil, fmt.Errorf("profile magic %#x: %w", m, ErrBadSnapshot)
 	}
 	v := r.U16()
-	if r.Err() == nil && v != profileVersion && v != profileVersionV1 {
+	if r.Err() == nil && (v < profileVersionV1 || v > profileVersion) {
 		return nil, fmt.Errorf("profile version %d (want %d): %w", v, profileVersion, ErrBadSnapshot)
 	}
 	p := &Profile{}
@@ -154,12 +142,17 @@ func readProfile(r *binio.Reader) (*Profile, error) {
 	if p.MeanRSSdB, err = readGrid2(r); err != nil {
 		return nil, fmt.Errorf("mean rss: %w", err)
 	}
-	if r.Bool() {
-		p.StaticSpectrum = &music.Spectrum{AnglesDeg: r.F64s(), Power: r.F64s()}
+	if v < profileVersion {
+		// Skip the static spectrum and path weights of versions 1 and 2.
+		if r.Bool() {
+			r.F64s()
+			r.F64s()
+		}
+		r.F64s()
 	}
-	p.PathWeights = r.F64s()
+	path := cfg.Scheme == SchemeSubcarrierPath
 	if v == profileVersionV1 {
-		p.Partials, err = readV1Partials(r, p.StaticSpectrum != nil)
+		p.Partials, err = readV1Partials(r, path)
 	} else if r.Bool() {
 		p.Partials, err = music.ReadPartials(r)
 	}
@@ -169,19 +162,52 @@ func readProfile(r *binio.Reader) (*Profile, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if p.Partials != nil {
-		if nAnt, nSub := p.Partials.Shape(); nAnt != len(p.MeanAmp) || nSub != len(p.MeanAmp[0]) {
-			return nil, fmt.Errorf("partials %dx%d differ from fingerprint %dx%d: %w",
-				nAnt, nSub, len(p.MeanAmp), len(p.MeanAmp[0]), ErrBadSnapshot)
+	if err := p.checkConfig(cfg); err != nil {
+		return nil, err
+	}
+	if path {
+		if _, p.PathWeights, err = pathWeights(cfg, p.Partials); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 		}
 	}
 	return p, nil
 }
 
+// checkConfig rejects a decoded profile that the link's kernel could not
+// score: fingerprints not spanning cfg's subcarrier grid (and, for the path
+// scheme, its array), or partials present where cfg's scheme reads none or
+// missing where it needs them.
+func (p *Profile) checkConfig(cfg Config) error {
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	nAnt, nSub := len(p.MeanAmp), len(p.MeanAmp[0])
+	if len(p.MeanRSSdB) != nAnt || len(p.MeanRSSdB[0]) != nSub {
+		return fmt.Errorf("rss fingerprint %dx%d differs from amplitude %dx%d: %w",
+			len(p.MeanRSSdB), len(p.MeanRSSdB[0]), nAnt, nSub, ErrBadSnapshot)
+	}
+	if nSub != cfg.Grid.Len() {
+		return fmt.Errorf("fingerprint of %d subcarriers for a %d-subcarrier grid: %w", nSub, cfg.Grid.Len(), ErrBadSnapshot)
+	}
+	path := cfg.Scheme == SchemeSubcarrierPath
+	if path && nAnt != len(cfg.ArrayOffsets) {
+		return fmt.Errorf("fingerprint of %d antennas for a %d-element array: %w", nAnt, len(cfg.ArrayOffsets), ErrBadSnapshot)
+	}
+	if (p.Partials != nil) != path {
+		return fmt.Errorf("profile with partials %v for scheme %s: %w", p.Partials != nil, cfg.Scheme, ErrBadSnapshot)
+	}
+	if p.Partials != nil {
+		if pAnt, pSub := p.Partials.Shape(); pAnt != nAnt || pSub != nSub {
+			return fmt.Errorf("partials %dx%d differ from fingerprint %dx%d: %w", pAnt, pSub, nAnt, nSub, ErrBadSnapshot)
+		}
+	}
+	return nil
+}
+
 // readV1Partials reads the calibration frame list of a version 1 profile
-// and, for a spectrum-bearing (path scheme) profile, returns the frames'
-// partials, as Calibrate stores them; the frames themselves are dropped.
-func readV1Partials(r *binio.Reader, spectral bool) (*music.Partials, error) {
+// and, for the path scheme, returns the frames' partials, as Calibrate
+// stores them; the frames themselves are dropped.
+func readV1Partials(r *binio.Reader, path bool) (*music.Partials, error) {
 	nFrames := int(r.U32())
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -199,17 +225,17 @@ func readV1Partials(r *binio.Reader, spectral bool) (*music.Partials, error) {
 		}
 		frames = append(frames, f)
 	}
-	if !spectral || len(frames) == 0 {
+	if !path || len(frames) == 0 {
 		return nil, nil
 	}
 	return music.NewPartials(frames)
 }
 
-// UnmarshalProfile decodes a Profile serialized by AppendBinary. The whole
-// buffer must be consumed.
-func UnmarshalProfile(b []byte) (*Profile, error) {
+// UnmarshalProfile decodes a Profile serialized by AppendBinary for a link
+// scoring with cfg. The whole buffer must be consumed.
+func UnmarshalProfile(cfg Config, b []byte) (*Profile, error) {
 	r := binio.NewReader(b)
-	p, err := readProfile(r)
+	p, err := readProfile(r, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -220,8 +246,8 @@ func UnmarshalProfile(b []byte) (*Profile, error) {
 }
 
 // AppendBinary serializes the link profile: EWMA alpha, refresh count, the
-// immutable calibration original (in full, spectrum and partials included) and
-// the adapted fingerprints. ShiftDB needs no field of its own — it is
+// immutable calibration original (in full, partials included) and the
+// adapted fingerprints. ShiftDB needs no field of its own — it is
 // re-derived from the two fingerprints on restore, so it can never disagree
 // with them.
 func (lp *LinkProfile) AppendBinary(dst []byte) ([]byte, error) {
@@ -233,7 +259,7 @@ func (lp *LinkProfile) AppendBinary(dst []byte) ([]byte, error) {
 	if dst, err = lp.orig.AppendBinary(dst); err != nil {
 		return nil, fmt.Errorf("link profile original: %w", err)
 	}
-	// The adapted profile shares spectrum/path-weights/partials with the
+	// The adapted profile shares partials and path weights with the
 	// original by construction (Refresh and Adopt carry them over by
 	// reference), so only its fingerprints are stored.
 	dst = appendGrid2(dst, lp.cur.MeanAmp)
@@ -241,8 +267,8 @@ func (lp *LinkProfile) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// readLinkProfile decodes a LinkProfile from the reader's current position.
-func readLinkProfile(r *binio.Reader) (*LinkProfile, error) {
+// readLinkProfile decodes a LinkProfile for cfg at the reader's position.
+func readLinkProfile(r *binio.Reader, cfg Config) (*LinkProfile, error) {
 	if m := r.U32(); r.Err() == nil && m != linkProfileMagic {
 		return nil, fmt.Errorf("link profile magic %#x: %w", m, ErrBadSnapshot)
 	}
@@ -254,7 +280,7 @@ func readLinkProfile(r *binio.Reader) (*LinkProfile, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	orig, err := readProfile(r)
+	orig, err := readProfile(r, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("original profile: %w", err)
 	}
@@ -285,11 +311,11 @@ func readLinkProfile(r *binio.Reader) (*LinkProfile, error) {
 	return lp, nil
 }
 
-// UnmarshalLinkProfile decodes a LinkProfile serialized by AppendBinary. The
-// whole buffer must be consumed.
-func UnmarshalLinkProfile(b []byte) (*LinkProfile, error) {
+// UnmarshalLinkProfile decodes a LinkProfile serialized by AppendBinary for
+// a link scoring with cfg. The whole buffer must be consumed.
+func UnmarshalLinkProfile(cfg Config, b []byte) (*LinkProfile, error) {
 	r := binio.NewReader(b)
-	lp, err := readLinkProfile(r)
+	lp, err := readLinkProfile(r, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +364,7 @@ func ReadAdaptedState(r *binio.Reader) (AdaptedState, error) {
 // state, validating the fingerprints against the calibration original's
 // shape first — on any error the profile is left untouched. As in
 // readLinkProfile, a zero refresh count restores cur as the original
-// itself, and an adapted profile shares the original's spectrum-derived
+// itself, and an adapted profile shares the original's calibration-derived
 // fields by reference.
 func (lp *LinkProfile) RestoreAdapted(st AdaptedState) error {
 	if len(st.MeanAmp) != len(lp.orig.MeanAmp) || len(st.MeanAmp[0]) != len(lp.orig.MeanAmp[0]) {

@@ -34,16 +34,89 @@ func appendFrame(dst []byte, f *csi.Frame) []byte {
 	return dst
 }
 
+// appendLegacyHead writes the head that the version 1 and 2 profile
+// records of earlier builds share: p's fingerprints, then the static
+// spectrum and path weights, computed as those builds did, from the static
+// covariance of the calibration frames themselves (which differs from the
+// partials' in the last bits).
+func appendLegacyHead(t testing.TB, dst []byte, cfg Config, p *Profile, frames []*csi.Frame, version uint16) []byte {
+	t.Helper()
+	dst = binio.AppendU32(dst, profileMagic)
+	dst = binio.AppendU16(dst, version)
+	dst = appendGrid2(dst, p.MeanAmp)
+	dst = appendGrid2(dst, p.MeanRSSdB)
+	dst = binio.AppendBool(dst, p.Partials != nil)
+	if p.Partials == nil {
+		return binio.AppendF64s(dst, nil)
+	}
+	k, err := NewKernel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov, err := music.Covariance(frames, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &music.Spectrum{}
+	if err := k.plan.PseudospectrumInto(spec, cov, cfg.NumSignals, nil); err != nil {
+		t.Fatal(err)
+	}
+	w, err := PathWeights(spec, cfg.PathWeight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst = binio.AppendF64s(dst, spec.AnglesDeg)
+	dst = binio.AppendF64s(dst, spec.Power)
+	return binio.AppendF64s(dst, w)
+}
+
 // appendProfileV1 writes the version 1 profile record earlier builds
-// persisted: p's fingerprints, spectrum and path weights, then the
-// calibration frames themselves.
-func appendProfileV1(dst []byte, p *Profile, frames []*csi.Frame) []byte {
-	dst = p.appendHead(dst, profileVersionV1)
+// persisted: the legacy head, then the calibration frames themselves.
+func appendProfileV1(t testing.TB, dst []byte, cfg Config, p *Profile, frames []*csi.Frame) []byte {
+	dst = appendLegacyHead(t, dst, cfg, p, frames, profileVersionV1)
 	dst = binio.AppendU32(dst, uint32(len(frames)))
 	for _, f := range frames {
 		dst = appendFrame(dst, f)
 	}
 	return dst
+}
+
+// appendProfileV2 writes the version 2 profile record earlier builds
+// persisted: the legacy head, then the partials as version 3 writes them.
+func appendProfileV2(t testing.TB, dst []byte, cfg Config, p *Profile, frames []*csi.Frame) []byte {
+	dst = appendLegacyHead(t, dst, cfg, p, frames, 2)
+	dst = binio.AppendBool(dst, p.Partials != nil)
+	if p.Partials != nil {
+		dst = p.Partials.AppendBinary(dst)
+	}
+	return dst
+}
+
+// profileRecords writes p, calibrated from frames under cfg, as a record of
+// every version this build decodes.
+func profileRecords(t testing.TB, cfg Config, p *Profile, frames []*csi.Frame) map[string][]byte {
+	t.Helper()
+	v3, err := p.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]byte{
+		"v1": appendProfileV1(t, nil, cfg, p, frames),
+		"v2": appendProfileV2(t, nil, cfg, p, frames),
+		"v3": v3,
+	}
+}
+
+// appendLinkProfileWith writes lp's record around an arbitrary profile
+// record as its original, as a build writing that profile version would.
+func appendLinkProfileWith(dst []byte, lp *LinkProfile, orig []byte) []byte {
+	dst = binio.AppendU32(dst, linkProfileMagic)
+	dst = binio.AppendU16(dst, linkProfileVersion)
+	dst = binio.AppendF64(dst, lp.alpha)
+	dst = binio.AppendU64(dst, lp.refreshes)
+	dst = append(dst, orig...)
+	dst = appendGrid2(dst, lp.cur.MeanAmp)
+	return appendGrid2(dst, lp.cur.MeanRSSdB)
 }
 
 // samePartials compares two partials bit for bit through their wire form
@@ -78,8 +151,8 @@ func recordCase(t *testing.T, c int) (*scenario.Scenario, []*csi.Frame, [][]*csi
 	return s, cal, windows
 }
 
-// calibrateCase builds a real profile (with spectrum and path weights) over
-// a link case.
+// calibrateCase builds a real profile (with partials and path weights for
+// the path scheme) over a link case.
 func calibrateCase(t *testing.T, scheme Scheme) (Config, *Profile) {
 	t.Helper()
 	s, err := scenario.Classroom(31)
@@ -100,25 +173,19 @@ func calibrateCase(t *testing.T, scheme Scheme) (Config, *Profile) {
 
 func TestProfileBinaryRoundTrip(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeSubcarrier, SchemeSubcarrierPath} {
-		_, profile := calibrateCase(t, scheme)
+		cfg, profile := calibrateCase(t, scheme)
 		blob, err := profile.AppendBinary(nil)
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
-		back, err := UnmarshalProfile(blob)
+		back, err := UnmarshalProfile(cfg, blob)
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
 		if !reflect.DeepEqual(profile.MeanAmp, back.MeanAmp) ||
 			!reflect.DeepEqual(profile.MeanRSSdB, back.MeanRSSdB) ||
 			!reflect.DeepEqual(profile.PathWeights, back.PathWeights) {
-			t.Fatalf("%v: fingerprints did not round-trip", scheme)
-		}
-		if (profile.StaticSpectrum == nil) != (back.StaticSpectrum == nil) {
-			t.Fatalf("%v: spectrum presence changed", scheme)
-		}
-		if profile.StaticSpectrum != nil && !reflect.DeepEqual(profile.StaticSpectrum, back.StaticSpectrum) {
-			t.Fatalf("%v: spectrum did not round-trip", scheme)
+			t.Fatalf("%v: fingerprints or path weights did not round-trip", scheme)
 		}
 		if (profile.Partials != nil) != (scheme == SchemeSubcarrierPath) {
 			t.Fatalf("%v: Calibrate stored partials %v", scheme, profile.Partials != nil)
@@ -128,21 +195,21 @@ func TestProfileBinaryRoundTrip(t *testing.T) {
 		}
 
 		// Truncations and garbage must fail loudly.
-		if _, err := UnmarshalProfile(blob[:len(blob)/2]); err == nil {
+		if _, err := UnmarshalProfile(cfg, blob[:len(blob)/2]); err == nil {
 			t.Fatalf("%v: truncated profile decoded", scheme)
 		}
-		if _, err := UnmarshalProfile(append(append([]byte(nil), blob...), 0)); err == nil {
+		if _, err := UnmarshalProfile(cfg, append(append([]byte(nil), blob...), 0)); err == nil {
 			t.Fatalf("%v: overlong profile decoded", scheme)
 		}
 		blob[0] ^= 0xFF
-		if _, err := UnmarshalProfile(blob); !errors.Is(err, ErrBadSnapshot) {
+		if _, err := UnmarshalProfile(cfg, blob); !errors.Is(err, ErrBadSnapshot) {
 			t.Fatalf("%v: bad magic err = %v", scheme, err)
 		}
 	}
 }
 
 func TestLinkProfileBinaryRoundTrip(t *testing.T) {
-	_, profile := calibrateCase(t, SchemeSubcarrierPath)
+	cfg, profile := calibrateCase(t, SchemeSubcarrierPath)
 	lp, err := NewLinkProfile(profile, 0.25)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +233,7 @@ func TestLinkProfileBinaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalLinkProfile(blob)
+	back, err := UnmarshalLinkProfile(cfg, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +351,7 @@ func TestLinkProfileAdopt(t *testing.T) {
 	if next.MeanAmp[0][0] != 42 || next.MeanRSSdB[0][0] != -10 {
 		t.Fatalf("adopt kept EWMA memory: %v / %v", next.MeanAmp[0][0], next.MeanRSSdB[0][0])
 	}
-	if next.Partials == nil || next.Partials != profile.Partials || next.StaticSpectrum != profile.StaticSpectrum {
+	if next.Partials == nil || next.Partials != profile.Partials || &next.PathWeights[0] != &profile.PathWeights[0] {
 		t.Fatal("adopt dropped the calibration-derived fields")
 	}
 	if lp.Refreshes() != 1 {
@@ -296,12 +363,12 @@ func TestLinkProfileAdopt(t *testing.T) {
 	}
 }
 
-// TestProfileRecordsScoreAsCalibrated pins both record versions to the
-// profile they were written from, for every scheme and link cases 1–5: a
-// version 1 record of the calibration frames decodes to a profile that
-// scores empty and occupied windows bit-identically to the freshly
-// calibrated one, and so does a current record, whose partials come back
-// bit for bit.
+// TestProfileRecordsScoreAsCalibrated pins every record version to the
+// profile it was written from, for every scheme and link cases 1–5: a
+// version 1 record of the calibration frames, a version 2 record with its
+// stored spectrum and weights, and a current record all decode to a
+// profile whose partials and path weights equal the calibrated ones bit for
+// bit and that scores empty and occupied windows bit-identically.
 func TestProfileRecordsScoreAsCalibrated(t *testing.T) {
 	for c := 1; c <= 5; c++ {
 		s, cal, windows := recordCase(t, c)
@@ -311,22 +378,18 @@ func TestProfileRecordsScoreAsCalibrated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v2, err := fresh.AppendBinary(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 			k, err := NewKernel(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sc := NewScratch()
-			for tag, blob := range map[string][]byte{"v1": appendProfileV1(nil, fresh, cal), "v2": v2} {
-				back, err := UnmarshalProfile(blob)
+			for tag, blob := range profileRecords(t, cfg, fresh, cal) {
+				back, err := UnmarshalProfile(cfg, blob)
 				if err != nil {
 					t.Fatalf("case %d %s %s: %v", c, scheme, tag, err)
 				}
-				if !samePartials(back.Partials, fresh.Partials) {
-					t.Fatalf("case %d %s %s: partials differ from the calibrated ones", c, scheme, tag)
+				if !samePartials(back.Partials, fresh.Partials) || !reflect.DeepEqual(back.PathWeights, fresh.PathWeights) {
+					t.Fatalf("case %d %s %s: partials or path weights differ from the calibrated ones", c, scheme, tag)
 				}
 				for i, w := range windows {
 					want, err := k.Score(fresh, w, sc)
@@ -348,10 +411,10 @@ func TestProfileRecordsScoreAsCalibrated(t *testing.T) {
 }
 
 // TestProfileRecordSize bounds a full profile record as the engine journals
-// it after a 150-packet calibration: the partials replace the frames, so a
-// 3 × 30 subcarrier link's record is its two fingerprints (about 1.5 KB)
-// and a path link's on the 0.05° grid is dominated by its 3601-angle
-// spectrum and path weights (about 91 KB).
+// it after a 150-packet calibration: a 3 × 30 subcarrier link's record is
+// its two fingerprints (about 1.5 KB), and a path link's adds only the
+// calibration partials (about 4.3 KB in all). The path record holds nothing
+// per steering angle, so its length is the same on the 1° and 0.05° grids.
 func TestProfileRecordSize(t *testing.T) {
 	s, err := scenario.LinkCase(1, 1)
 	if err != nil {
@@ -366,12 +429,14 @@ func TestProfileRecordSize(t *testing.T) {
 		t.Fatalf("link case 1 is %d × %d, want 3 × 30", nAnt, nSub)
 	}
 	sub := DefaultConfig(s.Grid, SchemeSubcarrier, s.Env.RX.Offsets())
-	path := DefaultConfig(s.Grid, SchemeSubcarrierPath, s.Env.RX.Offsets())
-	path.SpectrumStepDeg = 0.05
+	coarse := DefaultConfig(s.Grid, SchemeSubcarrierPath, s.Env.RX.Offsets())
+	fine := coarse
+	fine.SpectrumStepDeg = 0.05
+	var pathLens []int
 	for _, tc := range []struct {
 		cfg   Config
 		limit int
-	}{{sub, 2_000}, {path, 100_000}} {
+	}{{sub, 2_000}, {coarse, 4_400}, {fine, 4_400}} {
 		p, err := Calibrate(tc.cfg, cal)
 		if err != nil {
 			t.Fatal(err)
@@ -380,10 +445,16 @@ func TestProfileRecordSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%s profile record: %d bytes", tc.cfg.Scheme, len(blob))
+		t.Logf("%s profile record, %g° grid: %d bytes", tc.cfg.Scheme, tc.cfg.SpectrumStepDeg, len(blob))
 		if len(blob) > tc.limit {
 			t.Errorf("%s profile record is %d bytes, want ≤ %d", tc.cfg.Scheme, len(blob), tc.limit)
 		}
+		if tc.cfg.Scheme == SchemeSubcarrierPath {
+			pathLens = append(pathLens, len(blob))
+		}
+	}
+	if pathLens[0] != pathLens[1] {
+		t.Errorf("path profile record is %d bytes on the 1° grid and %d on the 0.05° grid, want equal", pathLens[0], pathLens[1])
 	}
 }
 
@@ -393,7 +464,7 @@ func TestProfileRecordSize(t *testing.T) {
 // shaped unlike the fingerprints must all fail as ErrBadSnapshot, and every
 // truncation as ErrBadSnapshot or binio.ErrShort.
 func TestProfileRecordRejectsBadPartials(t *testing.T) {
-	_, profile := calibrateCase(t, SchemeSubcarrierPath)
+	cfg, profile := calibrateCase(t, SchemeSubcarrierPath)
 	blob, err := profile.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -422,12 +493,12 @@ func TestProfileRecordRejectsBadPartials(t *testing.T) {
 		for _, e := range edits {
 			copy(bad[e.at:], e.bytes)
 		}
-		if _, err := UnmarshalProfile(bad); !errors.Is(err, ErrBadSnapshot) {
+		if _, err := UnmarshalProfile(cfg, bad); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: err = %v, want ErrBadSnapshot", name, err)
 		}
 	}
 	for n := off - 1; n < len(blob); n++ {
-		if _, err := UnmarshalProfile(blob[:n]); !errors.Is(err, ErrBadSnapshot) && !errors.Is(err, binio.ErrShort) {
+		if _, err := UnmarshalProfile(cfg, blob[:n]); !errors.Is(err, ErrBadSnapshot) && !errors.Is(err, binio.ErrShort) {
 			t.Fatalf("truncated to %d of %d bytes: err = %v", n, len(blob), err)
 		}
 	}

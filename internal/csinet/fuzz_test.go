@@ -111,3 +111,42 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeHello throws mutated Hello payloads at DecodeHello, the first
+// thing a client reads off the network. Seeds: a valid Hello, a truncated
+// one, and one whose subcarrier count disagrees with its length. It may
+// only return ErrMalformed and never panic; an accepted payload must
+// re-encode to the same bytes.
+func FuzzDecodeHello(f *testing.F) {
+	indices := make([]int16, 30)
+	for i := range indices {
+		indices[i] = int16(2*i - 29)
+	}
+	valid, err := EncodeHello(Hello{CenterFreqHz: 2.462e9, NumAntennas: 3, NumSubcarriers: 30, Indices: indices})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:9])
+	mismatch := append([]byte(nil), valid...)
+	mismatch[9] = 31
+	f.Add(mismatch)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := DecodeHello(data)
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		out, err := EncodeHello(h)
+		if err != nil {
+			t.Fatalf("accepted hello does not re-encode: %v", err)
+		}
+		if !bytes.Equal(out, data) {
+			t.Fatal("accepted hello re-encodes to different bytes")
+		}
+	})
+}

@@ -140,7 +140,7 @@ func (e *Engine) ImportLink(linkID string, record []byte) error {
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("link %s: %w (%w)", linkID, ErrBadRecord, err)
 	}
-	profile, err := core.UnmarshalProfile(blob)
+	profile, err := core.UnmarshalProfile(l.cfg, blob)
 	if err != nil {
 		return fmt.Errorf("link %s: %w", linkID, err)
 	}

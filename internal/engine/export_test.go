@@ -9,6 +9,7 @@ import (
 
 	"mlink/internal/adapt"
 	"mlink/internal/binio"
+	"mlink/internal/channel"
 	"mlink/internal/core"
 )
 
@@ -178,16 +179,151 @@ func TestExportRejectedWhileRunning(t *testing.T) {
 	}
 }
 
+// frozenRecords exports the fixture link frozen and returns its record with
+// the profile written in every profile record version: v3 as this build
+// writes it, and v2 and v1 as earlier builds did for a subcarrier link (the
+// v3 fingerprints, no static spectrum, empty path weights; v1 with an empty
+// calibration frame list, which a subcarrier link never read).
+func frozenRecords(t testing.TB) map[string][]byte {
+	t.Helper()
+	e := New(Config{Workers: 1, WindowSize: 25})
+	_, cfg, src := buildLink(t, 2, 7)
+	if err := e.AddLink("fuzz", cfg, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Calibrate(context.Background(), 60); err != nil {
+		t.Fatal(err)
+	}
+	l := e.byID["fuzz"]
+	profile, err := l.det.Profile().AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A subcarrier v3 profile ends in its partials flag, false.
+	head := append([]byte(nil), profile[:len(profile)-1]...)
+	legacy := func(version uint16, tail []byte) []byte {
+		p := append(append([]byte(nil), head...), tail...)
+		binary.BigEndian.PutUint16(p[4:], version)
+		return p
+	}
+	noSpectrum := binio.AppendU32([]byte{0}, 0)
+	out := map[string][]byte{}
+	for v, p := range map[string][]byte{
+		"v1": legacy(1, binio.AppendU32(noSpectrum, 0)),
+		"v2": legacy(2, append(noSpectrum, 0)),
+		"v3": profile,
+	} {
+		rec := binio.AppendU32(nil, linkRecordMagic)
+		rec = binio.AppendU16(rec, linkRecordVersion)
+		rec = binio.AppendString(rec, "fuzz")
+		rec = binio.AppendF64(rec, l.meanMu)
+		rec = binio.AppendBool(rec, false)
+		rec = binio.AppendF64(rec, l.det.Threshold())
+		out[v] = binio.AppendBytes(rec, p)
+	}
+	return out
+}
+
+// TestImportLinkProfileVersions imports a frozen link record holding each
+// profile record version and checks the link re-exports the current record.
+func TestImportLinkProfileVersions(t *testing.T) {
+	recs := frozenRecords(t)
+	e := New(Config{Workers: 1, WindowSize: 25})
+	_, cfg, src := buildLink(t, 2, 7)
+	if err := e.AddLink("fuzz", cfg, src); err != nil {
+		t.Fatal(err)
+	}
+	for v, rec := range recs {
+		if err := e.ImportLink("fuzz", rec); err != nil {
+			t.Fatalf("%s: %v", v, err)
+		}
+		back, err := e.ExportLink("fuzz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back, recs["v3"]) {
+			t.Errorf("%s: imported link re-exports a different record", v)
+		}
+	}
+}
+
+// TestImportLinkRejectsMismatchedConfig imports records onto links whose
+// scoring config they do not fit — another subcarrier grid, another
+// scheme, another array — frozen and adaptive. Each must fail at import
+// with core.ErrBadSnapshot, rather than import cleanly and then fail every
+// window, and leave the link uncalibrated.
+func TestImportLinkRejectsMismatchedConfig(t *testing.T) {
+	_, sub, _ := buildLink(t, 2, 7)
+	path := sub
+	path.Scheme = core.SchemeSubcarrierPath
+	record := func(cfg core.Config, adaptive bool) []byte {
+		var pol *adapt.Policy
+		if adaptive {
+			pol = &adapt.Policy{}
+		}
+		e := New(Config{Workers: 1, WindowSize: 25, Adaptation: pol})
+		_, _, src := buildLink(t, 2, 7)
+		if err := e.AddLink("x", cfg, src); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Calibrate(context.Background(), 60); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := e.ExportLink("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	narrow := sub
+	narrow.Grid = &channel.Grid{Center: sub.Grid.Center, Indices: sub.Grid.Indices[:20], Spacing: sub.Grid.Spacing}
+	pair := path
+	pair.ArrayOffsets = sub.ArrayOffsets[:2]
+	for name, tc := range map[string]struct {
+		cfg      core.Config
+		rec      []byte
+		adaptive bool
+	}{
+		"grid":                     {narrow, record(sub, false), false},
+		"scheme needs partials":    {path, record(sub, false), false},
+		"scheme reads no partials": {sub, record(path, false), false},
+		"array":                    {pair, record(path, false), false},
+		"adaptive scheme":          {path, record(sub, true), true},
+		"adaptive grid":            {narrow, record(sub, true), true},
+	} {
+		var pol *adapt.Policy
+		if tc.adaptive {
+			pol = &adapt.Policy{}
+		}
+		e := New(Config{Workers: 1, WindowSize: 25, Adaptation: pol})
+		_, _, src := buildLink(t, 2, 7)
+		if err := e.AddLink("x", tc.cfg, src); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ImportLink("x", tc.rec); !errors.Is(err, core.ErrBadSnapshot) {
+			t.Errorf("%s: err = %v, want core.ErrBadSnapshot", name, err)
+		}
+		if _, err := e.ExportLink("x"); !errors.Is(err, ErrNotCalibrated) {
+			t.Errorf("%s: rejected import left the link calibrated (export err = %v)", name, err)
+		}
+	}
+}
+
 // FuzzLinkRecord throws mutated ExportLink records at ImportLink and
 // ApplyLinkDelta: any input must either be accepted (and the resulting
 // state re-export) or fail with a typed error — never panic, never leave
-// the engine rejecting subsequent valid imports.
+// the engine rejecting subsequent valid imports. The seeds hold an adaptive
+// record and a frozen record of every profile record version.
 func FuzzLinkRecord(f *testing.F) {
 	e, record := exportFixture(f)
 	ad := e.byID["fuzz"].adapter.Load()
 	delta := ad.AppendDelta(nil)
 	f.Add(record)
 	f.Add(delta)
+	frozen := frozenRecords(f)
+	for _, v := range []string{"v1", "v2", "v3"} {
+		f.Add(frozen[v])
+	}
 	f.Add(record[:len(record)-9])
 	f.Add(delta[:len(delta)/2])
 	flipped := append([]byte(nil), record...)
