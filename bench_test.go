@@ -312,46 +312,6 @@ func BenchmarkEnvironmentResponse(b *testing.B) {
 	}
 }
 
-// BenchmarkExtractorCapture compares one full packet capture — synthesis
-// plus impairments — on the naive path (fresh allocations, per-ray
-// evaluation) against the cached path (CaptureInto on a pooled frame).
-func BenchmarkExtractorCapture(b *testing.B) {
-	s, err := scenario.Classroom(5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, err := s.NewExtractor(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bodies := []body.Body{body.Default(s.LinkMidpoint())}
-	cases := []struct {
-		name   string
-		bodies []body.Body
-	}{
-		{"empty", nil},
-		{"occupied", bodies},
-	}
-	for _, tc := range cases {
-		b.Run("naive/"+tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				x.CaptureNaive(tc.bodies)
-			}
-		})
-		b.Run("cached/"+tc.name, func(b *testing.B) {
-			f := csi.NewFrame(len(x.Env.RX.Elements), x.Grid.Len())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := x.CaptureInto(f, tc.bodies); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Engine (multi-link monitoring) ------------------------------------
 
 // Pre-recorded empty-room frames shared by the engine benchmarks, so they
@@ -624,24 +584,20 @@ func BenchmarkEngineSteadyStateJournal(b *testing.B) {
 // lopsided fleet: one link runs the MUSIC-weighted SchemeSubcarrierPath
 // detector on a fine 0.05° angular grid (3601 steering rows against the
 // default 181 — a survey-grade localization link) — several times more DSP
-// per window than its 15 SchemeSubcarrier peers — so under static affinity
-// the shard seeded with the heavy link drags its queue-mates and, once they
-// retire, idles three of four workers behind it. The stealing/static sub-benchmark pair
-// isolates the work-stealing win: on a multi-core host stealing finishes
-// the same fleet quota measurably sooner because the cheap links drain
-// through whichever shards have capacity while one shard grinds the heavy
-// link. (On a single-core host the pair ties — there is no idle worker to
-// steal onto — so CI's multi-core runner is where the gap is asserted.)
+// per window than its 15 SchemeSubcarrier peers. With one run queue the
+// shard holding the heavy link never holds up the cheap ones: they drain
+// through whichever shards are free. The workers=N pair shows what extra
+// shards buy on such a fleet and pins its 0 allocs/op; the scheduling claim
+// itself is TestFreeShardRetiresEveryOtherLink's (internal/engine).
 // One benchmark op is one window per link, as in the other engine benches.
 func BenchmarkEngineSteadyStateSkewed(b *testing.B) {
 	const links = 16
-	run := func(b *testing.B, workers int, static bool) {
+	run := func(b *testing.B, workers int) {
 		s, frames := engineFixture(b)
 		e := engine.New(engine.Config{
-			Workers:        workers,
-			WindowSize:     25,
-			StaticAffinity: static,
-			Fusion:         engine.KOfN{K: 1},
+			Workers:    workers,
+			WindowSize: 25,
+			Fusion:     engine.KOfN{K: 1},
 		})
 		for i := 0; i < links; i++ {
 			scheme := core.SchemeSubcarrier
@@ -675,8 +631,7 @@ func BenchmarkEngineSteadyStateSkewed(b *testing.B) {
 		b.ReportMetric(float64(m.Steals-warm.Steals), "steals")
 	}
 	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("stealing/workers=%d", w), func(b *testing.B) { run(b, w, false) })
-		b.Run(fmt.Sprintf("static/workers=%d", w), func(b *testing.B) { run(b, w, true) })
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { run(b, w) })
 	}
 }
 
@@ -1029,46 +984,6 @@ func BenchmarkAblationAngularClamp(b *testing.B) {
 	}
 	b.ReportMetric(100*clamped, "clamped60TP%")
 	b.ReportMetric(100*unclamped, "unclampedTP%")
-}
-
-// BenchmarkAblationLOSApprox grades the Eq. 10 dominant-tap LOS-power
-// approximation against the simulator's oracle LOS power.
-func BenchmarkAblationLOSApprox(b *testing.B) {
-	s, err := scenario.Classroom(5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, err := s.NewExtractor(7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	freqs := s.Grid.Frequencies()
-	var meanAbsErr float64
-	for i := 0; i < b.N; i++ {
-		var acc, count float64
-		for p := 0; p < 20; p++ {
-			f := x.Capture(nil)
-			mu, err := core.MultipathFactors(f.CSI[1], s.Grid)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for k := range mu {
-				los, total := s.Env.OracleLOS(freqs[k], 1, nil)
-				if total <= 0 {
-					continue
-				}
-				oracle := los / total
-				d := mu[k] - oracle
-				if d < 0 {
-					d = -d
-				}
-				acc += d
-				count++
-			}
-		}
-		meanAbsErr = acc / count
-	}
-	b.ReportMetric(meanAbsErr, "muAbsErrVsOracle")
 }
 
 // BenchmarkAblationAntennaCount measures MUSIC accuracy as the array grows

@@ -36,8 +36,8 @@
 // floor: scaling must not be bought by slowing workers=1 down), and
 // ns_per_op(scale_vs) / ns_per_op ≥ min_scale — both sides measured within
 // the same run on the same host, so the ratio is host-portable even though
-// the raw numbers are not. This is what gates the work-stealing
-// scheduler's ≥2× workers=1→4 claim.
+// the raw numbers are not. This is what gates the shard scheduler's ≥2×
+// workers=1→4 claim.
 //
 // A single -benchtime=1x iteration cannot tell a one-time lazy-init
 // allocation from a per-op one (both show as allocs/op over N=1), so CI

@@ -353,7 +353,7 @@ func run(args []string, out io.Writer) error {
 	// Scheduler picture: how evenly the work-stealing shards shared the
 	// fleet, and what each link's window actually costs (the EWMA the
 	// stealing decisions route around).
-	fmt.Fprintf(out, "scheduler: %d shards, %d steals", len(m.Shards), m.Steals)
+	fmt.Fprintf(out, "scheduler: %d shards, %d migrations", len(m.Shards), m.Steals)
 	for i, sm := range m.Shards {
 		fmt.Fprintf(out, "  [s%d %d windows, %.0f%% busy]", i, sm.WindowsScored, 100*sm.Utilization)
 	}

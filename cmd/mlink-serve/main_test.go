@@ -37,6 +37,33 @@ func TestRunJournalRestart(t *testing.T) {
 	}
 }
 
+// TestRunJournalForeignConfig restarts the daemon on a journal written
+// under another configuration: another scheme, or adaptation switched off.
+// The restart must not stop at startup: it recovers no link, calibrates
+// both, and runs to the end.
+func TestRunJournalForeignConfig(t *testing.T) {
+	for name, tc := range map[string]struct{ first, second []string }{
+		"scheme":     {[]string{"-adapt", "-scheme", "path"}, []string{"-adapt", "-scheme", "subcarrier"}},
+		"adaptation": {[]string{"-adapt"}, nil},
+	} {
+		dir := t.TempDir()
+		common := []string{"-links", "2", "-journal", dir, "-windows", "2"}
+		var first bytes.Buffer
+		if err := run(append(tc.first, common...), &first); err != nil {
+			t.Fatalf("%s: first run: %v\n%s", name, err, first.String())
+		}
+		var second bytes.Buffer
+		if err := run(append(tc.second, common...), &second); err != nil {
+			t.Fatalf("%s: restart: %v\n%s", name, err, second.String())
+		}
+		for _, want := range []string{"recovered 0/2", "calibrating 2 links", "scored 4 windows"} {
+			if !strings.Contains(second.String(), want) {
+				t.Fatalf("%s: restart output lacks %q:\n%s", name, want, second.String())
+			}
+		}
+	}
+}
+
 // TestRunRejectsBadFlags checks that invalid flag values are errors, not
 // silently ignored settings.
 func TestRunRejectsBadFlags(t *testing.T) {

@@ -22,9 +22,11 @@ import (
 // must name a declaration that is otherwise unused, and a test must
 // reference that very declaration.
 var exportAllowlist = map[string]string{
-	// Reference arms of cmd/benchcheck's in-run speedup gates.
-	"internal/csi.Extractor.CaptureNaive":        "uncached reference arm of the ExtractorCapture speedup gate",
-	"internal/propagation.Environment.OracleLOS": "LOS reference of the EnvironmentResponse gate and the cache tests",
+	// The naive per-ray synthesis: the reference arm of the
+	// EnvironmentResponse gate and of the cache-consistency tests in the
+	// propagation, csi and scenario suites, so no one package's tests can
+	// hold it.
+	"internal/propagation.Environment.Response": "per-ray reference of the EnvironmentResponse gate and the cache-consistency tests",
 	// A geometry oracle the geom, scenario and propagation suites check
 	// positions against.
 	"internal/geom.Segment.DistToPoint": "point-to-segment distance the suites check positions against",
@@ -45,11 +47,9 @@ var exportAllowlist = map[string]string{
 // "<package dir>.<Type>.<Field>". Every entry must name a field that a test
 // sets.
 var fieldAllowlist = map[string]string{
-	// Reference arms: the paper's Eq. 12 weighting, set by
-	// BenchmarkAblationStabilityRatio, and the static-affinity scheduler,
-	// set by the Skewed gate's static arm and steal_test.go.
+	// A reference arm: the paper's Eq. 12 weighting, set by
+	// BenchmarkAblationStabilityRatio.
 	"internal/core.Config.UsePerPacketWeights": "Eq. 12 arm of BenchmarkAblationStabilityRatio",
-	"internal/engine.Config.StaticAffinity":    "static arm of BenchmarkEngineSteadyStateSkewed and the steal tests",
 	// A deployment setting, driven by the redial suite's wedged-client test.
 	"internal/csinet.Server.WriteTimeout": "per-message write deadline, set by TestServerDisconnectsSlowClient",
 }
@@ -347,8 +347,20 @@ func scanExports(t *testing.T, root, mod string) exportScan {
 			pkg = p
 		}
 		if len(xtests[ip]) > 0 {
+			// As go test builds them, the external tests see ip checked with
+			// its in-package tests (an export_test.go file's declarations
+			// included), and so does every module package they import that
+			// imports ip: those are checked again against that variant.
+			ximp := &localImporter{mod: mod, fset: fset, files: files, info: newInfo(),
+				std: imp.std, pkgs: map[string]*types.Package{ip: pkg}}
+			ximp.conf = types.Config{Importer: ximp}
+			for dep, p := range imp.pkgs {
+				if dep != ip && !importsPath(p, ip) {
+					ximp.pkgs[dep] = p
+				}
+			}
 			ti := newInfo()
-			conf := types.Config{Importer: testImporter{imp, ip, pkg}}
+			conf := types.Config{Importer: ximp}
 			if _, err := conf.Check(ip+"_test", fset, xtests[ip], ti); err != nil {
 				t.Fatalf("type-check %s_test: %v", ip, err)
 			}
@@ -501,19 +513,24 @@ func (l *localImporter) Import(ip string) (*types.Package, error) {
 	return p, err
 }
 
-// testImporter resolves one import path to a package checked together with
-// its in-package tests, as an external _test package sees it.
-type testImporter struct {
-	types.Importer
-	path string
-	pkg  *types.Package
-}
-
-func (t testImporter) Import(ip string) (*types.Package, error) {
-	if ip == t.path {
-		return t.pkg, nil
+// importsPath reports whether p imports the package at ip, directly or
+// through other packages.
+func importsPath(p *types.Package, ip string) bool {
+	seen := map[*types.Package]bool{}
+	var walk func(p *types.Package) bool
+	walk = func(p *types.Package) bool {
+		if seen[p] {
+			return false
+		}
+		seen[p] = true
+		for _, q := range p.Imports() {
+			if q.Path() == ip || walk(q) {
+				return true
+			}
+		}
+		return false
 	}
-	return t.Importer.Import(ip)
+	return walk(p)
 }
 
 // walkGo calls fn on every .go file under root, skipping hidden and testdata

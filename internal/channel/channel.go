@@ -66,19 +66,10 @@ func (g *Grid) Frequencies() []float64 {
 // Len returns the number of subcarriers.
 func (g *Grid) Len() int { return len(g.Indices) }
 
-// AddAWGN returns h plus circularly-symmetric complex Gaussian noise sized
-// so that the per-subcarrier SNR (averaged signal power over noise power)
-// equals snrDB. The input is not modified. A nil rng or an empty input
-// returns a copy of h unchanged.
-func AddAWGN(h []complex128, snrDB float64, rng *rand.Rand) []complex128 {
-	out := make([]complex128, len(h))
-	copy(out, h)
-	AddAWGNInPlace(out, snrDB, rng)
-	return out
-}
-
-// AddAWGNInPlace is AddAWGN mutating h directly — the allocation-free
-// capture hot path. A nil rng or an empty input leaves h unchanged.
+// AddAWGNInPlace adds circularly-symmetric complex Gaussian noise to h in
+// place, sized so that the per-subcarrier SNR (averaged signal power over
+// noise power) equals snrDB — the allocation-free capture hot path. A nil
+// rng or an empty input leaves h unchanged.
 func AddAWGNInPlace(h []complex128, snrDB float64, rng *rand.Rand) {
 	if rng == nil || len(h) == 0 {
 		return

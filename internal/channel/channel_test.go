@@ -117,3 +117,13 @@ func TestAddAWGNHigherSNRLessNoise(t *testing.T) {
 		t.Fatal("higher SNR produced more noise")
 	}
 }
+
+// AddAWGN is AddAWGNInPlace on a copy of h, so the tests can compare the
+// noisy response with the clean one. A nil rng or an empty input returns a
+// copy of h unchanged.
+func AddAWGN(h []complex128, snrDB float64, rng *rand.Rand) []complex128 {
+	out := make([]complex128, len(h))
+	copy(out, h)
+	AddAWGNInPlace(out, snrDB, rng)
+	return out
+}

@@ -33,6 +33,12 @@ const (
 // wrong magic, or a version this build does not understand.
 var ErrBadSnapshot = fmt.Errorf("core: bad profile snapshot (%w)", ErrBadInput)
 
+// ErrConfigMismatch reports a well-formed profile recorded under another
+// link configuration — another subcarrier grid, array size or scheme — which
+// the link's kernel cannot score. It wraps ErrBadSnapshot; unlike corrupt
+// data it calls for a fresh calibration, not an abort.
+var ErrConfigMismatch = fmt.Errorf("core: profile recorded under another link configuration (%w)", ErrBadSnapshot)
+
 // readFrame decodes one CSI frame of a version 1 profile (shape, metadata,
 // RSSI, IQ values).
 func readFrame(r *binio.Reader) (*csi.Frame, error) {
@@ -176,7 +182,8 @@ func readProfile(r *binio.Reader, cfg Config) (*Profile, error) {
 // checkConfig rejects a decoded profile that the link's kernel could not
 // score: fingerprints not spanning cfg's subcarrier grid (and, for the path
 // scheme, its array), or partials present where cfg's scheme reads none or
-// missing where it needs them.
+// missing where it needs them — ErrConfigMismatch — or fingerprints and
+// partials whose shapes disagree with each other, which is corrupt data.
 func (p *Profile) checkConfig(cfg Config) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -187,14 +194,14 @@ func (p *Profile) checkConfig(cfg Config) error {
 			len(p.MeanRSSdB), len(p.MeanRSSdB[0]), nAnt, nSub, ErrBadSnapshot)
 	}
 	if nSub != cfg.Grid.Len() {
-		return fmt.Errorf("fingerprint of %d subcarriers for a %d-subcarrier grid: %w", nSub, cfg.Grid.Len(), ErrBadSnapshot)
+		return fmt.Errorf("fingerprint of %d subcarriers for a %d-subcarrier grid: %w", nSub, cfg.Grid.Len(), ErrConfigMismatch)
 	}
 	path := cfg.Scheme == SchemeSubcarrierPath
 	if path && nAnt != len(cfg.ArrayOffsets) {
-		return fmt.Errorf("fingerprint of %d antennas for a %d-element array: %w", nAnt, len(cfg.ArrayOffsets), ErrBadSnapshot)
+		return fmt.Errorf("fingerprint of %d antennas for a %d-element array: %w", nAnt, len(cfg.ArrayOffsets), ErrConfigMismatch)
 	}
 	if (p.Partials != nil) != path {
-		return fmt.Errorf("profile with partials %v for scheme %s: %w", p.Partials != nil, cfg.Scheme, ErrBadSnapshot)
+		return fmt.Errorf("profile with partials %v for scheme %s: %w", p.Partials != nil, cfg.Scheme, ErrConfigMismatch)
 	}
 	if p.Partials != nil {
 		if pAnt, pSub := p.Partials.Shape(); pAnt != nAnt || pSub != nSub {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/cmplx"
 	"math/rand"
 
 	"mlink/internal/body"
@@ -212,8 +211,7 @@ func (x *Extractor) stamp(f *Frame) {
 
 // Capture simulates receiving one packet with the given bodies in the room
 // and returns its CSI frame. It rides the cached synthesis path; see
-// CaptureInto for the allocation-free variant and CaptureNaive for the
-// uncached reference.
+// CaptureInto for the allocation-free variant.
 func (x *Extractor) Capture(bodies []body.Body) *Frame {
 	f := NewFrame(len(x.Env.RX.Elements), x.Grid.Len())
 	if err := x.CaptureInto(f, bodies); err != nil {
@@ -274,39 +272,6 @@ func (x *Extractor) CaptureInto(f *Frame, bodies []body.Body) error {
 	return nil
 }
 
-// CaptureNaive is the uncached reference capture path: it synthesizes the
-// channel with the naive per-ray Response and allocates fresh CSI rows, as
-// Capture did before the phasor cache existed. It is kept runnable for the
-// cached-vs-naive benchmarks and consistency tests; production callers use
-// Capture/CaptureInto.
-func (x *Extractor) CaptureNaive(bodies []body.Body) *Frame {
-	h := x.Env.Response(x.freqs, bodies)
-	commonPhase, sto, agc := x.drawImpairments()
-
-	frame := &Frame{
-		CSI:  make([][]complex128, len(h)),
-		RSSI: make([]float64, len(h)),
-	}
-	x.stamp(frame)
-
-	for ant, row := range h {
-		out := make([]complex128, len(row))
-		for k, v := range row {
-			phi := commonPhase - 2*math.Pi*(x.freqs[k]-x.Grid.Center)*sto
-			out[k] = v * complex(agc, 0) * cmplx.Exp(complex(0, phi))
-		}
-		if x.Imp.NoiseEnabled {
-			out = channel.AddAWGN(out, x.Imp.SNRdB, x.rng)
-		}
-		if b := x.Imp.QuantizationBits; b >= 2 && b <= 16 {
-			out = quantize(out, b)
-		}
-		frame.CSI[ant] = out
-		frame.RSSI[ant] = rssiOf(out)
-	}
-	return frame
-}
-
 // rssiOf returns the summed subcarrier power of one antenna row in dB.
 func rssiOf(row []complex128) float64 {
 	var p float64
@@ -326,14 +291,6 @@ func (x *Extractor) CaptureN(n int, bodies []body.Body) []*Frame {
 	for i := 0; i < n; i++ {
 		out = append(out, x.Capture(bodies))
 	}
-	return out
-}
-
-// quantize rounds real/imag parts to signed b-bit integers, returning a new
-// slice (the naive capture path).
-func quantize(h []complex128, bits int) []complex128 {
-	out := append([]complex128(nil), h...)
-	quantizeInPlace(out, bits)
 	return out
 }
 

@@ -17,7 +17,7 @@
 // Capture rides the environment's phasor-cached synthesis path and
 // CaptureInto is its allocation-free form: frames built by NewFrame hold one
 // contiguous complex backing array, impairments are applied in place on it,
-// and a FramePool recycles frames across packets. CaptureNaive keeps the
-// original per-ray, per-allocation path runnable as the reference the
-// cached path is benchmarked and property-tested against.
+// and a FramePool recycles frames across packets. The original per-ray,
+// per-allocation path (CaptureNaive) lives in the package's tests, as the
+// reference the cached path is benchmarked and property-tested against.
 package csi

@@ -5,21 +5,19 @@
 // one site-level presence decision.
 //
 // Calibration runs per link in parallel on a bounded worker pool. During
-// monitoring, links are seeded round-robin onto min(Workers, links)
-// long-lived shards and rebalance from there by work stealing: each shard
-// keeps its resident links in a lock-free FIFO run queue, drives them one
-// window at a time, and — when its own queue runs dry because its links
-// retired, starved, or were stolen — takes a link whole from a busy
-// sibling's queue. A link is held by exactly one shard at a time (the
-// queues hand it off atomically, together with its window slab, detector,
+// monitoring, min(Workers, links) long-lived shards share one FIFO run
+// queue of links (a channel with room for the whole fleet): each shard
+// takes the oldest waiting link, scores one window of it and sends it back,
+// so a free shard always gets the next link and one heavy link never holds
+// up the others. A link is held by exactly one shard at a time (the
+// channel hands it over whole, together with its window slab, detector,
 // adapter and journal buffer), so nothing on the score path is shared
-// between shards and the steady state runs with no locks, no channel
-// hand-offs and zero allocations per window (journaled runs add one brief
-// mutexed append per scored window, keeping the crash log in global
-// emission order) — and because each link's
-// windows are scored strictly in stream order by its current holder,
-// per-link decision sequences are bit-identical whatever the shard count or
-// migration history. A window's raw frames go straight to the detector
+// between shards but the queue, and the steady state runs with zero
+// allocations per window (journaled runs add one brief mutexed append per
+// scored window, keeping the crash log in global emission order) — and
+// because each link's windows are scored strictly in stream order by its
+// current holder, per-link decision sequences are bit-identical whatever
+// the shard count or migration history. A window's raw frames go straight to the detector
 // (subcarrier weights, then Δs or the angular stage; no per-window phase
 // sanitization, see internal/core). Sources that implement FrameRecycler
 // get their frames back after each window is scored, and every calibration
@@ -46,11 +44,11 @@
 // other links never pause, the single-writer ownership of detectors and
 // adapters is preserved, and the link is excluded from fusion
 // (Recalibrating) until its new baseline lands. A link already retired for
-// the Run (quota met, stream ended) is revived through a dedicated queue so
-// late rebuilds are serviced rather than rejected. SuppressRefresh and RelockLink expose the adapter's
-// fleet controls per link, and ImportLink and ApplyLinkDelta restore a
-// link's full monitoring state from the versioned records fleet.Journal
-// persists.
+// the Run (quota met, stream ended) goes back into the run queue for the
+// rebuild, so late rebuilds are serviced rather than rejected.
+// SuppressRefresh and RelockLink expose the adapter's fleet controls per
+// link, and ImportLink and ApplyLinkDelta restore a link's full monitoring
+// state from the versioned records fleet.Journal persists.
 //
 // With Config.Supervision set, every source moves behind a
 // supervise.Supervisor: a per-link producer goroutine feeds a bounded SPSC

@@ -46,19 +46,11 @@ var (
 // Config parameterizes an Engine.
 type Config struct {
 	// Workers bounds the calibration pool and the number of scoring shards
-	// (default GOMAXPROCS). Links start distributed over min(Workers, links)
-	// long-lived shards and migrate between them through work stealing: a
-	// shard whose links are all retired or starved takes a link from a
-	// busy sibling instead of idling. Parallelism is still per link —
-	// more workers than links buys nothing.
+	// (default GOMAXPROCS). min(Workers, links) long-lived shards share one
+	// run queue: each takes the oldest waiting link, scores one window of
+	// it and sends it back, so a free shard always gets the next link.
+	// Parallelism is still per link — more workers than links buys nothing.
 	Workers int
-	// StaticAffinity disables work stealing: links stay on the shard they
-	// were assigned to at Run start, as in the original static round-robin
-	// scheduler. Scoring semantics are identical either way (each link's
-	// windows are scored in stream order by exactly one shard at a time);
-	// this switch exists for A/B comparison under skewed fleets — see
-	// BenchmarkEngineSteadyStateSkewed.
-	StaticAffinity bool
 	// WindowSize is the monitoring window in packets (default 25, the
 	// paper's operating point at 50 packets/s).
 	WindowSize int
@@ -117,12 +109,12 @@ func (c Config) withDefaults() Config {
 //
 // The mutable fields are partitioned by owner rather than guarded by a
 // mutex: det/adapter/meanMu are written only while e.calibrating (and read
-// afterwards through the e.mu happens-before chain); win/scored/jrec/ewmaNs
-// belong to whichever shard currently holds the link — the linkQueue's
-// atomic handoff orders them between consecutive owners, so there is one
-// writer at a time even as the link migrates; everything Verdict and
-// Metrics need is published through state, which readers load without
-// locking.
+// afterwards through the e.mu happens-before chain); win/scored/jrec/ewmaNs/
+// lastShard belong to whichever shard currently holds the link — the run
+// queue's send→receive edge orders them between consecutive holders, so
+// there is one writer at a time even as the link migrates; everything
+// Verdict and Metrics need is published through state, which readers load
+// without locking.
 type link struct {
 	id       string
 	cfg      core.Config
@@ -149,10 +141,11 @@ type link struct {
 	// without a second writer ever touching the link's detector or adapter.
 	recal atomic.Pointer[recalJob]
 	// retired marks that the link is finished for the current Run (windows
-	// quota met or stream ended) and is in no shard's queue. Posters read
-	// it to route a new recal job through the revive queue instead.
+	// quota met or stream ended) and out of rotation. Posters read it to
+	// send the link back into the run queue for a new recal job (see
+	// revive).
 	retired atomic.Bool
-	// hinted dedupes the link's revive-queue entries (see reviveQueue).
+	// hinted marks a retired link already queued for revival.
 	hinted atomic.Bool
 
 	// win is the link's persistent window slab: one WindowSize-capacity
@@ -160,9 +153,13 @@ type link struct {
 	// the old per-tick pool round trips.
 	win    []*csi.Frame
 	scored int
+	// lastShard is the id of the shard that scored the link's previous
+	// window (-1 before the first), so a window scored elsewhere counts as
+	// a migration.
+	lastShard int
 	// ewmaNs tracks the link's smoothed scoring cost (ns per window,
 	// α = 1/8), published with each decision — the observability handle for
-	// spotting the heavy link a shard is pinned on.
+	// spotting the heavy link that keeps a shard busy.
 	ewmaNs float64
 
 	// jrec is the link's reusable journal record buffer: emission
@@ -196,24 +193,17 @@ type recalJob struct {
 	waited bool
 }
 
-// shard is one long-lived scoring worker. It owns a scratch and a run queue
-// of resident links (seeded round-robin by registration order at Run start);
-// every per-window buffer it touches hangs off the link it is holding, so
-// the steady-state loop shares no mutable state with other shards and takes
-// no lock. When its queue runs dry it steals a resident link from a busy
-// sibling (unless Config.StaticAffinity), so one heavy link can no longer
-// serialize its queue-mates behind it. Shards persist across Runs so their
-// scratches stay warm.
+// shard is one long-lived scoring worker. It owns a scratch; every
+// per-window buffer it touches hangs off the link it is holding, so the
+// steady-state loop shares no mutable state with other shards beyond the
+// engine's run queue. Shards persist across Runs so their scratches stay
+// warm.
 type shard struct {
 	id int
 	sc *core.Scratch
-	// dq is the shard's run queue (see linkQueue); revived is scratch space
-	// for draining the engine's revive queue.
-	dq      linkQueue
-	revived []*link
 	// Scheduler observability, read by MetricsInto while the run is live.
 	windows atomic.Uint64 // windows scored by this shard
-	steals  atomic.Uint64 // links taken from a sibling's queue
+	steals  atomic.Uint64 // of those, windows of a link another shard scored last
 	busyNs  atomic.Int64  // wall time spent scoring windows (vs polling/idling)
 }
 
@@ -246,11 +236,15 @@ type Engine struct {
 	// repeated calls allocate nothing. Guarded by e.mu.
 	probe *core.Scratch
 
-	// remaining counts the links not yet retired in the current Run; it
-	// hitting zero is what ends the shard loops. revive carries hints that
-	// a retired link has a posted recalibration (see reviveQueue).
+	// runq is the run queue every shard takes links from, FIFO, with room
+	// for the whole fleet: a link is in it at most once (live and waiting,
+	// or retired and queued for revival). Built by ensureShards.
+	runq chan *link
+	// remaining counts the links not yet retired in the current Run; the
+	// retire that takes it to zero closes finished, which ends the shard
+	// loops once the queued revivals are serviced.
 	remaining atomic.Int64
-	revive    reviveQueue
+	finished  chan struct{}
 
 	windowsScored atomic.Uint64
 	framesSeen    atomic.Uint64
@@ -324,7 +318,7 @@ func (e *Engine) AddLink(id string, cfg core.Config, src Source) error {
 	if _, ok := e.byID[id]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicateLink, id)
 	}
-	l := &link{id: id, cfg: cfg, src: src}
+	l := &link{id: id, cfg: cfg, src: src, lastShard: -1}
 	l.recycler, _ = src.(FrameRecycler)
 	e.links = append(e.links, l)
 	e.byID[id] = l
@@ -581,12 +575,12 @@ func (e *Engine) normalizeCalPackets(n int) int {
 // executes the rebuild at the link's next turn — sibling links keep scoring
 // throughout — while Recalibrate blocks until that rebuild completes or ctx
 // ends. A link already retired this Run (quota met or stream ended) is
-// revived for the rebuild: any shard picks the job up from the revive
-// queue, so late recalibrations are serviced instead of rejected. An
-// unknown link returns ErrUnknownLink in every engine state (consistent
-// with ScoreWindow); ErrRunning is returned only when a fleet-wide
-// Calibrate is still in flight, and ErrRecalPending when the link already
-// has an unfinished online recalibration.
+// revived for the rebuild: it goes back into the run queue and the shard
+// that takes it runs the job, so late recalibrations are serviced instead
+// of rejected. An unknown link returns ErrUnknownLink in every engine state
+// (consistent with ScoreWindow); ErrRunning is returned only when a
+// fleet-wide Calibrate is still in flight, and ErrRecalPending when the
+// link already has an unfinished online recalibration.
 func (e *Engine) Recalibrate(ctx context.Context, linkID string, n int) error {
 	n = e.normalizeCalPackets(n)
 	e.mu.Lock()
@@ -625,7 +619,7 @@ func (e *Engine) Recalibrate(ctx context.Context, linkID string, n int) error {
 
 // RequestRecalibration posts an online recalibration without waiting for it:
 // the shard holding the link rebuilds its profile at the link's next turn
-// (a retired link is revived through the revive queue), with the outcome
+// (a retired link is revived through the run queue), with the outcome
 // observable through the link's published health and metrics. This is the
 // entry point the fleet coordinator schedules staggered fleet
 // recalibrations through. Only valid while Run is active.
@@ -659,14 +653,22 @@ func (e *Engine) postRecal(l *link, job *recalJob) error {
 		return ErrRecalPending
 	}
 	if l.retired.Load() {
-		// The link is in no shard's queue; hint the job to whichever shard
-		// drains the revive queue next. Ordering: the job is posted before
-		// this load, and retire() pushes its own hint after storing retired,
-		// so whichever side of the race runs second sees the other — the
-		// job cannot be stranded.
-		e.revive.push(l)
+		// The link is out of rotation; send it back into the run queue for
+		// the job. Ordering: the job is posted before this load, and retire
+		// revives after storing retired, so whichever side of the race runs
+		// second sees the other — the job cannot be stranded.
+		e.revive(l)
 	}
 	return nil
+}
+
+// revive sends a retired link with a posted recalibration into the run
+// queue, unless it is queued already. It never blocks: the queue has room
+// for the whole fleet, and a link is in it at most once.
+func (e *Engine) revive(l *link) {
+	if l.hinted.CompareAndSwap(false, true) {
+		e.runq <- l
+	}
 }
 
 // RecalibrationPending reports whether linkID has a recalibration posted or
@@ -730,11 +732,10 @@ func (e *Engine) RelockLink(linkID string) error {
 	return nil
 }
 
-// ensureShards (re)builds the shard set for the current fleet under e.mu.
-// Shard structs and their scratches persist across Runs — only the link
-// distribution is refreshed (round-robin seed; stealing rebalances from
-// there) — so a warmed-up engine re-enters its steady state without
-// reallocating anything.
+// ensureShards (re)builds the shard set and refills the run queue for the
+// current fleet under e.mu. Shard structs, their scratches and the queue
+// persist across Runs, so a warmed-up engine re-enters its steady state
+// without reallocating anything but the finished channel.
 func (e *Engine) ensureShards() {
 	n := e.cfg.Workers
 	if n > len(e.links) {
@@ -751,19 +752,19 @@ func (e *Engine) ensureShards() {
 		}
 		e.shards = shards
 	}
-	for _, sh := range e.shards {
-		// Queues are sized for the whole fleet: stealing can migrate every
-		// link onto one shard.
-		sh.dq.reset(len(e.links))
+	if cap(e.runq) != len(e.links) {
+		e.runq = make(chan *link, len(e.links))
 	}
-	e.revive.reset(len(e.links))
+	for len(e.runq) > 0 {
+		<-e.runq // a revival a cancelled Run left queued
+	}
+	e.finished = make(chan struct{})
 	e.remaining.Store(int64(len(e.links)))
 	e.rounds.reset(e.links, outRetired|outRecal|outLifecycle)
 	if e.journal != nil && e.jw == nil {
 		e.jw = e.journal.NewWriter()
 	}
 	for i, l := range e.links {
-		sh := e.shards[i%n]
 		l.scored = 0
 		l.retired.Store(false)
 		l.hinted.Store(false)
@@ -798,12 +799,12 @@ func (e *Engine) ensureShards() {
 			l.sup.Flush()
 			l.sup = nil
 		}
-		sh.dq.push(l)
+		e.runq <- l
 	}
-	// Warm every shard's scratch for every link's kernel: stealing can
-	// migrate any link onto any shard, and a heavy link's first window on a
-	// cold holder would otherwise pay a one-time buffer growth mid
-	// steady-state (the stray bytes/op the Skewed benchmark used to record).
+	// Warm every shard's scratch for every link's kernel: any shard can take
+	// any link, and a heavy link's first window on a cold holder would
+	// otherwise pay a one-time buffer growth mid steady-state (the stray
+	// bytes/op the Skewed benchmark used to record).
 	// Pure sizing, no compute — on a warmed engine this is a no-op.
 	for _, sh := range e.shards {
 		for _, l := range e.links {
@@ -818,24 +819,21 @@ func (e *Engine) ensureShards() {
 }
 
 // Run monitors the whole fleet until every link has scored windowsPerLink
-// windows (0 = until its source ends or ctx is cancelled). Links are seeded
-// round-robin onto min(Workers, links) persistent shards and rebalance from
-// there by work stealing: a shard whose queue runs dry (links retired,
-// starved, or stolen) takes a link from a busy sibling instead of idling,
-// so a fleet with one heavy link or one retiring early keeps every worker
-// busy. Each link is still advanced one window at a time by exactly one
-// shard — the queues hand a link off whole — so every link's windows are
-// scored in stream order and its decision sequence is bit-identical
-// whatever the shard count or migration history (see
+// windows (0 = until its source ends or ctx is cancelled). min(Workers,
+// links) persistent shards share one FIFO run queue of links: a free shard
+// takes the oldest waiting link, so a fleet with one heavy link or one
+// retiring early keeps every worker busy. Each link is advanced one window
+// at a time by exactly one shard — the queue hands a link over whole — so
+// every link's windows are scored in stream order and its decision sequence
+// is bit-identical whatever the shard count or migration history (see
 // TestEngineStealingMatchesSequential). Every link must be calibrated
 // first.
 //
 // A source that blocks in Next still stalls whichever shard is driving it
 // for the duration of one window, so fleets fed by blocking sources
 // (csinet) should enable Config.Supervision, which moves every source
-// behind a per-link ingest ring the shards consume non-blockingly; stealing
-// then keeps the remaining shards saturated with whatever links have frames
-// buffered.
+// behind a per-link ingest ring the shards consume non-blockingly; the
+// other shards then keep taking whatever links have frames buffered.
 func (e *Engine) Run(ctx context.Context, windowsPerLink int) error {
 	e.mu.Lock()
 	if e.running || e.calibrating {
@@ -931,7 +929,7 @@ func (e *Engine) Run(ctx context.Context, windowsPerLink int) error {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
-			e.runShard(ctx, sh, shards, windowsPerLink, fail)
+			e.runShard(ctx, sh, windowsPerLink, fail)
 		}(sh)
 	}
 	wg.Wait()
@@ -949,54 +947,50 @@ func (e *Engine) Run(ctx context.Context, windowsPerLink int) error {
 	return firstErr
 }
 
-// runShard is one worker's scheduling loop: take the oldest resident link
-// from the shard's queue, drive it one step (a scored window or a claimed
-// recalibration), push it back — FIFO, so residents advance round-robin.
-// When the queue runs dry the shard steals a resident from a busy sibling
-// (unless Config.StaticAffinity) and adopts it; when nothing is stealable
-// it backs off with a ramping sleep. Between takes it services revive-queue
-// hints (recalibrations posted to links already retired). The loop ends
-// when every link in the fleet has retired or the context does — shards no
-// longer exit early when "their" links finish, because links are no longer
-// theirs.
+// runShard is one worker's scheduling loop: take the oldest link from the
+// engine's run queue, drive it one step (a scored window or a claimed
+// recalibration) and send it back, so a free shard always gets the next
+// waiting link, whoever scored it last. A retired link in the queue is a
+// revival: the shard runs its posted recalibration and keeps it out of
+// rotation. A shard whose queue is empty blocks until a link is sent, the
+// context ends, or the fleet has retired (finished); after finished it
+// services the revivals still queued and returns.
 //
-// The loop owns all the state it touches while holding a link — the link's
-// slab, detector and journal buffer, the shard scratch — handed off through
-// the queue's atomics, so the steady state runs without locks or
+// The channel's send→receive edge hands a link over whole: everything its
+// previous holder wrote to the link's slab, detector, adapter and journal
+// buffer happens before the next holder's step, so each link has one
+// writer at a time and the steady state runs without locks or
 // allocations.
-func (e *Engine) runShard(ctx context.Context, sh *shard, shards []*shard, windowsPerLink int, fail func(error)) {
+func (e *Engine) runShard(ctx context.Context, sh *shard, windowsPerLink int, fail func(error)) {
 	done := ctx.Done()
 	var idle time.Duration
-	var futile int64
-	for e.remaining.Load() > 0 {
+	futile := 0
+	for {
+		// done first: a cancelled run's last retire can queue a revival and
+		// close finished at once, and the select below may pick either over
+		// done — a recalibration must not run on a cancelled context.
 		select {
 		case <-done:
 			return
 		default:
 		}
-		if e.revive.count.Load() != 0 {
-			sh.revived = e.revive.drain(sh.revived[:0])
-			for _, l := range sh.revived {
-				if e.serviceRecal(ctx, l) {
-					futile, idle = 0, 0
-				}
+		var l *link
+		select {
+		case l = <-e.runq:
+		case <-done:
+			return
+		case <-e.finished:
+			select {
+			case l = <-e.runq:
+			default:
+				return
 			}
 		}
-		l := sh.dq.take()
-		if l == nil && !e.cfg.StaticAffinity {
-			if l = e.steal(sh, shards); l != nil {
-				sh.steals.Add(1)
+		if l.retired.Load() {
+			l.hinted.Store(false)
+			if e.serviceRecal(ctx, l) {
+				futile, idle = 0, 0
 			}
-		}
-		if l == nil {
-			// Nothing resident and nothing stealable: every live link is in
-			// flight on another shard or the fleet is retiring. Back off —
-			// ramping to 2ms — rather than spin; the loop-top done check
-			// absorbs the shutdown latency.
-			if idle < 2*time.Millisecond {
-				idle += 100 * time.Microsecond
-			}
-			time.Sleep(idle)
 			continue
 		}
 		if e.beforeAdvance != nil {
@@ -1008,18 +1002,18 @@ func (e *Engine) runShard(ctx context.Context, sh *shard, shards []*shard, windo
 			return
 		}
 		if keep {
-			sh.dq.push(l)
+			e.runq <- l
 		}
 		if progressed {
 			futile, idle = 0, 0
 			continue
 		}
 		// A starved link (empty ingest ring) went back to the queue without
-		// work. Only once a whole round of takes is futile — every resident
-		// starved — does the shard park itself, with the same 100µs→2ms
-		// ramp as the empty-queue path.
+		// work. Only once more takes were futile than links wait in the
+		// queue — every link starved — does the shard back off, ramping
+		// from 100µs to 2ms.
 		futile++
-		if futile > sh.dq.size() {
+		if futile > len(e.runq) {
 			if idle < 2*time.Millisecond {
 				idle += 100 * time.Microsecond
 			}
@@ -1027,32 +1021,6 @@ func (e *Engine) runShard(ctx context.Context, sh *shard, shards []*shard, windo
 			futile = 0
 		}
 	}
-	// The fleet has retired and the run is completing normally; pick up any
-	// late revive hints so a blocking Recalibrate caller isn't left for the
-	// run-exit sweep to fail when the job could simply be serviced.
-	if ctx.Err() == nil {
-		sh.revived = e.revive.drain(sh.revived[:0])
-		for _, l := range sh.revived {
-			e.serviceRecal(ctx, l)
-		}
-	}
-}
-
-// steal takes one resident link from a sibling shard's queue, scanning
-// round-robin from the thief's successor. Victims keep their last resident
-// (size < 2 is skipped): stealing a shard's only link would just ping-pong
-// it between queues, and a single serial link can't be sped up anyway.
-func (e *Engine) steal(sh *shard, shards []*shard) *link {
-	for k := 1; k < len(shards); k++ {
-		v := shards[(sh.id+k)%len(shards)]
-		if v.dq.size() < 2 {
-			continue
-		}
-		if l := v.dq.take(); l != nil {
-			return l
-		}
-	}
-	return nil
 }
 
 // advance drives one held link a single step: claim and execute its posted
@@ -1064,8 +1032,8 @@ func (e *Engine) advance(ctx context.Context, done <-chan struct{}, sh *shard, l
 	// link, so the detector and adapter keep exactly one writer. It
 	// replaces this turn's window for this link only — every other link,
 	// on this shard and its siblings, keeps scoring. A link that has
-	// already met its windows quota honors the request too, via the revive
-	// queue rather than this path.
+	// already met its windows quota honors the request too, revived through
+	// the run queue rather than this path.
 	if l.recal.Load() != nil {
 		e.serviceRecal(ctx, l)
 		return true, true, nil
@@ -1077,6 +1045,10 @@ func (e *Engine) advance(ctx context.Context, done <-chan struct{}, sh *shard, l
 	switch res {
 	case tickScored:
 		sh.windows.Add(1)
+		if l.lastShard >= 0 && l.lastShard != sh.id {
+			sh.steals.Add(1)
+		}
+		l.lastShard = sh.id
 		l.scored++
 		if windowsPerLink > 0 && l.scored >= windowsPerLink {
 			e.retire(l)
@@ -1087,29 +1059,31 @@ func (e *Engine) advance(ctx context.Context, done <-chan struct{}, sh *shard, l
 		e.retire(l)
 		return false, false, nil
 	default: // tickStarved
-		// Supervised link with an empty ring: back into the queue, its
-		// queue-mates keep scoring — the whole point of the rings.
+		// Supervised link with an empty ring: back into the queue, the
+		// other links keep scoring — the whole point of the rings.
 		return false, true, nil
 	}
 }
 
 // retire takes a finished link out of rotation for the rest of the Run:
-// quota met or stream ended. The remaining count hitting zero is what ends
-// the shard loops. The link's journal trail is flushed now — in an
-// unbounded run no later flush would come — and a recalibration that raced
-// the retirement is hinted to the revive queue (see postRecal for why at
-// least one side always pushes).
+// quota met or stream ended. The retire that takes the remaining count to
+// zero closes finished, which ends the shard loops. The link's journal
+// trail is flushed now — in an unbounded run no later flush would come —
+// and a recalibration that raced the retirement revives the link (see
+// postRecal for why at least one side always does).
 func (e *Engine) retire(l *link) {
 	e.setRoundOut(l, outRetired, true)
 	l.retired.Store(true)
-	e.remaining.Add(-1)
+	if e.remaining.Add(-1) == 0 {
+		close(e.finished)
+	}
 	if e.jw != nil {
 		e.jmu.Lock()
 		e.jw.Flush()
 		e.jmu.Unlock()
 	}
 	if l.recal.Load() != nil {
-		e.revive.push(l)
+		e.revive(l)
 	}
 }
 
@@ -1123,8 +1097,8 @@ func (e *Engine) retire(l *link) {
 // job, never by killing the run.
 //
 // The executor is unique per job: for a live link only the holding shard
-// gets here (queue ownership), and for a retired link only one shard drains
-// the link's deduplicated revive hint. Raising the Recalibrating flag
+// gets here (queue ownership), and for a retired link only the shard that
+// takes its deduplicated revival from the run queue. Raising the Recalibrating flag
 // BEFORE emptying the recal slot closes the loop — postRecal checks both,
 // so no second job (whose executor could overlap this one) is accepted
 // until the flag drops after the rebuild. The claim CAS is defensive depth,
@@ -1206,8 +1180,8 @@ const (
 // not a whole queue round later.
 // A supervised link draws from its ingest ring and never blocks: an empty
 // ring parks the partial window in l.win (kept across turns, following the
-// link if it migrates) and returns tickStarved so the shard moves on to its
-// queue-mates.
+// link if it migrates) and returns tickStarved so the shard moves on to the
+// next link in the run queue.
 func (e *Engine) tick(done <-chan struct{}, sh *shard, l *link) (tickResult, error) {
 	src := l.src
 	if l.sup != nil {

@@ -300,8 +300,8 @@ func TestImportLinkRejectsMismatchedConfig(t *testing.T) {
 		if err := e.AddLink("x", tc.cfg, src); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.ImportLink("x", tc.rec); !errors.Is(err, core.ErrBadSnapshot) {
-			t.Errorf("%s: err = %v, want core.ErrBadSnapshot", name, err)
+		if err := e.ImportLink("x", tc.rec); !errors.Is(err, core.ErrConfigMismatch) {
+			t.Errorf("%s: err = %v, want core.ErrConfigMismatch", name, err)
 		}
 		if _, err := e.ExportLink("x"); !errors.Is(err, ErrNotCalibrated) {
 			t.Errorf("%s: rejected import left the link calibrated (export err = %v)", name, err)

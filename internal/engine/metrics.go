@@ -26,8 +26,8 @@ type LinkMetrics struct {
 	Present bool
 	// NsPerWindowEWMA is the link's smoothed scoring cost in nanoseconds
 	// per window (EWMA, α = 1/8) — the per-link load signal: a link an
-	// order of magnitude above its peers is the one pinning a shard, and
-	// the one work stealing routes around.
+	// order of magnitude above its peers is the one keeping a shard busy
+	// while the others take the rest of the run queue.
 	NsPerWindowEWMA float64
 	// Adaptive reports whether the link runs an adaptation loop.
 	Adaptive bool
@@ -54,13 +54,13 @@ type ShardMetrics struct {
 	// WindowsScored counts windows this shard scored, whichever links they
 	// came from.
 	WindowsScored uint64
-	// Steals counts links this shard took from a sibling's queue.
+	// Steals counts the windows this shard scored of a link whose previous
+	// window another shard scored: migrations onto this shard.
 	Steals uint64
 	// Utilization is the fraction of active Run time this shard spent
-	// scoring windows rather than polling or idling — the load-balance
-	// signal: under a skewed fleet with static affinity the shard pinned
-	// on the heavy link sits near 1.0 while its siblings idle; with
-	// stealing the spread tightens.
+	// scoring windows rather than waiting for a link or backing off — the
+	// load-balance signal: shards taking from one run queue sit close
+	// together, and a wide spread means links, not shards, are scarce.
 	Utilization float64
 }
 
@@ -74,7 +74,10 @@ type Metrics struct {
 	// ScoresPerSec is windows scored per second of active Run time (0 before
 	// the first Run).
 	ScoresPerSec float64
-	// Steals counts link migrations between shards (sum over Shards).
+	// Steals counts link migrations between shards (sum over Shards): the
+	// windows scored by a shard other than the one that scored the link's
+	// previous window. With one run queue that is most windows of a
+	// multi-shard run.
 	Steals uint64
 	// Rounds counts closed fusion rounds (the id of the latest one).
 	Rounds uint64

@@ -220,7 +220,8 @@ func TestRoundSkipsStalledLink(t *testing.T) {
 }
 
 // TestRoundIDsUnderStealing runs four shards with shard 0 held on its first
-// link until a sibling has stolen from its queue. OnRound ids must rise by
+// link until the others have scored every other link, after which links
+// migrate (holdForMigration). OnRound ids must rise by
 // exactly one, calls must never overlap, and no round may close before
 // every link has decided in it — so at round k's delivery each link has
 // decided at least k windows, the held link included. (Counting decisions
@@ -260,24 +261,9 @@ func TestRoundIDsUnderStealing(t *testing.T) {
 		},
 	})
 	roundFleet(t, e, links, 44, nil)
-	// Seeded round-robin, shard 0 holds l0, l4 and l8: holding l0 leaves
-	// two links in its queue, so a sibling that retires its own can steal.
-	var released atomic.Bool
-	e.beforeAdvance = func(shard int) {
-		if shard != 0 || released.Load() {
-			return
-		}
-		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-			for _, sh := range e.shards {
-				if sh.steals.Load() > 0 {
-					released.Store(true)
-					return
-				}
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-		released.Store(true)
-	}
+	// Shard 0 is held on its first link until the other shards have scored
+	// every other link, then it takes links they scored last.
+	holdForMigration(e)
 	if err := e.Run(context.Background(), windows); err != nil {
 		t.Fatal(err)
 	}
@@ -386,9 +372,9 @@ func TestRoundRecalFromCallback(t *testing.T) {
 			}
 		},
 	})
-	// Seeded round-robin, l1 is shard 1's only link: while shard 1 rebuilds
-	// it, shard 0 keeps scoring l0 and l2. Each link first reads 2·60
-	// calibration frames (roundFleet), then 25 per window.
+	// While one shard rebuilds l1, the other keeps taking l0 and l2 from the
+	// run queue. Each link first reads 2·60 calibration frames (roundFleet),
+	// then 25 per window.
 	roundFleet(t, e, 3, 45, func(i int, src Source) Source {
 		if i != 1 {
 			return &holdTail{Source: src, from: 2*60 + (windows-tail)*25, until: gate.started,

@@ -184,7 +184,7 @@ func TestEngineMatchesDetectorReference(t *testing.T) {
 func TestEngineConcurrentReadersDuringRun(t *testing.T) {
 	byLink, rec := recordDecisions()
 	_ = byLink
-	e := driftFleet(t, 2, 5, rec) // 2 shards, 3 links: one shard owns 2 links
+	e := driftFleet(t, 2, 5, rec) // 2 shards, 3 links
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if err := e.Calibrate(ctx, 150); err != nil {

@@ -38,17 +38,15 @@ func skewedFrames(t testing.TB, cases int, seed int64, n int) ([]*scenario.Scena
 
 // skewedFleet builds a fleet whose link 0 runs the MUSIC-weighted
 // SchemeSubcarrierPath detector — an order of magnitude more DSP per window
-// than its SchemeSubcarrier peers — over pre-recorded deterministic streams.
-// The shape the work-stealing scheduler exists for: under static affinity
-// the shard seeded with link 0 lags the fleet.
-func skewedFleet(t testing.TB, workers int, static bool, scens []*scenario.Scenario, frames [][]*csi.Frame, loop bool, rec func(string, core.Decision)) *Engine {
+// than its SchemeSubcarrier peers — over pre-recorded deterministic streams,
+// so the shard holding link 0 falls behind the others and links migrate.
+func skewedFleet(t testing.TB, workers int, scens []*scenario.Scenario, frames [][]*csi.Frame, loop bool, rec func(string, core.Decision)) *Engine {
 	t.Helper()
 	e := New(Config{
-		Workers:        workers,
-		WindowSize:     25,
-		StaticAffinity: static,
-		Adaptation:     &adapt.Policy{},
-		OnDecision:     rec,
+		Workers:    workers,
+		WindowSize: 25,
+		Adaptation: &adapt.Policy{},
+		OnDecision: rec,
 	})
 	for i, s := range scens {
 		scheme := core.SchemeSubcarrier
@@ -63,27 +61,25 @@ func skewedFleet(t testing.TB, workers int, static bool, scens []*scenario.Scena
 	return e
 }
 
-// TestEngineStealingMatchesSequential is the tentpole determinism gate for
-// the work-stealing scheduler: whatever the worker count, and whether links
-// migrate or sit pinned (StaticAffinity), every link's decision stream must
-// be bit-identical to the single-shard sequential reference — stealing may
-// move a link between shards but never reorder, skip, or rescore a window.
-// Covered shapes: the three-preset drift fleet (adaptation state evolving
-// per window) and a skewed fleet whose heavy link migrates under load.
+// TestEngineStealingMatchesSequential is the determinism gate for the
+// shared run queue: whatever the worker count, every link's decision stream
+// must be bit-identical to the single-shard sequential reference — a link
+// may move between shards at every window but is never reordered, skipped,
+// or rescored. Covered shapes: the three-preset drift fleet (adaptation
+// state evolving per window) and a skewed fleet whose heavy link migrates
+// under load.
 func TestEngineStealingMatchesSequential(t *testing.T) {
 	const windows = 6
 
 	type variant struct {
 		name    string
 		workers int
-		static  bool
 	}
 	variants := []variant{
-		{"workers=1", 1, false},
-		{"workers=2", 2, false},
-		{"workers=3", 3, false},
-		{"workers=4", 4, false},
-		{"workers=4,static", 4, true},
+		{"workers=1", 1},
+		{"workers=2", 2},
+		{"workers=3", 3},
+		{"workers=4", 4},
 	}
 
 	t.Run("drift", func(t *testing.T) {
@@ -92,7 +88,6 @@ func TestEngineStealingMatchesSequential(t *testing.T) {
 		for _, v := range variants {
 			byLink, rec := recordDecisions()
 			e := driftFleet(t, v.workers, seed, rec)
-			e.cfg.StaticAffinity = v.static
 			ctx := context.Background()
 			if err := e.Calibrate(ctx, 150); err != nil {
 				t.Fatal(err)
@@ -114,7 +109,7 @@ func TestEngineStealingMatchesSequential(t *testing.T) {
 		var ref map[string][]core.Decision
 		for _, v := range variants {
 			byLink, rec := recordDecisions()
-			e := skewedFleet(t, v.workers, v.static, scens, frames, false, rec)
+			e := skewedFleet(t, v.workers, scens, frames, false, rec)
 			ctx := context.Background()
 			if err := e.Calibrate(ctx, 60); err != nil {
 				t.Fatal(err)
@@ -181,55 +176,78 @@ func (w *captureWriter) Flush() {
 	w.mu.Unlock()
 }
 
-// holdHeavyUntilStolen makes migration in a two-shard run independent of
-// how fast each link scores: shard 0 is held, with the heavy link it is
-// driving, until shard 1 has retired its cheap residents and then stolen
-// one of the heavy links still queued on shard 0 (or five seconds have
-// passed, so a scheduler that never steals fails the test instead of
-// hanging it). After that the hook is inert.
-func holdHeavyUntilStolen(e *Engine, cheapIDs []string) {
-	var released atomic.Bool
-	e.beforeAdvance = func(shard int) {
-		if shard != 0 || released.Load() {
-			return
-		}
-		retired := func() bool {
-			for _, id := range cheapIDs {
-				if !e.byID[id].retired.Load() {
-					return false
-				}
-			}
+// waitFor polls cond every 100µs until it holds or five seconds pass, and
+// reports whether it held: the safety release of the scheduler holds below,
+// so a scheduler that cannot reach the awaited state fails its test
+// instead of hanging it.
+func waitFor(cond func() bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		if cond() {
 			return true
 		}
-		stolen := func() bool {
-			for _, sh := range e.shards {
-				if sh.steals.Load() > 0 {
-					return true
-				}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return cond()
+}
+
+// holdForMigration makes a migration in a multi-shard run independent of
+// how fast each link scores, and of how many CPUs run the shards. The
+// other shards park at their first step until shard 0 has taken a link,
+// and shard 0 is held inside that first step. The other shards then score
+// until every link waiting in the run queue has a window, and stop at
+// their next step until shard 0 has scored a window of a link another
+// shard scored last: shard 0 sent its first link to the back of the queue,
+// so the next link it takes is one of those, still short of its quota.
+// After that the hook is inert.
+func holdForMigration(e *Engine) {
+	// 0: shard 0 has no link yet; 1: shard 0 held; 2: the others held; 3: done.
+	var phase atomic.Int32
+	// parked counts the shards waiting at their first step, each holding a
+	// link that has no window yet.
+	var parked atomic.Int32
+	queuedScored := func() bool {
+		unscored := 0
+		for _, l := range e.links {
+			if l.state.windows.Load() == 0 {
+				unscored++
 			}
-			return false
 		}
-		deadline := time.Now().Add(5 * time.Second)
-		for !(retired() && stolen()) && time.Now().Before(deadline) {
-			time.Sleep(100 * time.Microsecond)
+		return unscored <= 1+int(parked.Load()) // shard 0's link and the parked ones
+	}
+	e.beforeAdvance = func(shard int) {
+		if shard == 0 {
+			if phase.CompareAndSwap(0, 1) {
+				waitFor(func() bool { return phase.Load() >= 2 })
+			}
+			return
 		}
-		released.Store(true)
+		if phase.Load() == 0 {
+			parked.Add(1)
+			waitFor(func() bool { return phase.Load() != 0 })
+			parked.Add(-1)
+		}
+		if phase.Load() == 1 && queuedScored() {
+			phase.CompareAndSwap(1, 2)
+		}
+		if phase.Load() == 2 {
+			waitFor(func() bool { return e.shards[0].steals.Load() > 0 })
+			phase.Store(3)
+		}
 	}
 }
 
 // TestEngineMigrationUnderChurn exercises everything that must follow a
 // link to its current holder while links actually migrate: three heavy
-// MUSIC-weighted links seeded onto shard 0 and three cheap links onto
-// shard 1, and shard 0 held (holdHeavyUntilStolen) until shard 1 has
-// retired its residents and stolen a heavy one.
+// MUSIC-weighted links and three cheap ones on two shards, held
+// (holdForMigration) so that shard 0 scores links shard 1 scored last.
 // While the run churns, blocking recalibrations land on random links (live,
-// migrating, and already-retired ones — the revive path). Afterwards the
+// migrating, and already-retired ones — the revival path). Afterwards the
 // test checks the scheduler did migrate (Metrics.Steals > 0), every link
 // scored exactly its quota in order, the journal saw a base full record
 // before any delta and one delta per scored window per link, and the
-// per-link cost EWMAs separate the heavy links from the cheap ones. Run
-// under -race (as CI does) this also proves the queues' atomic handoff
-// publishes the link's unsynchronized owner state between shards.
+// per-link cost EWMAs are populated. Run under -race (as CI does) this also
+// proves the run queue's channel handoff publishes the link's
+// unsynchronized owner state between shards.
 func TestEngineMigrationUnderChurn(t *testing.T) {
 	const (
 		links   = 6
@@ -243,8 +261,7 @@ func TestEngineMigrationUnderChurn(t *testing.T) {
 		Adaptation: &adapt.Policy{},
 		OnDecision: rec,
 	})
-	// Links 0/2/4 run the heavy path-weighted scheme and seed round-robin
-	// onto shard 0; links 1/3/5 are cheap and land on shard 1.
+	// Links 0/2/4 run the heavy path-weighted scheme; links 1/3/5 are cheap.
 	for i, s := range scens {
 		scheme := core.SchemeSubcarrier
 		if i%2 == 0 {
@@ -263,7 +280,7 @@ func TestEngineMigrationUnderChurn(t *testing.T) {
 	if err := e.Calibrate(ctx, 60); err != nil {
 		t.Fatal(err)
 	}
-	holdHeavyUntilStolen(e, []string{"l1", "l3", "l5"})
+	holdForMigration(e)
 
 	runDone := make(chan error, 1)
 	go func() { runDone <- e.Run(ctx, windows) }()
@@ -306,7 +323,7 @@ func TestEngineMigrationUnderChurn(t *testing.T) {
 
 	m := e.Metrics()
 	if m.Steals == 0 {
-		t.Error("no link migrated: Steals == 0 (shard 1 retires three cheap links early and must steal)")
+		t.Error("no link migrated: Steals == 0 (shard 0 must score a link shard 1 scored last)")
 	}
 	if len(m.Shards) != 2 {
 		t.Fatalf("got %d shard metric entries, want 2", len(m.Shards))
@@ -364,5 +381,55 @@ func TestEngineMigrationUnderChurn(t *testing.T) {
 	}
 	if sink.flushes == 0 {
 		t.Error("journal writer never flushed")
+	}
+}
+
+// TestFreeShardRetiresEveryOtherLink pins the run queue's promise that a
+// free shard always gets the next waiting link: with shard 0 held inside
+// its first step, shard 1 alone must retire every other link of the fleet.
+// A scheduler that keeps links on the shard they started on, or takes
+// from a busy shard only what it has to spare, leaves links waiting behind
+// the held shard, and the hold's safety release fails the test.
+func TestFreeShardRetiresEveryOtherLink(t *testing.T) {
+	const links, windows = 6, 5
+	e := New(Config{Workers: 2, WindowSize: 25})
+	roundFleet(t, e, links, 47, nil)
+	retired := func() int {
+		n := 0
+		for _, l := range e.links {
+			if l.retired.Load() {
+				n++
+			}
+		}
+		return n
+	}
+	// Shard 1 waits at its first step until shard 0 holds a link, so the
+	// hold happens even when one CPU runs both shards.
+	var held, shard1Started atomic.Bool
+	var othersRetired atomic.Int64
+	e.beforeAdvance = func(shard int) {
+		switch {
+		case shard == 1 && shard1Started.CompareAndSwap(false, true):
+			waitFor(held.Load)
+		case shard == 0 && held.CompareAndSwap(false, true):
+			waitFor(func() bool { return retired() == links-1 })
+			othersRetired.Store(int64(retired()))
+		}
+	}
+	if err := e.Run(context.Background(), windows); err != nil {
+		t.Fatal(err)
+	}
+	if !held.Load() {
+		t.Fatal("shard 0 never took a link")
+	}
+	if n := othersRetired.Load(); n != links-1 {
+		t.Fatalf("while shard 0 was held, shard 1 retired %d of the other %d links", n, links-1)
+	}
+	m := e.Metrics()
+	if got, want := m.Shards[1].WindowsScored, uint64((links-1)*windows); got < want {
+		t.Errorf("shard 1 scored %d windows, want at least the other links' %d", got, want)
+	}
+	if m.WindowsScored != links*windows {
+		t.Errorf("fleet scored %d windows, want %d", m.WindowsScored, links*windows)
 	}
 }

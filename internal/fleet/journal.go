@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mlink/internal/binio"
+	"mlink/internal/core"
 	"mlink/internal/engine"
 )
 
@@ -306,11 +307,14 @@ func (j *Journal) NewWriter() engine.JournalWriter {
 // from the compacted snapshot in the same directory) is imported and the
 // latest delta after it applied, leaving the link bit-for-bit where the
 // last synced window put it. Links with no journaled state are left
-// untouched — calibrate them with Engine.CalibrateMissing. A snapshot that
-// exists but does not decode is an error wrapping engine.ErrBadRecord:
-// recalibrating over it would hide the corruption. A directory holding only
-// snapshot files and no journal restores from the snapshots alone. Returns
-// the IDs restored.
+// untouched — calibrate them with Engine.CalibrateMissing — and so are links
+// whose record was written under another configuration: a profile for
+// another grid, array or scheme (core.ErrConfigMismatch), or an adaptive
+// record in an engine without adaptation (engine.ErrNotAdaptive). A record
+// that does not decode is an error wrapping engine.ErrBadRecord or
+// core.ErrBadSnapshot: recalibrating over it would hide the corruption. A
+// directory holding only snapshot files and no journal restores from the
+// snapshots alone. Returns the IDs restored.
 func (j *Journal) Restore(eng *engine.Engine) ([]string, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -336,8 +340,11 @@ func (j *Journal) Restore(eng *engine.Engine) ([]string, error) {
 			full = data
 		}
 		if err := eng.ImportLink(id, full); err != nil {
-			if errors.Is(err, engine.ErrRunning) {
+			switch {
+			case errors.Is(err, engine.ErrRunning):
 				return restored, ErrRunning
+			case errors.Is(err, core.ErrConfigMismatch), errors.Is(err, engine.ErrNotAdaptive):
+				continue // recorded under another configuration: recalibrate
 			}
 			return restored, fmt.Errorf("fleet journal: %w", err)
 		}

@@ -210,3 +210,73 @@ func TestStoreErrors(t *testing.T) {
 		t.Fatalf("corrupt snapshot restore err = %v, want engine.ErrBadRecord", err)
 	}
 }
+
+// TestRestoreLeavesForeignRecordsToCalibration checks that a record written
+// under another link configuration is not an error: Restore leaves the link
+// unrestored and CalibrateMissing calibrates it. The cases are a path-scheme
+// record restored onto a subcarrier-scheme link and an adaptive record
+// restored into an engine without adaptation. A corrupt record still fails
+// (TestStoreErrors).
+func TestRestoreLeavesForeignRecordsToCalibration(t *testing.T) {
+	s, err := scenario.LinkCase(2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := core.DefaultConfig(s.Grid, core.SchemeSubcarrier, s.Env.RX.Offsets())
+	path := sub
+	path.Scheme = core.SchemeSubcarrierPath
+	build := func(cfg core.Config, pol *adapt.Policy) *engine.Engine {
+		e := engine.New(engine.Config{Workers: 1, WindowSize: 25, Adaptation: pol})
+		x, err := s.NewExtractor(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddLink("l", cfg, engine.SourceFunc(func() (*csi.Frame, error) { return x.Capture(nil), nil })); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	for name, tc := range map[string]struct {
+		recCfg, cfg core.Config
+		recPol, pol *adapt.Policy
+		want        error
+	}{
+		"scheme":       {path, sub, nil, nil, core.ErrConfigMismatch},
+		"adaptation":   {sub, sub, &adapt.Policy{}, nil, engine.ErrNotAdaptive},
+		"both at once": {path, sub, &adapt.Policy{}, &adapt.Policy{}, core.ErrConfigMismatch},
+	} {
+		src := build(tc.recCfg, tc.recPol)
+		if err := src.Calibrate(context.Background(), 60); err != nil {
+			t.Fatal(err)
+		}
+		record, err := src.ExportLink("l")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := build(tc.cfg, tc.pol)
+		if err := e.ImportLink("l", record); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: ImportLink err = %v, want %v", name, err, tc.want)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(snapshotPath(dir, "l"), record, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(dir, JournalConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := j.Restore(e)
+		if err != nil || len(restored) != 0 {
+			t.Fatalf("%s: Restore = (%v, %v), want nothing restored and no error", name, restored, err)
+		}
+		if err := e.CalibrateMissing(context.Background(), 60); err != nil {
+			t.Fatalf("%s: CalibrateMissing: %v", name, err)
+		}
+		if _, err := e.ExportLink("l"); err != nil {
+			t.Fatalf("%s: link not calibrated after CalibrateMissing: %v", name, err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

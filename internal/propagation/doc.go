@@ -7,6 +7,7 @@
 //
 // The tracer produces explicit ray sets — exactly the finite sums of
 // Eq. 1/2 — which internal/channel samples into per-subcarrier channel
-// frequency responses, and whose oracle LOS/total power split grades the
-// paper's Eq. 10 dominant-tap approximation (Environment.OracleLOS).
+// frequency responses. The tests' oracle LOS/total power split
+// (Environment.OracleLOS) grades the paper's Eq. 10 dominant-tap
+// approximation.
 package propagation
