@@ -534,7 +534,8 @@ func BenchmarkEngineSteadyStateSupervised(b *testing.B) {
 // enforces this in CI). Every link's profile refreshes are suppressed (a
 // refresh rebuilds a profile, which allocates by design) so the measurement
 // isolates the journal path: delta serialization into the shard's reused
-// record buffer, the SPSC buffer handoff, and the syncer's absorb-and-write
+// record buffer, the copy into the writer's buffer under its mutex, the
+// syncer's swap of that buffer for its spare, and the absorb-and-write
 // loop. The journal stays far below its compaction size at the gate's
 // iteration count. The 56-window warm-up Run (steadyTimer) emits the
 // one-off full records and, because a delta embeds the drift monitor's

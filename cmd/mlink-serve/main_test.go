@@ -38,13 +38,14 @@ func TestRunJournalRestart(t *testing.T) {
 }
 
 // TestRunJournalForeignConfig restarts the daemon on a journal written
-// under another configuration: another scheme, or adaptation switched off.
-// The restart must not stop at startup: it recovers no link, calibrates
-// both, and runs to the end.
+// under another configuration: another scheme, or adaptation switched off
+// or on. The restart must not stop at startup: it recovers no link,
+// calibrates both, and runs to the end.
 func TestRunJournalForeignConfig(t *testing.T) {
 	for name, tc := range map[string]struct{ first, second []string }{
 		"scheme":     {[]string{"-adapt", "-scheme", "path"}, []string{"-adapt", "-scheme", "subcarrier"}},
 		"adaptation": {[]string{"-adapt"}, nil},
+		"frozen":     {nil, []string{"-adapt"}},
 	} {
 		dir := t.TempDir()
 		common := []string{"-links", "2", "-journal", dir, "-windows", "2"}

@@ -203,8 +203,9 @@ func (e *Engine) FleetReport() (FleetReport, bool) {
 // truncated), every registered link with journaled state is restored to its
 // last synced window, and from the next Run on the engine streams profile
 // refreshes, threshold re-derivations and drift state into the journal,
-// fsynced on the configured cadence. A daemon killed at any moment resumes
-// its walked baselines bit-for-bit with at most SyncEvery of loss.
+// written out every 64 KiB and fsynced on the configured cadence. A daemon
+// killed at any moment resumes its walked baselines bit-for-bit, losing at
+// most the records appended since the last fsync: SyncEvery of adaptation.
 //
 // Returns the IDs restored; follow with CalibrateMissing for links that had
 // no journaled state. Call with the engine stopped, and CloseJournal (or

@@ -224,9 +224,10 @@ type Engine struct {
 	// that writer, created once per sink under e.mu; jmu serializes the
 	// shards' appends to it so the journal file's record order is the global
 	// emission order — the property crash recovery's cut consistency rests
-	// on — even as links migrate between shards. The critical section is a
-	// buffer append a few hundred bytes long once per scored window
-	// (~100 µs of DSP), so the lock is uncontended in practice.
+	// on — even as links migrate between shards. The critical section
+	// copies one record (a delta is about 2.2 KB) into the writer's buffer
+	// once per scored window, far less than the window's DSP, so the lock is
+	// uncontended in practice.
 	journal  JournalSink
 	jmu      sync.Mutex
 	jw       JournalWriter

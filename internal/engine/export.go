@@ -85,8 +85,11 @@ func appendLinkRecord(dst []byte, l *link) ([]byte, error) {
 // and drift state) is rebuilt exactly as exported, so the link's next
 // windows score as if the original engine had never stopped and no
 // recalibration is needed. The link must already be registered under the
-// same ID with the same scoring config; adaptive records additionally
-// require the engine's adaptation policy to be set. Rejected while Run or a
+// same ID with the same scoring config, and the record must match the
+// engine's adaptation setting: an adaptive record in an engine without a
+// policy fails with ErrNotAdaptive, and a frozen record in an engine with
+// one with core.ErrConfigMismatch, since restoring it frozen would leave
+// the link unadapted until a recalibration. Rejected while Run or a
 // calibration is active.
 func (e *Engine) ImportLink(linkID string, record []byte) error {
 	e.mu.Lock()
@@ -135,6 +138,9 @@ func (e *Engine) ImportLink(linkID string, record []byte) error {
 		return nil
 	}
 
+	if e.cfg.Adaptation != nil {
+		return fmt.Errorf("link %s: frozen record in an adaptive engine: %w", linkID, core.ErrConfigMismatch)
+	}
 	threshold := r.F64()
 	blob := r.Bytes()
 	if err := r.Done(); err != nil {

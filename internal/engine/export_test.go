@@ -113,6 +113,12 @@ func TestExportImportErrorPaths(t *testing.T) {
 		}
 	})
 
+	t.Run("frozen record with policy", func(t *testing.T) {
+		if err := e.ImportLink("fuzz", frozenRecords(t)["v3"]); !errors.Is(err, core.ErrConfigMismatch) {
+			t.Errorf("err = %v, want core.ErrConfigMismatch", err)
+		}
+	})
+
 	t.Run("delta on frozen link", func(t *testing.T) {
 		e2 := New(Config{Workers: 1, WindowSize: 25})
 		_, cfg, src := buildLink(t, 2, 7)
@@ -313,9 +319,16 @@ func TestImportLinkRejectsMismatchedConfig(t *testing.T) {
 // ApplyLinkDelta: any input must either be accepted (and the resulting
 // state re-export) or fail with a typed error — never panic, never leave
 // the engine rejecting subsequent valid imports. The seeds hold an adaptive
-// record and a frozen record of every profile record version.
+// record and a frozen record of every profile record version; each input
+// goes to an adaptive and a frozen engine, since each refuses the other's
+// records.
 func FuzzLinkRecord(f *testing.F) {
 	e, record := exportFixture(f)
+	fe := New(Config{Workers: 1, WindowSize: 25})
+	_, cfg, src := buildLink(f, 2, 7)
+	if err := fe.AddLink("fuzz", cfg, src); err != nil {
+		f.Fatal(err)
+	}
 	ad := e.byID["fuzz"].adapter.Load()
 	delta := ad.AppendDelta(nil)
 	f.Add(record)
@@ -339,10 +352,14 @@ func FuzzLinkRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typed(t, e.ImportLink("fuzz", data))
 		typed(t, e.ApplyLinkDelta("fuzz", data))
-		// Whatever the mutated inputs did, the engine must still accept the
-		// genuine record: decode failures may not corrupt live state.
+		typed(t, fe.ImportLink("fuzz", data))
+		// Whatever the mutated inputs did, the engines must still accept
+		// the genuine records: decode failures may not corrupt live state.
 		if err := e.ImportLink("fuzz", record); err != nil {
 			t.Fatalf("valid record rejected after fuzz input: %v", err)
+		}
+		if err := fe.ImportLink("fuzz", frozen["v3"]); err != nil {
+			t.Fatalf("valid frozen record rejected after fuzz input: %v", err)
 		}
 	})
 }

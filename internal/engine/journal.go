@@ -5,9 +5,10 @@ package engine
 // Engine.jmu), so the writer sees records in global emission order from one
 // caller at a time — the order a sink can persist wholesale and still offer
 // cut-consistent crash recovery (any durable prefix is a state the fleet
-// actually passed through). The implementation therefore needs no internal
-// lock against the engine; it only coordinates with its own sink's drain
-// side.
+// actually passed through). Appends run on the scoring path under
+// Engine.jmu, so they must not wait on the disk; the implementation guards
+// only what it shares with its own sink's drain side (the fleet journal's
+// syncer takes the writer's whole buffer under a writer mutex).
 //
 // The record slices are only valid for the duration of the call — the link
 // reuses its buffer for the next record — so an implementation that retains
@@ -20,10 +21,9 @@ type JournalWriter interface {
 	// AppendDelta records an adapter delta (adapt.Adapter.AppendDelta):
 	// the link's absolute mutable state as of the window just scored.
 	AppendDelta(linkID string, record []byte)
-	// Flush hands any buffered records to the sink. Called when a link
-	// retires and again at the end of Run, so the journal's last durable
-	// state trails the engine's by at most the sync cadence, never by a
-	// whole run.
+	// Flush makes every buffered record durable before it returns. Called
+	// when a link retires and again at the end of Run, so a finished run's
+	// last windows never wait for the sink's next sync.
 	Flush()
 }
 

@@ -26,10 +26,10 @@
 // daemon resumes from the walked baselines (profile fingerprints,
 // threshold, rolling drift windows, in the engine's versioned binary link
 // records) instead of recalibrating a live site from scratch. The Journal
-// rides the scoring loop — each owning shard frames per-window state
-// deltas into a lock-free per-shard buffer, a background syncer drains,
-// appends and fsyncs them on a configured cadence, and compaction folds the
-// growing journal back into one .mlprofile snapshot file per link. Records
+// rides the scoring loop — the shards frame per-window state deltas into
+// one buffer that a background syncer writes out every 64 KiB and fsyncs on
+// a configured cadence, and compaction folds the growing journal back into
+// one .mlprofile snapshot file per link. Records
 // are length-framed and CRC'd (internal/binio), so OpenJournal detects and
 // truncates the torn tail a kill leaves behind and Restore rebuilds each
 // link bit-for-bit from latest snapshot + latest full record + latest

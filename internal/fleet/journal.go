@@ -100,10 +100,10 @@ func writeFileAtomic(path string, data []byte) error {
 
 // JournalConfig parameterizes a Journal.
 type JournalConfig struct {
-	// SyncEvery is the fsync cadence (default 1s): the upper bound on how
-	// much adaptation history a crash can lose. Shorter bounds loss tighter
-	// at the cost of more fsyncs; the emission path itself never blocks on
-	// the disk either way.
+	// SyncEvery is the fsync cadence (default 1s): a crash loses at most the
+	// records appended since the last tick, plus that tick's fsync time.
+	// Shorter bounds loss tighter at the cost of more fsyncs; the emission
+	// path never blocks on the disk either way.
 	SyncEvery time.Duration
 	// compactBytes triggers compaction — full records rewritten as per-link
 	// snapshot files, the journal rewritten with only the latest deltas — once the
@@ -143,16 +143,16 @@ type latestRec struct {
 // durable by a background syncer on a configurable cadence and periodically
 // compacted into per-link snapshot files next to the journal.
 //
-// The write path never touches the disk or the journal mutex: the engine's
-// single writer (appends serialized by the engine, in global emission
-// order) buffers records into a journalWriter whose buffers hand off to
-// the syncer through single-producer/single-consumer atomics — no
-// allocations, and never a disk stall on the scoring path. Because the
-// file preserves emission order, every durable prefix is a cut the fleet
-// actually passed through. A crash (or kill) at any byte loses at most the
-// records since the last sync; reopening detects the torn tail by CRC,
-// truncates it, and resumes the walked baselines bit-for-bit from the
-// surviving prefix.
+// The write path never touches the disk or the journal mutex: the engine
+// serializes its appends, in global emission order, into a journalWriter's
+// one buffer, which the syncer swaps for an empty spare on every SyncEvery
+// tick and whenever it reaches drainBytes. So the scoring path allocates
+// nothing and never waits on the disk, and a record is durable at the
+// first fsync after its append. Because the file preserves emission order,
+// every durable prefix is a cut the fleet actually passed through. A crash
+// (or kill) at any byte loses at most the records since the last sync;
+// reopening detects the torn tail by CRC, truncates it, and resumes the
+// walked baselines bit-for-bit from the surviving prefix.
 type Journal struct {
 	dir  string
 	path string
@@ -163,15 +163,18 @@ type Journal struct {
 	// failed or closed — shards check it lock-free.
 	broken atomic.Bool
 
-	mu      sync.Mutex
-	f       journalHandle
-	size    int64
-	latest  map[string]*latestRec
-	writers []*journalWriter
-	failed  error
-	cbuf    []byte // compaction scratch
+	mu       sync.Mutex
+	f        journalHandle
+	size     int64
+	unsynced bool // written since the last fsync
+	latest   map[string]*latestRec
+	writers  []*journalWriter
+	spare    []byte // empty buffer the next drain swaps into a writer
+	failed   error
+	cbuf     []byte // compaction scratch
 
 	absorbFn  func([]byte) error
+	kick      chan struct{} // a writer reached drainBytes
 	stop      chan struct{}
 	done      chan struct{}
 	closeOnce sync.Once
@@ -202,6 +205,7 @@ func openJournal(dir string, cfg JournalConfig, fs journalFS) (*Journal, error) 
 		cfg:    cfg.withDefaults(),
 		fs:     fs,
 		latest: make(map[string]*latestRec),
+		kick:   make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -292,10 +296,9 @@ func (j *Journal) absorb(payload []byte) error {
 
 // NewWriter hands out an emission endpoint (engine.JournalSink). The
 // engine creates one per installed sink and serializes its own appends to
-// it; the writer's SPSC handoff assumes that external serialization.
+// it, so records reach the file in emission order.
 func (j *Journal) NewWriter() engine.JournalWriter {
-	w := &journalWriter{j: j, active: &jbuf{}}
-	w.spare.Store(&jbuf{})
+	w := &journalWriter{j: j}
 	j.mu.Lock()
 	j.writers = append(j.writers, w)
 	j.mu.Unlock()
@@ -358,9 +361,9 @@ func (j *Journal) Restore(eng *engine.Engine) ([]string, error) {
 	return restored, nil
 }
 
-// syncLoop is the background syncer: on every cadence tick it drains the
-// writers' handed-off buffers to disk and fsyncs, then compacts if the
-// journal has outgrown its budget.
+// syncLoop is the background syncer: a kick writes the writers' buffers
+// out, and every cadence tick also fsyncs and compacts if the journal has
+// outgrown its budget.
 func (j *Journal) syncLoop() {
 	defer close(j.done)
 	t := time.NewTicker(j.cfg.SyncEvery)
@@ -369,56 +372,71 @@ func (j *Journal) syncLoop() {
 		select {
 		case <-j.stop:
 			return
-		case <-t.C:
+		case <-j.kick:
 			j.mu.Lock()
-			j.drainLocked()
+			j.writeLocked()
 			j.mu.Unlock()
+		case <-t.C:
+			j.drain()
 		}
 	}
 }
 
-// drain is the synchronous drain used by writer Flush and Sync.
+// drain is the syncing drain of the cadence tick and writer Flush.
 func (j *Journal) drain() {
 	j.mu.Lock()
 	j.drainLocked()
 	j.mu.Unlock()
 }
 
+// drainLocked writes the writers' buffers out, fsyncs if anything was
+// written since the last fsync, and compacts once the journal has outgrown
+// its budget.
 func (j *Journal) drainLocked() {
-	if j.failed != nil {
+	j.writeLocked()
+	if j.broken.Load() {
 		return
 	}
-	wrote := false
-	for _, w := range j.writers {
-		buf := w.pending.Load()
-		if buf == nil {
-			continue
-		}
-		// Absorb before writing: the latest map must cover every record the
-		// file may contain, or a compaction could drop state that an
-		// incomplete append made durable.
-		if _, err := binio.ScanJournal(buf.b, j.absorbFn); err != nil {
-			j.fail(err)
-			return
-		}
-		if _, err := j.f.Write(buf.b); err != nil {
-			j.fail(fmt.Errorf("fleet journal append: %w", err))
-			return
-		}
-		j.size += int64(len(buf.b))
-		wrote = true
-		buf.b = buf.b[:0]
-		w.pending.Store(nil)
-		w.spare.Store(buf)
-	}
-	if wrote {
+	if j.unsynced {
 		if err := j.f.Sync(); err != nil {
 			j.fail(fmt.Errorf("fleet journal sync: %w", err))
 			return
 		}
+		j.unsynced = false
 	}
 	if j.cfg.compactBytes > 0 && j.size >= j.cfg.compactBytes {
 		j.compactLocked()
+	}
+}
+
+// writeLocked takes every writer's buffer, leaving the empty spare in its
+// place, and appends it to the file with no writer lock held; the emptied
+// buffer becomes the next spare. A failed or closed journal writes nothing.
+func (j *Journal) writeLocked() {
+	for _, w := range j.writers {
+		if j.broken.Load() {
+			return
+		}
+		w.mu.Lock()
+		buf := w.b
+		w.b = j.spare
+		w.mu.Unlock()
+		if len(buf) > 0 {
+			// Absorb before writing: the latest map must cover every record
+			// the file may contain, or a compaction could drop state that
+			// an incomplete append made durable.
+			if _, err := binio.ScanJournal(buf, j.absorbFn); err != nil {
+				j.fail(err)
+				return
+			}
+			if _, err := j.f.Write(buf); err != nil {
+				j.fail(fmt.Errorf("fleet journal append: %w", err))
+				return
+			}
+			j.size += int64(len(buf))
+			j.unsynced = true
+		}
+		j.spare = buf[:0]
 	}
 }
 
@@ -491,7 +509,7 @@ func (j *Journal) Err() error {
 	return j.failed
 }
 
-// Close stops the syncer, drains what the writers handed off, compacts
+// Close stops the syncer, drains what the writers hold, compacts
 // (unless disabled or already failed) so the directory ends as plain
 // per-link snapshots plus a minimal journal, and closes the file. Idempotent.
 // Detach the journal from the engine (SetJournal(nil)) first; appends to a
@@ -518,22 +536,20 @@ func (j *Journal) Close() error {
 	return j.closeErr
 }
 
-// jbuf is one handoff buffer of framed records.
-type jbuf struct{ b []byte }
+// drainBytes is the writer buffer size at which an append kicks the
+// syncer to write the buffer out ahead of the next tick: it bounds the
+// records held in memory, not the fsync cadence.
+const drainBytes = 64 << 10
 
-// journalWriter is the engine's emission endpoint: a two-buffer single-
-// producer/single-consumer handoff. The producer (appends are serialized
-// by the engine) frames records into the active buffer and, whenever the
-// syncer is not holding one, hands it off by a single atomic store; the
-// syncer returns consumed buffers through spare. The scoring path
-// therefore never takes the journal mutex, never blocks on the disk, and —
-// once the two buffers have grown to the workload's high-water mark —
-// never allocates.
+// journalWriter is the engine's emission endpoint: one buffer of framed
+// records. The engine serializes appends; mu only covers the syncer's swap
+// of the buffer for an empty one, so an append waits at most for that swap
+// and never for the disk. Once the buffer and the journal's spare have
+// grown to their high-water mark, appends allocate nothing.
 type journalWriter struct {
-	j       *Journal
-	active  *jbuf
-	pending atomic.Pointer[jbuf] // set by shard, cleared by syncer
-	spare   atomic.Pointer[jbuf] // set by syncer, taken by shard
+	j  *Journal
+	mu sync.Mutex
+	b  []byte
 }
 
 func (w *journalWriter) AppendFull(linkID string, record []byte) { w.append(kindFull, linkID, record) }
@@ -545,39 +561,23 @@ func (w *journalWriter) append(kind byte, id string, blob []byte) {
 	if w.j.broken.Load() {
 		return
 	}
-	b, mark := binio.BeginJournalRecord(w.active.b)
+	w.mu.Lock()
+	b, mark := binio.BeginJournalRecord(w.b)
 	b = append(b, kind)
 	b = binio.AppendString(b, id)
 	b = binio.AppendBytes(b, blob)
-	w.active.b = binio.EndJournalRecord(b, mark)
-	w.tryHandoff()
-}
-
-// tryHandoff publishes the active buffer to the syncer if the previous one
-// has been consumed. Records keep accumulating in the active buffer while
-// the syncer is behind — nothing is dropped, nothing blocks.
-func (w *journalWriter) tryHandoff() {
-	if len(w.active.b) == 0 || w.pending.Load() != nil {
-		return
-	}
-	sp := w.spare.Swap(nil)
-	if sp == nil {
-		return
-	}
-	w.pending.Store(w.active)
-	w.active = sp
-}
-
-// Flush synchronously pushes everything this writer has buffered through
-// the syncer (engine shards call it on their way out of a Run). A failed
-// journal discards instead — the sticky error already marks the loss.
-func (w *journalWriter) Flush() {
-	for len(w.active.b) > 0 || w.pending.Load() != nil {
-		if w.j.broken.Load() {
-			w.active.b = w.active.b[:0]
-			return
+	w.b = binio.EndJournalRecord(b, mark)
+	full := len(w.b) >= drainBytes
+	w.mu.Unlock()
+	if full {
+		select {
+		case w.j.kick <- struct{}{}:
+		default: // a kick is already pending
 		}
-		w.tryHandoff()
-		w.j.drain()
 	}
 }
+
+// Flush synchronously writes and fsyncs everything buffered (engine shards
+// call it on their way out of a Run). A failed journal writes nothing: the
+// sticky error already marks the loss.
+func (w *journalWriter) Flush() { w.j.drain() }

@@ -613,6 +613,117 @@ func TestJournalCrashInjection(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
+// Drain cadence: what a drain writes, and when (probeFS)
+// ---------------------------------------------------------------------------
+
+// probeFS is a journalFS over the real filesystem that reports what its
+// append handles do: the bytes written so far, that count as each Sync
+// returns, and a signal on wrote after every Write.
+type probeFS struct {
+	osFS
+	wrote chan struct{} // buffered; a full channel drops the signal
+
+	mu      sync.Mutex
+	written int
+	syncs   []int
+}
+
+func (p *probeFS) OpenAppend(path string) (journalHandle, error) {
+	h, err := p.osFS.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return &probeHandle{journalHandle: h, p: p}, nil
+}
+
+// state returns the bytes written and the written count at each Sync.
+func (p *probeFS) state() (int, []int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.written, append([]int(nil), p.syncs...)
+}
+
+type probeHandle struct {
+	journalHandle
+	p *probeFS
+}
+
+func (h *probeHandle) Write(b []byte) (int, error) {
+	n, err := h.journalHandle.Write(b)
+	h.p.mu.Lock()
+	h.p.written += n
+	h.p.mu.Unlock()
+	select {
+	case h.p.wrote <- struct{}{}:
+	default:
+	}
+	return n, err
+}
+
+func (h *probeHandle) Sync() error {
+	err := h.journalHandle.Sync()
+	h.p.mu.Lock()
+	h.p.syncs = append(h.p.syncs, h.p.written)
+	h.p.mu.Unlock()
+	return err
+}
+
+// openProbed opens a journal over a probeFS whose cadence tick never fires
+// during the test, so every drain is one the test drives.
+func openProbed(t *testing.T) (*Journal, *probeFS) {
+	t.Helper()
+	fs := &probeFS{wrote: make(chan struct{}, 1)}
+	j, err := openJournal(t.TempDir(), JournalConfig{SyncEvery: time.Hour, compactBytes: -1}, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	return j, fs
+}
+
+// TestJournalSyncWritesEveryRecord: a syncing drain writes every record
+// appended before it, and only then fsyncs, so a record is durable at the
+// first tick after its append rather than waiting out a second one.
+func TestJournalSyncWritesEveryRecord(t *testing.T) {
+	const n = 5
+	j, fs := openProbed(t)
+	w := j.NewWriter()
+	rec := logRec{kind: kindDelta, id: "l0", blob: bytes.Repeat([]byte{7}, 100)}
+	for i := 0; i < n; i++ {
+		w.AppendDelta(rec.id, rec.blob)
+	}
+	j.drain()
+	if _, syncs := fs.state(); len(syncs) != 1 || syncs[0] != n*rec.frameSize() {
+		t.Fatalf("bytes written at each Sync = %v, want one Sync after all %d records (%d bytes)", syncs, n, n*rec.frameSize())
+	}
+}
+
+// TestJournalKickDrainsWithoutSync: a writer whose buffer reaches
+// drainBytes kicks the syncer, which writes the buffer out well before the
+// hour-long tick and without an fsync, leaving the writer holding less
+// than one record.
+func TestJournalKickDrainsWithoutSync(t *testing.T) {
+	j, fs := openProbed(t)
+	w := j.NewWriter().(*journalWriter)
+	rec := logRec{kind: kindDelta, id: "l0", blob: bytes.Repeat([]byte{7}, 2048)}
+	appended := 0
+	for appended < drainBytes {
+		w.AppendDelta(rec.id, rec.blob)
+		appended += rec.frameSize()
+	}
+	<-fs.wrote
+	if written, syncs := fs.state(); written != appended || len(syncs) != 0 {
+		t.Fatalf("kick wrote %d bytes with %d Syncs, want %d bytes and no Sync", written, len(syncs), appended)
+	}
+	w.mu.Lock()
+	held := len(w.b)
+	w.mu.Unlock()
+	if held >= rec.frameSize() {
+		t.Fatalf("writer still holds %d bytes after the kick's write, want less than one %d-byte record", held, rec.frameSize())
+	}
+}
+
+// ---------------------------------------------------------------------------
 // Satellites: record round-trip property, ErrRunning typing
 // ---------------------------------------------------------------------------
 

@@ -214,9 +214,9 @@ func TestStoreErrors(t *testing.T) {
 // TestRestoreLeavesForeignRecordsToCalibration checks that a record written
 // under another link configuration is not an error: Restore leaves the link
 // unrestored and CalibrateMissing calibrates it. The cases are a path-scheme
-// record restored onto a subcarrier-scheme link and an adaptive record
-// restored into an engine without adaptation. A corrupt record still fails
-// (TestStoreErrors).
+// record restored onto a subcarrier-scheme link, an adaptive record
+// restored into an engine without adaptation, and a frozen record restored
+// into an adaptive engine. A corrupt record still fails (TestStoreErrors).
 func TestRestoreLeavesForeignRecordsToCalibration(t *testing.T) {
 	s, err := scenario.LinkCase(2, 5)
 	if err != nil {
@@ -241,9 +241,10 @@ func TestRestoreLeavesForeignRecordsToCalibration(t *testing.T) {
 		recPol, pol *adapt.Policy
 		want        error
 	}{
-		"scheme":       {path, sub, nil, nil, core.ErrConfigMismatch},
-		"adaptation":   {sub, sub, &adapt.Policy{}, nil, engine.ErrNotAdaptive},
-		"both at once": {path, sub, &adapt.Policy{}, &adapt.Policy{}, core.ErrConfigMismatch},
+		"scheme":               {path, sub, nil, nil, core.ErrConfigMismatch},
+		"adaptation":           {sub, sub, &adapt.Policy{}, nil, engine.ErrNotAdaptive},
+		"both at once":         {path, sub, &adapt.Policy{}, &adapt.Policy{}, core.ErrConfigMismatch},
+		"frozen into adaptive": {sub, sub, nil, &adapt.Policy{}, core.ErrConfigMismatch},
 	} {
 		src := build(tc.recCfg, tc.recPol)
 		if err := src.Calibrate(context.Background(), 60); err != nil {
